@@ -241,12 +241,19 @@ class ExpandingMarkovMap:
     def log_diameter(self, word: Word) -> float:
         """log D_n(w); product law for linear maps, endpoint gap otherwise."""
         if self.kind == "piecewise_linear":
-            l, r = self.domains[word[-1] - 1]
-            acc = 0.0
-            for symbol in word[:-1]:
-                acc += math.log(self.slopes[symbol - 1])
-            return math.log(r - l) - acc
+            return float(self.log_diameters(np.asarray([word]))[0])
         return math.log(self.cylinder_interval(word).diameter)
+
+    def log_diameters(self, words: np.ndarray) -> np.ndarray:
+        """log D_n(w) for each row of a word array, linear maps only.
+
+        The product law log|I_{w_n}| − S_{n−1}γ(w) with γ the slope
+        potential, summed by the same Birkhoff kernel as S_nγ, so that
+        log D_n + S_nγ cancels the shared prefix sum bit for bit.
+        """
+        gamma = self.slope_potential()
+        log_w = np.array([math.log(r - l) for l, r in self.domains])
+        return log_w[words[:, -1] - 1] - gamma.values_on_windows(words, words.shape[1] - 1)
 
     def slope_potential(self) -> LocallyConstantPotential:
         """γ(ω) = log slope(ω₁), the depth-1 expansion potential (linear maps)."""
@@ -369,16 +376,11 @@ def check_ujr(
     ns = tuple(range(1, n_max + 1))
     spread: Optional[tuple[float, ...]] = None
     if emap.kind == "piecewise_linear":
-        log_s = np.log(np.asarray(emap.slopes))
-        log_w = np.log(np.asarray([r - l for l, r in emap.domains]))
+        gamma = emap.slope_potential()
         m_values = []
         for n in ns:
             words = word_array(emap.coding, n)
-            ls = log_s[words - 1]
-            prefix = (
-                np.cumsum(ls[:, :-1], axis=1)[:, -1] if n > 1 else np.zeros(len(words))
-            )
-            defect = (log_w[words[:, -1] - 1] - prefix) + (prefix + ls[:, -1])
+            defect = emap.log_diameters(words) + gamma.values_on_windows(words, n)
             m_values.append(float(np.max(np.abs(defect))) / n)
     else:
         rng = np.random.default_rng(seed)

@@ -126,19 +126,10 @@ class MarkovMeasure(CylinderMeasureOracle):
 
     @classmethod
     def maximal_entropy(cls, ts: TransitionSystem) -> "MarkovMeasure":
-        """The maximal-entropy (Parry) measure, from Perron data of t.
-
-        Q_{ij} = t_{ij} h_j / (λ h_i) with (λ, h) the Perron pair of the
-        transition matrix; pi combines left and right eigenvectors.
-        """
+        """The maximal-entropy (Parry) measure: the Perron chain of the 0/1
+        transition matrix (see :func:`_perron_chain`)."""
         ts.require_mixing()
-        t = ts.as_array.astype(float)
-        lam, h = power_iteration(t)
-        _, nu = power_iteration(t.T)
-        nu = nu / float(nu @ h)
-        q = t * h[None, :] / (lam * h[:, None])
-        pi = nu * h
-        return cls(ts, tuple(tuple(map(float, r)) for r in q), tuple(map(float, pi)))
+        return _perron_chain(ts, ts.as_array.astype(float))[3]
 
     # -- oracle ----------------------------------------------------------
 
@@ -327,40 +318,44 @@ class RpfGibbsData(CylinderMeasureOracle):
             path_prev = path_next
         return out
 
-    def equilibrium_markov(self) -> MarkovMeasure:
-        """The induced chain itself (over blocks); for depth ≤ 2 potentials
-        the block alphabet is the original one and this is the equilibrium
-        measure of the potential as a plain MarkovMeasure."""
-        return self.chain
+
+def _perron_chain(
+    ts: TransitionSystem, m: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray, MarkovMeasure]:
+    """(λ, h, ν, chain) for a primitive nonnegative matrix m on the states of ts.
+
+    λ and the right/left eigenvectors h, ν come from :func:`power_iteration`
+    on m and mᵀ, with ν rescaled to ν·h = 1.  The chain has
+    Q_{uv} = m_{uv} h_v/(λ h_u) and stationary vector ν∘h.
+    """
+    lam, h = power_iteration(m)
+    _, nu = power_iteration(m.T)
+    nu = nu / float(nu @ h)
+    q = m * h[None, :] / (lam * h[:, None])
+    # rows sum to 1 only in exact arithmetic; the eigenvector dust must not
+    # leak into the chain's contract
+    q = q / q.sum(axis=1)[:, None]
+    chain = MarkovMeasure(
+        ts, tuple(tuple(map(float, row)) for row in q), tuple(map(float, nu * h))
+    )
+    return lam, h, nu, chain
 
 
 def build_rpf(phi: LocallyConstantPotential) -> RpfGibbsData:
     """Exact Gibbs measure of φ: Perron eigendata of the block transfer matrix.
 
-    λ and the right/left eigenvectors h, ν come from power iteration
-    (tolerance 1e−13); the induced block chain has Q_{uv} = M_{uv} h_v/(λ h_u)
-    and stationary vector ν∘h.  The stored Gibbs constant is certified
-    empirically: the exact ratio bound K*(n) is computed for n ≤ 12 and the
-    worst log-deviation is doubled, C = (max K*)², so the certificate keeps a
-    genuine safety margin exactly when the bound is nontrivial (for φ with
-    K* ≡ 1, e.g. symbol-weight potentials, C stays exactly 1).
+    λ, the eigenvectors h, ν and the induced block chain come from one
+    direct Perron solve per side (:func:`_perron_chain`).  The stored Gibbs
+    constant is certified empirically: the exact ratio bound K*(n) is
+    computed for n ≤ 12 and the worst log-deviation is doubled,
+    C = (max K*)², so the certificate keeps a genuine safety margin exactly
+    when the bound is nontrivial (for φ with K* ≡ 1, e.g. symbol-weight
+    potentials, C stays exactly 1).
     """
     ts = phi.system
     ts.require_mixing()
     bt = block_transfer(phi)
-    lam, h = power_iteration(bt.matrix)
-    _, nu = power_iteration(bt.matrix.T)
-    nu = nu / float(nu @ h)
-    q = bt.matrix * h[None, :] / (lam * h[:, None])
-    # rows sum to 1 only in exact arithmetic; the eigenvector dust (~1e-12
-    # at the iteration tolerance) must not leak into the chain's contract
-    q = q / q.sum(axis=1)[:, None]
-    pi = nu * h
-    chain = MarkovMeasure(
-        bt.block_system(),
-        tuple(tuple(map(float, row)) for row in q),
-        tuple(map(float, pi)),
-    )
+    lam, h, nu, chain = _perron_chain(bt.block_system(), bt.matrix)
     data = RpfGibbsData(phi, lam, bt.blocks, h, nu, chain, 1.0)
     seq = AdditiveSequence(phi)
     worst = max(
@@ -464,7 +459,12 @@ def certify_weak_gibbs(
     threshold: Optional[float] = None
     if max(tail_logs) - min(tail_logs) <= 1e-9:
         verdict = "gibbs"
-        constant = math.exp(max(log_ks))
+        # exp can round one ulp low; step up so that log C >= max log K*(n)
+        # and the constant passes check_sandwich against its own K*
+        top = max(log_ks)
+        constant = math.exp(top)
+        while math.log(constant) < top:
+            constant = math.nextafter(constant, math.inf)
     else:
         tail_ratios = ratios[tail]
         nonincreasing = bool(

@@ -25,6 +25,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .interval_maps import ExpandingMarkovMap
+from .log_mass import LogMassSequence
 from .measures import (
     CylinderMeasureOracle,
     MarkovMeasure,
@@ -34,7 +35,6 @@ from .measures import (
     entropy,
     integrate,
 )
-from .potentials import LocallyConstantPotential
 from .sft import TransitionSystem, word_array
 
 
@@ -245,26 +245,6 @@ class VariationalSpectrumPoint:
     checklist: tuple[ChecklistItem, ...]
 
 
-def _reference_potential(mu: CylinderMeasureOracle) -> Optional[LocallyConstantPotential]:
-    """Generating potential whose Birkhoff averages govern log-masses of μ."""
-    if isinstance(mu, MarkovMeasure):
-        return mu.transition_log_potential()
-    if isinstance(mu, RpfGibbsData):
-        return mu.potential.shifted(-mu.pressure)
-    return None
-
-
-def _log_diameters(emap: ExpandingMarkovMap, words: np.ndarray) -> np.ndarray:
-    log_s = np.log(np.asarray(emap.slopes))
-    log_w = np.log(np.asarray([r - l for l, r in emap.domains]))
-    ls = log_s[words - 1]
-    if words.shape[1] > 1:
-        prefix = np.cumsum(ls[:, :-1], axis=1)[:, -1]
-    else:
-        prefix = np.zeros(len(words))
-    return log_w[words[:, -1] - 1] - prefix
-
-
 def _hypothesis_checklist(
     measures: Sequence[CylinderMeasureOracle],
     certificates: Optional[Sequence[Optional[WeakGibbsCertificate]]],
@@ -297,7 +277,7 @@ def _hypothesis_checklist(
             items.append(
                 ChecklistItem(f"{tag} weak-gibbs", "not-supplied", "no certificate attached")
             )
-        g = _reference_potential(mu)
+        g = LogMassSequence(mu).family_member(1)
         if g is None:
             items.append(ChecklistItem(f"{tag} non-atomic", "not-checked", "no known potential"))
         else:
@@ -355,7 +335,7 @@ def spectrum_variational(
         else:
             family = markov_candidate_family(ts, step)
     gamma = emap.slope_potential()
-    refs = [_reference_potential(mu) for mu in mus]
+    refs = [LogMassSequence(mu).family_member(1) for mu in mus]
     routes = tuple("closed-form" if g is not None else "quadrature" for g in refs)
     if comparison_tol is None:
         comparison_tol = max(0.05, 3.0 / quadrature_depth)
@@ -364,7 +344,7 @@ def spectrum_variational(
     objective = np.array([entropy(nu) for nu in family.measures]) / lyap
     cons = np.empty((len(family.measures), len(mus)))
     words_q = word_array(ts, quadrature_depth)
-    log_d_q = _log_diameters(emap, words_q)
+    log_d_q = emap.log_diameters(words_q)
     for i, (mu, g) in enumerate(zip(mus, refs)):
         if g is not None:
             cons[:, i] = [
@@ -401,7 +381,7 @@ def spectrum_variational(
     best = int(idx[int(np.argmax(objective[idx]))])
     nu_best = family.measures[best]
     words_prev = word_array(ts, quadrature_depth - 1)
-    log_d_prev = _log_diameters(emap, words_prev)
+    log_d_prev = emap.log_diameters(words_prev)
     nu_w_q = np.exp(nu_best.log_mass_words(words_q))
     nu_w_prev = np.exp(nu_best.log_mass_words(words_prev))
     quadrature = []

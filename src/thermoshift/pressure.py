@@ -35,7 +35,9 @@ from .sft import TransitionSystem, Word, cyclic_mask, enumerate_words, word_arra
 
 
 class EigensolverError(RuntimeError):
-    """Power iteration failed to reach tolerance within the iteration cap."""
+    """The Perron solve found no simple dominant eigenvalue with a positive
+    eigenvector: a zero image, a residual above tolerance, or a second
+    eigenvalue on the spectral circle (an imprimitive matrix)."""
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -54,48 +56,42 @@ def log_sum_exp(values: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# power iteration (shared with the RPF construction in module measures)
+# Perron solve (shared with the RPF and Parry constructions in module measures)
 
 
-def power_iteration(
-    m: np.ndarray, tol: float = 1e-13, max_iter: int = 10**6
-) -> tuple[float, np.ndarray]:
+def power_iteration(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Perron root and positive right eigenvector of a primitive matrix.
 
-    Parameters
-    ----------
-    m
-        Nonnegative square matrix, assumed primitive (some power entrywise
-        positive) so the dominant eigenvalue is simple and the iteration is
-        guaranteed to converge.
-    tol
-        Relative residual target: stops when ||m v − λ v||_inf ≤ tol·λ.
-    max_iter
-        Iteration cap; exceeding it raises :class:`EigensolverError`.
+    One dense eigensolve, no iteration: the eigenvector of the eigenvalue
+    with the largest real part is taken as |v| with ||v||_1 = 1, then one
+    multiply w = m v gives λ = Σw and the returned vector w/λ.  The answer
+    is accepted when ||m ŵ − λ ŵ||_inf ≤ 1e−13·λ.  A second eigenvalue of
+    modulus within 1e−9·λ of λ (a periodic or reducible matrix, which the
+    residual test alone would pass) raises :class:`EigensolverError`, as do
+    a larger residual and a zero image.
 
-    Returns
-    -------
-    (λ, v) with v > 0 and ||v||_1 = 1.
+    ``m`` must be nonnegative and square; it is assumed primitive (some
+    power entrywise positive).  Returns (λ, v) with v > 0 and ||v||_1 = 1.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if np.any(m < 0):
         raise ValueError("matrix must be nonnegative")
-    k = m.shape[0]
-    v = np.full(k, 1.0 / k)
-    lam = 0.0
-    for _ in range(max_iter):
-        w = m @ v
-        lam = float(w.sum())
-        if lam <= 0:
-            raise EigensolverError("iterate left the positive cone (zero image)")
-        w /= lam
-        if float(np.max(np.abs(m @ w - lam * w))) <= tol * lam:
-            return lam, w
-        v = w
-    raise EigensolverError(
-        f"power iteration did not reach tol={tol} within {max_iter} iterations"
-    )
+    values, vectors = np.linalg.eig(m)
+    top = int(np.argmax(values.real))
+    v = np.abs(vectors[:, top])
+    w = m @ (v / v.sum())
+    lam = float(w.sum())
+    if lam <= 0:
+        raise EigensolverError("Perron vector has a zero image")
+    # a gap below 1e-9·λ cannot be told from a tie at double precision
+    moduli = np.sort(np.abs(values))
+    if moduli.size > 1 and moduli[-2] >= (1.0 - 1e-9) * moduli[-1]:
+        raise EigensolverError("second eigenvalue on the spectral circle (imprimitive)")
+    w /= lam
+    if float(np.max(np.abs(m @ w - lam * w))) > 1e-13 * lam:
+        raise EigensolverError("Perron residual exceeds 1e-13·λ")
+    return lam, w
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +303,9 @@ def pressure_periodic(seq: Union[PotentialSequence, LocallyConstantPotential], n
 def pressure_spectral(phi: LocallyConstantPotential) -> float:
     """log of the Perron root of the block transfer matrix (the exact limit).
 
-    Requires a mixing system; power iteration runs at tolerance 1e−13 with
-    a 10⁶-iteration cap and raises :class:`EigensolverError` beyond it.
+    Requires a mixing system; the root comes from one direct Perron solve
+    (:func:`power_iteration`), which raises :class:`EigensolverError` when
+    its residual or spectral-gap test fails.
     """
     phi.system.require_mixing()
     lam, _ = power_iteration(block_transfer(phi).matrix)

@@ -18,6 +18,7 @@ from thermoshift import (
     periodic_point,
     perturbed_doubling,
     pointwise_dimension_estimates,
+    word_array,
 )
 
 from conftest import brute_words
@@ -104,6 +105,21 @@ def test_cylinder_intervals_nest_and_follow_the_product_law():
         # width 1/2 shrinking by 1/2 per symbol, exactly in floats
         assert c.diameter == 0.5 ** len(word)
         assert m.log_diameter(word) == pytest.approx(len(word) * math.log(0.5), rel=1e-15)
+
+
+def test_vectorised_log_diameters_match_the_cylinder_product_loop():
+    for m in (golden_mean_linear(), full_branch_linear((3.0, 2.5, 7.0))):
+        for n in range(1, 7):
+            words = word_array(m.coding, n)
+            logs = m.log_diameters(words)
+            for row, value in zip(words, logs):
+                word = tuple(int(s) for s in row)
+                assert value == m.log_diameter(word)
+                assert value == pytest.approx(
+                    math.log(m.cylinder_interval(word).diameter), rel=1e-14, abs=1e-14
+                )
+    with pytest.raises(ValueError):
+        perturbed_doubling().log_diameters(np.array([[1, 2]]))
 
 
 def test_cylinder_interval_input_validation():

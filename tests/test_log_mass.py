@@ -131,6 +131,22 @@ def test_sandwich_with_a_scalar_constant(parry_seq, golden):
     assert len(word) == n_bad
 
 
+def test_certified_constant_passes_its_own_sandwich(full2):
+    # exp(max log K*) rounds one ulp low for this chain; the certified
+    # constant must still satisfy the sandwich it certifies
+    rows = (
+        (0.47283734586139636, 0.5271626541386036),
+        (0.45738130663194565, 0.5426186933680544),
+    )
+    chain = MarkovMeasure.from_stochastic(full2, rows)
+    seq = build_log_mass_sequence(chain)
+    target = AdditiveSequence(chain.transition_log_potential())
+    cert = certify_weak_gibbs(chain, target, 0.0, 6)
+    assert cert.verdict == "gibbs"
+    assert math.log(cert.gibbs_constant) >= max(lk for _, lk in cert.log_kstar)
+    assert check_sandwich(seq, target, 0.0, cert.gibbs_constant, 6).passed
+
+
 def test_sandwich_rejects_constants_below_one(parry_seq):
     with pytest.raises(ValueError):
         check_sandwich(parry_seq, parry_seq, 0.0, 0.5, 8)

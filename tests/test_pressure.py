@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermoshift import (
@@ -73,7 +73,7 @@ def test_power_iteration_rejects_bad_input():
         power_iteration(np.array([[1.0, -1.0], [1.0, 1.0]]))
     # period-2 weighted rotation: spectrum is ±sqrt(2), no convergence
     with pytest.raises(EigensolverError):
-        power_iteration(np.array([[0.0, 2.0], [1.0, 0.0]]), max_iter=500)
+        power_iteration(np.array([[0.0, 2.0], [1.0, 0.0]]))
 
 
 @given(phi=potentials(max_depth=3), n=st.integers(min_value=1, max_value=6))
@@ -95,6 +95,22 @@ def test_periodic_route_matches_brute_enumeration(phi, n):
 
 
 @given(phi=potentials(max_depth=2))
+# |λ₂/λ₁| = 0.99995: a power iteration stalls here
+@example(
+    phi=LocallyConstantPotential(
+        TransitionSystem.full_shift(2),
+        2,
+        {(1, 1): -10.0, (1, 2): 0.3, (2, 1): 0.0, (2, 2): -11.0},
+    )
+)
+# |λ₂/λ₁| = 0.9988 on a depth-2 table
+@example(
+    phi=LocallyConstantPotential(
+        TransitionSystem(((0, 1, 1), (1, 1, 0), (1, 1, 1))),
+        2,
+        {(1, 2): 0.0, (1, 3): 0.0, (2, 1): -1.0, (2, 2): 4.0, (3, 1): 0.0, (3, 2): -2.0, (3, 3): 4.0},
+    )
+)
 def test_spectral_route_matches_dense_eigenvalues(phi):
     assert pressure_spectral(phi) == pytest.approx(
         brute_spectral_pressure(phi.system.matrix, phi.table, phi.depth),
