@@ -238,7 +238,7 @@ def _cmd_gibbs_build(cfg, out, inputs, args) -> int:
             "summary": {
                 "perron_root": data.lam,
                 "pressure": data.pressure,
-                "gibbs_constant": data.gibbs_constant,
+                "gibbs_constant": cert.gibbs_constant,
                 "verdict": cert.verdict,
                 "measure_document": "rpf_measure.txt",
             },

@@ -73,6 +73,18 @@ def _expect(lines: list[str], idx: int, key: str) -> list[str]:
     return toks[1:]
 
 
+def _floats(lines: list[str], idx: int, key: str, count: int) -> tuple[float, ...]:
+    vals = tuple(float(t) for t in _expect(lines, idx, key))
+    if len(vals) != count or not all(math.isfinite(x) for x in vals):
+        raise DocumentError(f"line {idx + 1}: {key} needs {count} finite value(s)")
+    return vals
+
+
+def _check_end(lines: list[str], idx: int, last: str) -> None:
+    if idx != len(lines):
+        raise DocumentError(f"line {idx + 1}: trailing content after {last}")
+
+
 def _system_lines(ts: TransitionSystem) -> list[str]:
     out = [f"alphabet {ts.k}"]
     for row in ts.matrix:
@@ -107,8 +119,7 @@ def load_system(text: str) -> TransitionSystem:
     lines = _split(text)
     _check_header(lines, "system")
     ts, end = _parse_system(lines, 1)
-    if end != len(lines):
-        raise DocumentError(f"line {end + 1}: trailing content after matrix")
+    _check_end(lines, end, "matrix")
     return ts
 
 
@@ -156,8 +167,7 @@ def load_potential(text: str) -> LocallyConstantPotential:
     _check_header(lines, "potential")
     ts, idx = _parse_system(lines, 1)
     phi, end = _parse_potential_body(lines, idx, ts)
-    if end != len(lines):
-        raise DocumentError(f"line {end + 1}: trailing content after table")
+    _check_end(lines, end, "table")
     return phi
 
 
@@ -201,14 +211,11 @@ def load_measure(text: str) -> CylinderMeasureOracle:
     (kind,) = _expect(lines, 1, "kind")
     ts, idx = _parse_system(lines, 2)
     if kind == "markov":
-        rows = []
-        for i in range(ts.k):
-            toks = _expect(lines, idx + i, "q")
-            rows.append(tuple(float(t) for t in toks))
-        toks = _expect(lines, idx + ts.k, "pi")
-        pi = tuple(float(t) for t in toks)
+        rows = tuple(_floats(lines, idx + i, "q", ts.k) for i in range(ts.k))
+        pi = _floats(lines, idx + ts.k, "pi", ts.k)
+        _check_end(lines, idx + ts.k + 1, "pi")
         try:
-            return MarkovMeasure(ts, tuple(rows), pi)
+            return MarkovMeasure(ts, rows, pi)
         except ValueError as exc:
             raise DocumentError(f"invalid Markov measure: {exc}") from exc
     if kind == "table":
@@ -225,13 +232,18 @@ def load_measure(text: str) -> CylinderMeasureOracle:
         except ValueError as exc:
             raise DocumentError(f"invalid mass table: {exc}") from exc
     if kind == "rpf":
+        # the measure is rebuilt from φ by one Perron solve; the stored λ
+        # must agree with it, and h, ν must be present and well-formed
         phi, idx = _parse_potential_body(lines, idx, ts)
-        (lam_tok,) = _expect(lines, idx, "lambda")
+        (lam,) = _floats(lines, idx, "lambda", 1)
         data = build_rpf(phi)
-        if abs(math.log(data.lam) - math.log(float(lam_tok))) > 1e-9:
+        if abs(math.log(data.lam) - math.log(lam)) > 1e-9:
             raise DocumentError(
                 "stored Perron root disagrees with the rebuilt one; stale document"
             )
+        _floats(lines, idx + 1, "h", len(data.blocks))
+        _floats(lines, idx + 2, "nu", len(data.blocks))
+        _check_end(lines, idx + 3, "nu")
         return data
     raise DocumentError(f"unknown measure kind {kind!r}")
 
@@ -276,8 +288,7 @@ def load_map(text: str) -> ExpandingMarkovMap:
         domains.append((float(toks[0]), float(toks[1])))
     idx += ts.k
     if kind == "piecewise_linear":
-        if idx != len(lines):
-            raise DocumentError(f"line {idx + 1}: trailing content after domains")
+        _check_end(lines, idx, "domains")
         try:
             return ExpandingMarkovMap(ts, domains)
         except ValueError as exc:
@@ -347,6 +358,11 @@ ALLOWED_CONFIG_KEYS: dict[str, set[str]] = {
 }
 
 
+def _is_int(x: Any) -> bool:
+    # JSON true/false arrive as bool, which Python counts as the integers 1/0
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def load_config(path: str, command: str) -> dict[str, Any]:
     """Parse and validate a JSON config for the given command.
 
@@ -364,7 +380,7 @@ def load_config(path: str, command: str) -> dict[str, Any]:
         raise DocumentError(f"config {path}: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(raw, dict):
         raise DocumentError("config must be a JSON object")
-    if raw.get("version") != CONFIG_VERSION:
+    if not _is_int(raw.get("version")) or raw["version"] != CONFIG_VERSION:
         raise DocumentError(
             f"config field 'version' must be {CONFIG_VERSION}, got {raw.get('version')!r}"
         )
@@ -377,10 +393,12 @@ def load_config(path: str, command: str) -> dict[str, Any]:
             f"config field(s) {', '.join(unknown)} not recognized for {command}"
         )
     for key in ("tol", "tau", "step", "delta"):
-        if key in raw and not (isinstance(raw[key], (int, float)) and raw[key] > 0):
+        if key in raw and not (
+            (_is_int(raw[key]) or isinstance(raw[key], float)) and raw[key] > 0
+        ):
             raise DocumentError(f"config field {key!r} must be a positive number")
     for key in ("n_max", "n_min", "sample_size", "quadrature_depth", "alpha_count"):
-        if key in raw and not (isinstance(raw[key], int) and raw[key] >= 1):
+        if key in raw and not (_is_int(raw[key]) and raw[key] >= 1):
             raise DocumentError(f"config field {key!r} must be a positive integer")
     if "n_min" in raw and "n_max" in raw and raw["n_min"] > raw["n_max"]:
         raise DocumentError("config n range is empty (n_min > n_max)")

@@ -26,6 +26,7 @@ from .measures import (
     TableMeasure,
     WeakGibbsCertificate,
     ZeroCylinderMassError,
+    _log_gibbs_ratios,
 )
 from .potentials import (
     LocallyConstantPotential,
@@ -34,7 +35,7 @@ from .potentials import (
     asymptotic_defect,
 )
 from .pressure import PressureEstimate, pressure_limit, pressure_periodic
-from .sft import SymbolicPoint, TransitionSystem, Word, enumerate_words, word_array
+from .sft import SymbolicPoint, TransitionSystem, Word, enumerate_words
 
 
 class LogMassSequence(PotentialSequence):
@@ -227,9 +228,9 @@ def check_sandwich(
 
     ``k`` may be a constant, a function of n, or a certificate from
     :func:`~thermoshift.measures.certify_weak_gibbs`.  Passing the
-    certificate reuses its stored log K*(n) and the identical enumeration
-    and log-ratio arithmetic, so the optimal constants pass with slack
-    exactly 0.0 rather than failing by a rounding ulp.
+    certificate reuses its stored log K*(n), and the log-ratios come from
+    the routine certification itself uses, so the optimal constants pass
+    with slack exactly 0.0 rather than failing by a rounding ulp.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -245,11 +246,7 @@ def check_sandwich(
     slacks = []
     violation: Optional[tuple[int, Word]] = None
     for n in range(1, n_max + 1):
-        dep = target.dep(n)
-        if dep is None:
-            raise ValueError("target sequence declares no dependence length")
-        words = word_array(seq.system, max(n, dep))
-        diffs = seq.values_on_words(n, words) - target.values_on_words(n, words) + n * p
+        words, diffs = _log_gibbs_ratios(seq.oracle, target, p, n)
         lk = log_k(n)
         slacks.append(lk - float(np.max(np.abs(diffs))))
         if violation is None and slacks[-1] < 0:

@@ -20,7 +20,6 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .potentials import (
-    AdditiveSequence,
     LocallyConstantPotential,
     PotentialSequence,
     eta,
@@ -78,6 +77,11 @@ class MarkovMeasure(CylinderMeasureOracle):
             raise ValueError("Q must be k x k")
         if len(self.stationary) != k:
             raise ValueError("pi must have one entry per symbol")
+        # NaN slips past every comparison below, so finiteness comes first
+        if not all(math.isfinite(x) for row in self.rows for x in row):
+            raise ValueError("Q has a non-finite entry")
+        if not all(math.isfinite(x) for x in self.stationary):
+            raise ValueError("pi has a non-finite entry")
         for i, row in enumerate(self.rows):
             if any(x < 0 for x in row):
                 raise ValueError(f"negative transition weight in row {i + 1}")
@@ -221,10 +225,11 @@ class RpfGibbsData(CylinderMeasureOracle):
     """Exact Gibbs measure of a locally constant potential via Perron data.
 
     Built by :func:`build_rpf`.  Holds the Perron root λ (pressure = log λ),
-    both eigenvectors of the block transfer matrix (normalized ν·h = 1), the
-    induced stationary block chain, and an empirically certified Gibbs
-    constant.  As an oracle it answers masses of words over the *original*
-    alphabet by translating them to block paths.
+    both eigenvectors of the block transfer matrix (normalized ν·h = 1) and
+    the induced stationary block chain; it carries no Gibbs constant —
+    :func:`certify_weak_gibbs` measures that.  As an oracle it answers
+    masses of words over the *original* alphabet by translating them to
+    block paths.
     """
 
     def __init__(
@@ -235,7 +240,6 @@ class RpfGibbsData(CylinderMeasureOracle):
         h: np.ndarray,
         nu: np.ndarray,
         chain: MarkovMeasure,
-        gibbs_constant: float,
     ):
         self.potential = potential
         self.lam = lam
@@ -243,7 +247,6 @@ class RpfGibbsData(CylinderMeasureOracle):
         self.h = h
         self.nu = nu
         self.chain = chain
-        self.gibbs_constant = gibbs_constant
 
     @property
     def system(self) -> TransitionSystem:
@@ -345,47 +348,34 @@ def build_rpf(phi: LocallyConstantPotential) -> RpfGibbsData:
     """Exact Gibbs measure of φ: Perron eigendata of the block transfer matrix.
 
     λ, the eigenvectors h, ν and the induced block chain come from one
-    direct Perron solve per side (:func:`_perron_chain`).  The stored Gibbs
-    constant is certified empirically: the exact ratio bound K*(n) is
-    computed for n ≤ 12 and the worst log-deviation is doubled,
-    C = (max K*)², so the certificate keeps a genuine safety margin exactly
-    when the bound is nontrivial (for φ with K* ≡ 1, e.g. symbol-weight
-    potentials, C stays exactly 1).
+    direct Perron solve per side (:func:`_perron_chain`).  Nothing is
+    certified here; :func:`certify_weak_gibbs` computes the Gibbs constants.
     """
-    ts = phi.system
-    ts.require_mixing()
+    phi.system.require_mixing()
     bt = block_transfer(phi)
     lam, h, nu, chain = _perron_chain(bt.block_system(), bt.matrix)
-    data = RpfGibbsData(phi, lam, bt.blocks, h, nu, chain, 1.0)
-    seq = AdditiveSequence(phi)
-    worst = max(
-        _max_abs_log_gibbs_ratio(data, seq, data.pressure, n) for n in range(1, 13)
-    )
-    data.gibbs_constant = math.exp(2.0 * worst)
-    return data
+    return RpfGibbsData(phi, lam, bt.blocks, h, nu, chain)
 
 
 # ---------------------------------------------------------------------------
 # certification
 
 
-def _max_abs_log_gibbs_ratio(
+def _log_gibbs_ratios(
     oracle: CylinderMeasureOracle, seq: PotentialSequence, p: float, n: int
-) -> float:
-    """max over n-cylinders and extension representatives of |log r|,
-    r = μ(w)/exp(φ_n − nP).  This is log K*(n), the exact optimal constant."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(words, log r) over n-cylinders and extension representatives, with
+    r = μ(w)/exp(φ_n − nP); max |log r| is log K*(n), the exact optimal
+    constant.  The one place this arithmetic lives: certification and
+    :func:`~thermoshift.log_mass.check_sandwich` both read it, so a
+    certificate's constants pass the sandwich with slack exactly 0.0.
+    """
     dep = seq.dep(n)
     if dep is None:
-        raise ValueError("certification needs a declared dependence length")
-    length = max(n, dep)
-    words = word_array(oracle.system, length)
+        raise ValueError("the target sequence declares no dependence length")
+    words = word_array(oracle.system, max(n, dep))
     log_mass = oracle.log_mass_words(words[:, :n])
-    bad = np.flatnonzero(~np.isfinite(log_mass))
-    if bad.size:
-        w = tuple(int(s) for s in words[bad[0], :n])
-        raise ZeroCylinderMassError(f"admissible word {w} has zero mass")
-    vals = seq.values_on_words(n, words)
-    return float(np.max(np.abs(log_mass - vals + n * p)))
+    return words, log_mass - seq.values_on_words(n, words) + n * p
 
 
 @dataclass(frozen=True)
@@ -443,9 +433,15 @@ def certify_weak_gibbs(
         raise ValueError("certification needs n_max >= 4")
     if tau <= 0:
         raise ValueError("threshold must be positive")
-    log_ks = [
-        _max_abs_log_gibbs_ratio(oracle, seq, p, n) for n in range(1, n_max + 1)
-    ]
+    log_ks = []
+    for n in range(1, n_max + 1):
+        words, log_ratios = _log_gibbs_ratios(oracle, seq, p, n)
+        bad = np.flatnonzero(~np.isfinite(log_ratios))
+        if bad.size:
+            w = tuple(int(s) for s in words[bad[0], :n])
+            raise ZeroCylinderMassError(f"admissible word {w} has zero mass")
+        log_ks.append(float(np.max(np.abs(log_ratios))))
+        del log_ratios  # not alive while the k-times larger next n is built
     ns = np.arange(1, n_max + 1)
     tail_from = (n_max + 1) // 2
     tail = slice(tail_from - 1, None)

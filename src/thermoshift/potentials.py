@@ -164,30 +164,23 @@ def eta(phi: LocallyConstantPotential, n: int) -> float:
     leaves the last depth - 1 of them free and the oscillation is generally
     positive (it is identically zero only for depth 1).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    d = phi.depth
-    if d == 1:
-        return 0.0
-    ts = phi.system
-    words = word_array(ts, n + d - 1)
-    sums = phi.values_on_windows(words, n)
-    return float(_prefix_group_spread(ts, words, n, sums))
+    return gamma(AdditiveSequence(phi), n)
 
 
-def _prefix_group_spread(
-    ts: TransitionSystem, words: np.ndarray, n: int, values: np.ndarray
-) -> float:
-    """Max over n-word prefixes of (max - min) of values within the group.
+def _prefix_group_starts(words: np.ndarray, n: int) -> np.ndarray:
+    """Row indices where the n-prefix of a word array changes.
 
-    Rows of ``words`` are lexicographic, so rows sharing an n-prefix are
-    contiguous; group boundaries fall where the prefix changes.
+    Rows are lexicographic, so each n-prefix group is contiguous; the result
+    is the ``indices`` argument of a per-prefix ``ufunc.reduceat``.
     """
-    if len(values) == 0:
-        return 0.0
     prefixes = words[:, :n]
     change = np.any(prefixes[1:] != prefixes[:-1], axis=1)
-    starts = np.concatenate(([0], np.flatnonzero(change) + 1))
+    return np.concatenate(([0], np.flatnonzero(change) + 1))
+
+
+def _prefix_group_spread(words: np.ndarray, n: int, values: np.ndarray) -> float:
+    """Max over n-word prefixes of (max - min) of values within the group."""
+    starts = _prefix_group_starts(words, n)
     maxima = np.maximum.reduceat(values, starts)
     minima = np.minimum.reduceat(values, starts)
     return float(np.max(maxima - minima))
@@ -335,10 +328,8 @@ def gamma(seq: PotentialSequence, n: int) -> float:
         raise InexactSequenceError("gamma needs a declared dependence length")
     if L <= n:
         return 0.0
-    ts = seq.system
-    words = word_array(ts, L)
-    vals = seq.values_on_words(n, words)
-    return _prefix_group_spread(ts, words, n, vals)
+    words = word_array(seq.system, L)
+    return _prefix_group_spread(words, n, seq.values_on_words(n, words))
 
 
 def almost_additivity_defect(

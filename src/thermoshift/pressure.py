@@ -29,6 +29,7 @@ from .potentials import (
     AdditiveSequence,
     LocallyConstantPotential,
     PotentialSequence,
+    _prefix_group_starts,
     asymptotic_defect,
 )
 from .sft import TransitionSystem, Word, cyclic_mask, enumerate_words, word_array
@@ -268,14 +269,9 @@ def pressure_cylinder(phi: LocallyConstantPotential, n: int) -> float:
     d = phi.depth
     words = word_array(ts, n + d - 1)
     sums = phi.values_on_windows(words, n)
-    if d == 1:
-        sups = sums
-    else:
-        prefixes = words[:, :n]
-        change = np.any(prefixes[1:] != prefixes[:-1], axis=1)
-        starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-        sups = np.maximum.reduceat(sums, starts)
-    return log_sum_exp(sups) / n
+    if d > 1:
+        sums = np.maximum.reduceat(sums, _prefix_group_starts(words, n))
+    return log_sum_exp(sums) / n
 
 
 def pressure_periodic(seq: Union[PotentialSequence, LocallyConstantPotential], n: int) -> float:

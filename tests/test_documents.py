@@ -176,6 +176,35 @@ def test_rpf_measure_detects_stale_root(example_potential):
         load_measure(head + "lambda 1.0\n")
 
 
+def test_rpf_measure_requires_h_and_nu_and_nothing_after(example_potential):
+    text = dump_measure(build_rpf(example_potential))
+    head, _, _ = text.partition("\nh ")
+    with pytest.raises(DocumentError, match="expected 'h'"):
+        load_measure(head + "\nnonsense\n")
+    with pytest.raises(DocumentError, match="trailing content"):
+        load_measure(text + "nonsense\n")
+    lines = text.splitlines()
+    h_line = next(i for i, ln in enumerate(lines) if ln.startswith("h "))
+    for bad in ("h 0.5", "h nan 0.5", "h 0.5 0.5 0.5"):
+        broken = lines[:h_line] + [bad] + lines[h_line + 1 :]
+        with pytest.raises(DocumentError, match="h needs 2 finite"):
+            load_measure("\n".join(broken) + "\n")
+
+
+def test_markov_measure_rejects_trailing_content(full2):
+    text = dump_measure(MarkovMeasure.bernoulli(full2, (0.3, 0.7)))
+    with pytest.raises(DocumentError, match="trailing content"):
+        load_measure(text + "garbage 1 2 3\n")
+
+
+def test_markov_measure_document_rejects_non_finite_entries(full2):
+    text = dump_measure(MarkovMeasure.bernoulli(full2, (0.3, 0.7)))
+    broken = text.replace("q 0.29999999999999999 0.69999999999999996", "q nan nan", 1)
+    assert broken != text
+    with pytest.raises(DocumentError, match="q needs 2 finite"):
+        load_measure(broken)
+
+
 def test_measure_rejects_unknown_kind(full2):
     text = dump_measure(
         MarkovMeasure.from_stochastic(full2, ((0.5, 0.5), (0.5, 0.5)))
@@ -336,6 +365,21 @@ def test_config_rejects_bad_counts(tmp_path):
     )
     with pytest.raises(DocumentError, match="n_max"):
         load_config(path, "pressure")
+
+
+@pytest.mark.parametrize(
+    "command,payload,key",
+    [
+        ("sft-check", {"version": True, "system": "s"}, "version"),
+        ("sft-check", {"version": 1, "system": "s", "n_max": True}, "n_max"),
+        ("pressure", {"version": 1, "system": "s", "potential": "p", "tol": True}, "tol"),
+    ],
+)
+def test_config_rejects_bools_as_numbers(tmp_path, command, payload, key):
+    # JSON true is the Python integer 1; it must not pass for a count
+    path = _write_config(tmp_path, payload)
+    with pytest.raises(DocumentError, match=key):
+        load_config(path, command)
 
 
 def test_config_rejects_empty_n_range(tmp_path):

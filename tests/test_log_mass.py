@@ -102,15 +102,22 @@ def test_periodic_sums_use_the_markov_fast_path(parry_seq, golden):
     assert [n for n, _ in est.finite_n_values] == list(range(1, 13))
 
 
-def test_sandwich_is_exact_when_fed_its_own_certificate(bern):
-    cert = certify_weak_gibbs(bern.oracle, bern, 0.0, 12)
-    assert cert.verdict == "gibbs"
-    report = check_sandwich(bern, bern, 0.0, cert, 12)
-    assert report.passed
-    # K(n) was defined as the sup of exactly these deviations
-    assert report.worst_slack == 0.0
-    assert report.slacks == tuple(0.0 for _ in report.n_values)
-    assert report.first_violation is None
+def test_sandwich_is_exact_when_fed_its_own_certificate(bern, example_potential):
+    data = build_rpf(example_potential)
+    cases = [
+        (bern, bern, 0.0),
+        # a target other than the log-masses themselves: depth-2 RPF vs S_n φ
+        (build_log_mass_sequence(data), AdditiveSequence(example_potential), data.pressure),
+    ]
+    for seq, target, p in cases:
+        cert = certify_weak_gibbs(seq.oracle, target, p, 12)
+        assert cert.verdict == "gibbs"
+        report = check_sandwich(seq, target, p, cert, 12)
+        assert report.passed
+        # K(n) was defined as the sup of exactly these deviations
+        assert report.worst_slack == 0.0
+        assert report.slacks == tuple(0.0 for _ in report.n_values)
+        assert report.first_violation is None
 
 
 def test_sandwich_with_a_scalar_constant(parry_seq, golden):

@@ -52,6 +52,17 @@ def test_markov_constructor_rejects_bad_data(full2, golden):
         MarkovMeasure(full2, ((0.9, 0.1), (0.1, 0.9)), (0.9, 0.1))
 
 
+def test_markov_constructor_rejects_non_finite_entries(full2):
+    # NaN compares False against every bound, so range checks alone pass it
+    nan, inf = math.nan, math.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        MarkovMeasure(full2, ((nan, nan), (0.5, 0.5)), (0.5, 0.5))
+    with pytest.raises(ValueError, match="non-finite"):
+        MarkovMeasure(full2, ((0.5, 0.5), (0.5, 0.5)), (nan, 0.5))
+    with pytest.raises(ValueError, match="non-finite"):
+        MarkovMeasure(full2, ((inf, 0.5), (0.5, 0.5)), (0.5, 0.5))
+
+
 @given(ts=mixing_systems, data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_from_stochastic_solves_a_genuinely_stationary_vector(ts, data):
@@ -214,7 +225,8 @@ def test_rpf_is_deterministic(example_potential):
     a = build_rpf(example_potential)
     b = build_rpf(example_potential)
     assert a.lam == b.lam
-    assert a.gibbs_constant == b.gibbs_constant
+    assert np.array_equal(a.h, b.h)
+    assert np.array_equal(a.nu, b.nu)
     assert a.mass((1, 2, 2)) == b.mass((1, 2, 2))
 
 
