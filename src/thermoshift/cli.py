@@ -5,9 +5,11 @@ psi-verify, map-check, spectrum) share one shape: a JSON config names the
 input documents and parameters, every run writes a ``result.json`` (sorted
 keys, input hashes, every verdict and witness) plus CSV tables carrying all
 numeric series, and the exit status is 0 for pass/complete, 1 when a check
-fails (reports still written), 2 for input errors.  Identical configs and
-inputs produce byte-identical outputs: no timestamps, fixed enumeration
-orders, and the only randomness (general-map sampling) flows from the seed.
+fails (reports still written), 2 for input errors, 3 for an internal error
+(one ``internal error: <Type>: <message>`` line on stderr, no traceback).
+Identical configs and inputs produce byte-identical outputs: no timestamps,
+fixed enumeration orders, and the only randomness (general-map sampling)
+flows from the seed.
 
 ``--threads`` is accepted and validated for interface stability, but all
 pipelines run single-threaded: at desk scale every loop is seconds-long and
@@ -59,7 +61,7 @@ from .multifractal import (
     bernoulli_candidate_family,
     legendre_f_at_alpha,
     markov_candidate_family,
-    spectrum_variational,
+    spectrum_search,
 )
 
 _COMMANDS = (
@@ -473,7 +475,7 @@ def _cmd_spectrum(cfg, out, inputs, args) -> int:
     delta = cfg.get("delta", 1e-3)
     qdepth = cfg.get("quadrature_depth", 10)
     ts = emap.coding
-    full = all(x == 1 for row in ts.matrix for x in row)
+    full = ts.is_full
     family = bernoulli_candidate_family(ts, step) if full else markov_candidate_family(ts, step)
     legendre_p: Optional[float] = None
     if len(mus) == 1 and full and ts.k == 2 and _is_product_measure(mus[0]):
@@ -497,13 +499,13 @@ def _cmd_spectrum(cfg, out, inputs, args) -> int:
     for a in alphas:
         if len(a) != len(mus):
             raise _InputError("each alpha grid entry needs one level per measure")
+    points = spectrum_search(
+        emap, mus, alphas, family=family, delta=delta, quadrature_depth=qdepth
+    )
     rows = []
     flagged = False
     max_dev = 0.0
-    for a in alphas:
-        point = spectrum_variational(
-            emap, mus, a, family=family, delta=delta, quadrature_depth=qdepth
-        )
+    for a, point in zip(alphas, points):
         flagged = flagged or point.comparison_flagged
         arg = (
             ";".join(format_float(x) for x in point.argmax_parameter)
@@ -539,7 +541,7 @@ def _cmd_spectrum(cfg, out, inputs, args) -> int:
     )
     summary: dict[str, Any] = {
         "family": family.label,
-        "candidates": len(family.measures),
+        "candidates": len(family.parameters),
         "levels": len(alphas),
         "comparison_flagged": flagged,
     }
@@ -618,6 +620,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         # cylinders, inverse-branch failures, ...) — all input-induced
         print(f"input error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # anything else is a defect of the program, not of the input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -77,29 +77,13 @@ class MarkovMeasure(CylinderMeasureOracle):
             raise ValueError("Q must be k x k")
         if len(self.stationary) != k:
             raise ValueError("pi must have one entry per symbol")
-        # NaN slips past every comparison below, so finiteness comes first
-        if not all(math.isfinite(x) for row in self.rows for x in row):
-            raise ValueError("Q has a non-finite entry")
-        if not all(math.isfinite(x) for x in self.stationary):
-            raise ValueError("pi has a non-finite entry")
-        for i, row in enumerate(self.rows):
-            if any(x < 0 for x in row):
-                raise ValueError(f"negative transition weight in row {i + 1}")
-            if abs(sum(row) - 1.0) > 1e-12:
-                raise ValueError(f"row {i + 1} of Q sums to {sum(row)!r}, not 1")
-            for j, x in enumerate(row):
-                if x > 0 and not self.ts.allows(i + 1, j + 1):
-                    raise ValueError(
-                        f"Q[{i + 1},{j + 1}] > 0 on a forbidden transition"
-                    )
-        if any(x < 0 for x in self.stationary):
-            raise ValueError("pi has a negative entry")
-        if abs(sum(self.stationary) - 1.0) > 1e-12:
-            raise ValueError("pi does not sum to 1")
-        pi = np.asarray(self.stationary)
-        q = np.asarray(self.rows)
-        if float(np.max(np.abs(pi @ q - pi))) > 1e-10:
-            raise ValueError("pi is not stationary for Q")
+        fault = _chain_fault(
+            self.ts,
+            np.asarray(self.rows, dtype=float)[None],
+            np.asarray(self.stationary, dtype=float)[None],
+        )
+        if fault is not None:
+            raise ValueError(fault[1])
 
     # -- constructors ---------------------------------------------------
 
@@ -107,23 +91,16 @@ class MarkovMeasure(CylinderMeasureOracle):
     def from_stochastic(
         cls, ts: TransitionSystem, rows: Sequence[Sequence[float]]
     ) -> "MarkovMeasure":
-        """Markov measure from a stochastic matrix; pi solved exactly.
-
-        The stationary vector solves pi(Q − I) = 0 with Σ pi = 1 by a dense
-        linear solve (the last equation replaced by the normalization).
-        """
+        """Markov measure from a stochastic matrix; pi solved exactly
+        (see :func:`_stationary`)."""
         q = np.asarray(rows, dtype=float)
-        a = q.T - np.eye(ts.k)
-        a[-1, :] = 1.0
-        b = np.zeros(ts.k)
-        b[-1] = 1.0
-        pi = np.linalg.solve(a, b)
+        pi = _stationary(q[None])[0]
         return cls(ts, tuple(tuple(map(float, r)) for r in q), tuple(map(float, pi)))
 
     @classmethod
     def bernoulli(cls, ts: TransitionSystem, probs: Sequence[float]) -> "MarkovMeasure":
         """Product measure with the given symbol probabilities (full shifts only)."""
-        if any(x != 1 for row in ts.matrix for x in row):
+        if not ts.is_full:
             raise ValueError("Bernoulli measures live on full shifts")
         p = tuple(float(x) for x in probs)
         return cls(ts, tuple(p for _ in range(ts.k)), p)
@@ -143,10 +120,7 @@ class MarkovMeasure(CylinderMeasureOracle):
 
     @cached_property
     def _log_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        with np.errstate(divide="ignore"):
-            lq = np.log(np.asarray(self.rows))
-            lp = np.log(np.asarray(self.stationary))
-        return lp, lq
+        return _chain_logs(np.asarray(self.stationary), np.asarray(self.rows))
 
     def mass(self, word: Word) -> float:
         if len(word) == 0:
@@ -159,11 +133,7 @@ class MarkovMeasure(CylinderMeasureOracle):
         return m
 
     def log_mass_words(self, words: np.ndarray) -> np.ndarray:
-        lp, lq = self._log_arrays
-        out = lp[words[:, 0] - 1].copy()
-        for j in range(words.shape[1] - 1):
-            out += lq[words[:, j] - 1, words[:, j + 1] - 1]
-        return out
+        return _chain_log_masses(*self._log_arrays, words)
 
     def transition_log_potential(self) -> LocallyConstantPotential:
         """Depth-2 potential w ↦ log Q_{w1 w2}; the chain is its exact Gibbs
@@ -179,12 +149,113 @@ class MarkovMeasure(CylinderMeasureOracle):
         return LocallyConstantPotential(self.ts, 2, table)
 
 
+def _chain_fault(
+    ts: TransitionSystem, q: np.ndarray, pi: np.ndarray
+) -> Optional[tuple[int, str]]:
+    """The first failed check over a stack of chains, as (index, message).
+
+    ``q`` is (N, k, k) and ``pi`` is (N, k).  Each check runs on the whole
+    stack at once; for N = 1 the order, tolerances and messages are those
+    :class:`MarkovMeasure` reports.  None when every chain passes.
+    """
+    with np.errstate(invalid="ignore"):  # NaN and inf are reported first
+        row_sums = np.zeros(q.shape[:2])
+        for j in range(ts.k):  # left to right, as sum() adds a row
+            row_sums = row_sums + q[:, :, j]
+        pi_sums = np.zeros(pi.shape[0])
+        for j in range(ts.k):
+            pi_sums = pi_sums + pi[:, j]
+        residual = np.abs(pi[:, None, :] @ q - pi[:, None, :]).max(axis=(1, 2))
+    # per chain and row, in the order a row is checked: sign, sum, support
+    row_faults = np.stack(
+        [
+            (q < 0).any(axis=2),
+            np.abs(row_sums - 1.0) > 1e-12,
+            ((q > 0) & (ts.as_array == 0)).any(axis=2),
+        ],
+        axis=2,
+    ).reshape(q.shape[0], -1)
+    checks = [
+        (~np.isfinite(q).all(axis=(1, 2)), "Q has a non-finite entry"),
+        (~np.isfinite(pi).all(axis=1), "pi has a non-finite entry"),
+        (row_faults.any(axis=1), None),  # the message names the row
+        ((pi < 0).any(axis=1), "pi has a negative entry"),
+        (np.abs(pi_sums - 1.0) > 1e-12, "pi does not sum to 1"),
+        (residual > 1e-10, "pi is not stationary for Q"),
+    ]
+    for bad, message in checks:
+        if not bad.any():
+            continue
+        c = int(np.flatnonzero(bad)[0])
+        if message is not None:
+            return c, message
+        i, check = divmod(int(np.flatnonzero(row_faults[c])[0]), 3)
+        if check == 0:
+            return c, f"negative transition weight in row {i + 1}"
+        if check == 1:
+            return c, f"row {i + 1} of Q sums to {float(row_sums[c, i])!r}, not 1"
+        j = int(np.flatnonzero((q[c, i] > 0) & (ts.as_array[i] == 0))[0])
+        return c, f"Q[{i + 1},{j + 1}] > 0 on a forbidden transition"
+    return None
+
+
+def _stationary(q: np.ndarray) -> np.ndarray:
+    """Stationary vectors of a stack of stochastic matrices (N, k, k) -> (N, k).
+
+    Each solves pi(Q − I) = 0 with Σ pi = 1 by a dense linear solve, the
+    last equation replaced by the normalization; the stack is one batched
+    ``numpy.linalg.solve``, which gives each chain the bits a solve of it
+    alone gives.
+    """
+    n, k = q.shape[0], q.shape[-1]
+    a = q.transpose(0, 2, 1) - np.eye(k)
+    a[:, -1, :] = 1.0
+    # one right-hand side per chain, as an (N, k, 1) stack: NumPy 1.x and
+    # 2.x read a 1-D b against a stacked a differently
+    b = np.zeros((n, k, 1))
+    b[:, -1, 0] = 1.0
+    return np.linalg.solve(a, b)[:, :, 0]
+
+
+def _chain_logs(pi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log pi, log Q) of one chain, with log 0 = −inf for zero entries."""
+    with np.errstate(divide="ignore"):
+        return np.log(pi), np.log(q)
+
+
+def _chain_entropies(q: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """−Σ pi_i Q_ij log Q_ij per chain of a stack (N, k, k), (N, k) -> (N,).
+
+    Terms are added in row-major order, each as (pi_i · Q_ij) · log Q_ij.
+    A zero entry adds the term 0 (0·log 0 = 0), which leaves the sum's bits
+    unchanged.  Logs are ``math.log`` of each distinct entry: ``np.log``
+    differs from it in the last bit on some values.
+    """
+    values, inverse = np.unique(q, return_inverse=True)
+    logs = np.array([math.log(v) if v > 0 else 0.0 for v in values])
+    log_q = logs[inverse].reshape(q.shape)
+    total = np.zeros(q.shape[0])
+    for i in range(q.shape[1]):
+        for j in range(q.shape[2]):
+            total = total - pi[:, i] * q[:, i, j] * log_q[:, i, j]
+    return total
+
+
+def _chain_log_masses(lp: np.ndarray, lq: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """log pi_{w1} + Σ log Q_{w_j w_{j+1}} per row of a word array, added
+    left to right."""
+    out = lp[words[:, 0] - 1].copy()
+    for j in range(words.shape[1] - 1):
+        out += lq[words[:, j] - 1, words[:, j + 1] - 1]
+    return out
+
+
 class TableMeasure(CylinderMeasureOracle):
     """Masses listed explicitly for every admissible word up to a depth.
 
     The document-backed oracle: nothing is derived, nothing is validated at
-    construction beyond shape — run :func:`validate_oracle` to test
-    additivity/positivity (the CLI does, and rejects violations).
+    construction beyond shape and finiteness — run :func:`validate_oracle`
+    to test additivity/positivity (the CLI does, and rejects violations).
     """
 
     def __init__(self, ts: TransitionSystem, depth: int, masses: dict[Word, float]):
@@ -196,6 +267,9 @@ class TableMeasure(CylinderMeasureOracle):
                 "mass table must list every admissible word of length "
                 f"1..{depth}, exactly"
             )
+        for w, m in masses.items():
+            if not math.isfinite(m):
+                raise ValueError(f"mass of word {w} is not finite: {m!r}")
         self._ts = ts
         self.depth = depth
         self.masses = dict(masses)
@@ -519,12 +593,9 @@ def atomfree_check(phi: LocallyConstantPotential, n_max: int) -> Optional[int]:
 
 def entropy(mu: MarkovMeasure) -> float:
     """Entropy of a stationary Markov chain: −Σ pi_i Q_ij log Q_ij (0·log 0 = 0)."""
-    total = 0.0
-    for i, row in enumerate(mu.rows):
-        for qij in row:
-            if qij > 0:
-                total -= mu.stationary[i] * qij * math.log(qij)
-    return total
+    return float(
+        _chain_entropies(np.asarray(mu.rows)[None], np.asarray(mu.stationary)[None])[0]
+    )
 
 
 def integrate(

@@ -13,6 +13,12 @@ reference has a known generating potential g the constraint is the closed
 form −∫g dν / ∫γ̃ dν.  The finite-n cylinder quadrature Σ_w ν(w)·ψ_n(w)/
 log D_n(w) is computed alongside at the reported optimum (its transient
 decays like 1/n) and disagreement beyond tolerance is flagged, never hidden.
+
+One pass serves every level: the candidate family is a stack of transition
+matrices and stationary vectors, and the entropy, Lyapunov and constraint
+columns are computed once over it, bit-identical to :func:`entropy` and
+:func:`integrate` per candidate.  Each level is then a masked argmax over
+those columns (:func:`spectrum_search`).
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -31,11 +38,15 @@ from .measures import (
     MarkovMeasure,
     RpfGibbsData,
     WeakGibbsCertificate,
+    _chain_entropies,
+    _chain_fault,
+    _chain_log_masses,
+    _chain_logs,
+    _stationary,
     atomfree_check,
-    entropy,
-    integrate,
 )
-from .sft import TransitionSystem, word_array
+from .potentials import LocallyConstantPotential
+from .sft import TransitionSystem, enumerate_words, word_array
 
 
 @dataclass(frozen=True)
@@ -136,26 +147,85 @@ def legendre_f_at_alpha(
 # candidate families
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateFamily:
-    """A finite, ordered family of Markov candidates for the variational search."""
+    """A finite, ordered family of Markov candidates for the variational search.
+
+    Candidate c is the chain with transition matrix ``q[c]`` and stationary
+    vector ``pi[c]``, stacked as read-only (N, k, k) and (N, k) arrays, with
+    grid coordinates ``parameters[c]``.  Construction runs every
+    :class:`MarkovMeasure` check on the whole stack at once and names the
+    first failing candidate.  ``measures`` builds one MarkovMeasure per
+    candidate on first access; the search reads only the arrays.
+    """
 
     label: str
+    ts: TransitionSystem
     parameters: tuple[tuple[float, ...], ...]
-    measures: tuple[MarkovMeasure, ...]
+    q: np.ndarray
+    pi: np.ndarray
+
+    def __post_init__(self) -> None:
+        n, k = len(self.parameters), self.ts.k
+        for name, shape in (("q", (n, k, k)), ("pi", (n, k))):
+            arr = np.array(getattr(self, name), dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, one entry per parameter")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        fault = _chain_fault(self.ts, self.q, self.pi)
+        if fault is not None:
+            raise ValueError(f"candidate {fault[0] + 1}: {fault[1]}")
+
+    def measure(self, c: int) -> MarkovMeasure:
+        """Candidate c as a validated :class:`MarkovMeasure`."""
+        return MarkovMeasure(
+            self.ts,
+            tuple(tuple(map(float, row)) for row in self.q[c]),
+            tuple(map(float, self.pi[c])),
+        )
+
+    @cached_property
+    def measures(self) -> tuple[MarkovMeasure, ...]:
+        return tuple(self.measure(c) for c in range(len(self.parameters)))
+
+    def integrals(self, phi: LocallyConstantPotential) -> np.ndarray:
+        """∫φ dν for every candidate ν, bit-identical to :func:`integrate`.
+
+        The loop runs over the depth-words in the same order and multiplies
+        each cylinder mass left to right, as ``MarkovMeasure.mass`` does.
+        """
+        if phi.system.matrix != self.ts.matrix:
+            raise ValueError("potential and measure live on different systems")
+        total = np.zeros(len(self.parameters))
+        for w in enumerate_words(self.ts, phi.depth):
+            mass = self.pi[:, w[0] - 1]
+            for a, b in zip(w, w[1:]):
+                mass = mass * self.q[:, a - 1, b - 1]
+            total = total + mass * phi.table[w]
+        return total
+
+    def entropies(self) -> np.ndarray:
+        """h(ν) for every candidate ν, bit-identical to :func:`entropy`."""
+        return _chain_entropies(self.q, self.pi)
 
 
-def _simplex_grid(parts: int, step: float) -> list[tuple[float, ...]]:
+def _simplex_grid(parts: int, step: float) -> np.ndarray:
+    """Interior grid points of the simplex as rows (b − a)/m of cut points."""
     m = round(1.0 / step)
     if m < 2 or abs(m * step - 1.0) > 1e-6:
         raise ValueError("step must evenly divide 1")
-    if math.comb(m - 1, parts - 1) > 1_000_000:
+    count = math.comb(m - 1, parts - 1)
+    if count > 1_000_000:
         raise ValueError("simplex grid too fine for this many coordinates")
-    out = []
-    for cuts in itertools.combinations(range(1, m), parts - 1):
-        bounds = (0,) + cuts + (m,)
-        out.append(tuple((b - a) / m for a, b in zip(bounds, bounds[1:])))
-    return out
+    cuts = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(1, m), parts - 1)),
+        dtype=np.int64,
+        count=count * (parts - 1),
+    ).reshape(count, parts - 1)
+    bounds = np.hstack([np.zeros((count, 1), np.int64), cuts, np.full((count, 1), m)])
+    # integer differences are exact and one division rounds once, as in Python
+    return np.diff(bounds, axis=1) / m
 
 
 def bernoulli_candidate_family(ts: TransitionSystem, step: float = 1e-3) -> CandidateFamily:
@@ -164,9 +234,11 @@ def bernoulli_candidate_family(ts: TransitionSystem, step: float = 1e-3) -> Cand
     Grid points are exact ratios j/m (not accumulated steps), so a reference
     probability like 0.3 at step 1e−3 is hit bit-exactly.
     """
-    probs = _simplex_grid(ts.k, step)
-    measures = tuple(MarkovMeasure.bernoulli(ts, pr) for pr in probs)
-    return CandidateFamily("bernoulli", tuple(probs), measures)
+    if not ts.is_full:
+        raise ValueError("Bernoulli measures live on full shifts")
+    p = _simplex_grid(ts.k, step)
+    params = tuple(map(tuple, p.tolist()))
+    return CandidateFamily("bernoulli", ts, params, np.repeat(p[:, None, :], ts.k, axis=1), p)
 
 
 def markov_candidate_family(ts: TransitionSystem, step: float = 1e-2) -> CandidateFamily:
@@ -174,31 +246,29 @@ def markov_candidate_family(ts: TransitionSystem, step: float = 1e-2) -> Candida
 
     Rows with a single allowed transition are pinned at probability 1.
     Candidate count is the product of per-row grid sizes (guarded at 10⁶).
+    The stationary vectors come from one batched solve.
     """
     rows_choices: list[list[tuple[float, ...]]] = []
     total = 1
     for i in range(1, ts.k + 1):
         succ = ts.successors(i)
-        if len(succ) == 1:
-            rows_choices.append([(1.0,)])
-        else:
-            grid = _simplex_grid(len(succ), step)
-            rows_choices.append(grid)
-            total *= len(grid)
+        grid = [[1.0]] if len(succ) == 1 else _simplex_grid(len(succ), step).tolist()
+        total *= len(grid)
         if total > 1_000_000:
             raise ValueError("Markov candidate grid too fine for this coding")
-    params, measures = [], []
-    succs = [ts.successors(i) for i in range(1, ts.k + 1)]
-    for combo in itertools.product(*rows_choices):
-        rows = []
-        for succ, free in zip(succs, combo):
+        choices = []
+        for free in grid:
             row = [0.0] * ts.k
             for j, x in zip(succ, free):
                 row[j - 1] = x
-            rows.append(tuple(row))
-        params.append(tuple(x for row in rows for x in row))
-        measures.append(MarkovMeasure.from_stochastic(ts, rows))
-    return CandidateFamily("markov", tuple(params), tuple(measures))
+            choices.append(tuple(row))
+        rows_choices.append(choices)
+    params = tuple(
+        tuple(itertools.chain.from_iterable(combo))
+        for combo in itertools.product(*rows_choices)
+    )
+    q = np.array(params, dtype=float).reshape(len(params), ts.k, ts.k)
+    return CandidateFamily("markov", ts, params, q, _stationary(q))
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +317,11 @@ class VariationalSpectrumPoint:
 
 def _hypothesis_checklist(
     measures: Sequence[CylinderMeasureOracle],
+    refs: Sequence[Optional[LocallyConstantPotential]],
     certificates: Optional[Sequence[Optional[WeakGibbsCertificate]]],
 ) -> tuple[ChecklistItem, ...]:
     items = []
-    for i, mu in enumerate(measures):
+    for i, (mu, g) in enumerate(zip(measures, refs)):
         tag = f"mu_{i + 1}"
         if isinstance(mu, MarkovMeasure) or isinstance(mu, RpfGibbsData):
             items.append(
@@ -277,7 +348,6 @@ def _hypothesis_checklist(
             items.append(
                 ChecklistItem(f"{tag} weak-gibbs", "not-supplied", "no certificate attached")
             )
-        g = LogMassSequence(mu).family_member(1)
         if g is None:
             items.append(ChecklistItem(f"{tag} non-atomic", "not-checked", "no known potential"))
         else:
@@ -293,6 +363,144 @@ def _hypothesis_checklist(
     return tuple(items)
 
 
+def _level(alpha: Union[float, Sequence[float]]) -> tuple[float, ...]:
+    if isinstance(alpha, (tuple, list, np.ndarray)):
+        return tuple(float(a) for a in alpha)
+    return (float(alpha),)
+
+
+def spectrum_search(
+    emap: ExpandingMarkovMap,
+    measures: Sequence[CylinderMeasureOracle],
+    levels: Sequence[Union[float, Sequence[float]]],
+    family: Optional[CandidateFamily] = None,
+    step: float = 1e-3,
+    delta: float = 1e-3,
+    quadrature_depth: int = 10,
+    certificates: Optional[Sequence[Optional[WeakGibbsCertificate]]] = None,
+    comparison_tol: Optional[float] = None,
+) -> tuple[VariationalSpectrumPoint, ...]:
+    """Maximize h(ν)/∫γ̃ dν over grid candidates meeting the constraints,
+    at every dimension vector of ``levels``; one point per level.
+
+    Feasibility is |constraint_i(ν) − α_i| ≤ delta for every coordinate; the
+    argmax is the first feasible candidate attaining the best objective (a
+    deterministic tie-break by grid order).  The default family is product
+    measures on full shifts and one-step Markov chains otherwise.
+
+    Nothing but the feasibility mask depends on the level, so the objective,
+    the constraint columns, the hypothesis checklist and the quadrature
+    word arrays are computed once, as arrays over the candidate axis; each
+    level is then a masked argmax, and only its argmax becomes a
+    :class:`MarkovMeasure`.  The quadrature route (references with no known
+    potential) scores one candidate at a time, so it never holds more than
+    one row of cylinder masses.
+    """
+    if emap.kind != "piecewise_linear":
+        raise ValueError("the variational search is defined for linear maps only")
+    alphas = [_level(a) for a in levels]
+    mus = list(measures)
+    if any(len(a) != len(mus) for a in alphas):
+        raise ValueError("one dimension level per reference measure")
+    if not mus:
+        raise ValueError("need at least one reference measure")
+    for mu in mus:
+        if mu.system.matrix != emap.coding.matrix:
+            raise ValueError("reference measure lives on a different coding")
+    if delta <= 0:
+        raise ValueError("feasibility tolerance must be positive")
+    if quadrature_depth < 2:
+        raise ValueError("quadrature depth must be at least 2")
+    ts = emap.coding
+    if family is None:
+        if ts.is_full:
+            family = bernoulli_candidate_family(ts, step)
+        else:
+            family = markov_candidate_family(ts, step)
+    refs = [LogMassSequence(mu).family_member(1) for mu in mus]
+    routes = tuple("closed-form" if g is not None else "quadrature" for g in refs)
+    if comparison_tol is None:
+        comparison_tol = max(0.05, 3.0 / quadrature_depth)
+
+    lyap = family.integrals(emap.slope_potential())
+    objective = family.entropies() / lyap
+    words_q = word_array(ts, quadrature_depth)
+    words_prev = word_array(ts, quadrature_depth - 1)
+    log_d_q = emap.log_diameters(words_q)
+    log_d_prev = emap.log_diameters(words_prev)
+    ratio_q = [mu.log_mass_words(words_q) / log_d_q for mu in mus]
+    ratio_prev = [mu.log_mass_words(words_prev) / log_d_prev for mu in mus]
+    cons = np.empty((len(family.parameters), len(mus)))
+    for i, g in enumerate(refs):
+        if g is not None:
+            cons[:, i] = -family.integrals(g) / lyap
+            continue
+        for c in range(len(family.parameters)):
+            logs = _chain_logs(family.pi[c], family.q[c])
+            cons[c, i] = float(np.exp(_chain_log_masses(*logs, words_q)) @ ratio_q[i])
+    window = tuple(
+        (float(np.min(cons[:, i])), float(np.max(cons[:, i]))) for i in range(len(mus))
+    )
+    checklist = _hypothesis_checklist(mus, refs, certificates)
+
+    points = []
+    for alpha in alphas:
+        common = dict(
+            alpha=alpha,
+            constraint_routes=routes,
+            constraint_window=window,
+            quadrature_depth=quadrature_depth,
+            delta=delta,
+            family_label=family.label,
+            checklist=checklist,
+        )
+        feasible_mask = np.all(np.abs(cons - np.asarray(alpha)[None, :]) <= delta, axis=1)
+        idx = np.flatnonzero(feasible_mask)
+        if idx.size == 0:
+            points.append(
+                VariationalSpectrumPoint(
+                    feasible=False,
+                    f=None,
+                    argmax_parameter=None,
+                    argmax=None,
+                    constraints=None,
+                    quadrature=None,
+                    quadrature_stability=None,
+                    comparison_flagged=False,
+                    **common,
+                )
+            )
+            continue
+        best = int(idx[int(np.argmax(objective[idx]))])
+        nu_best = family.measure(best)
+        nu_w_q = np.exp(nu_best.log_mass_words(words_q))
+        nu_w_prev = np.exp(nu_best.log_mass_words(words_prev))
+        quadrature = []
+        stability = []
+        flagged = False
+        for i in range(len(mus)):
+            q_now = float(nu_w_q @ ratio_q[i])
+            q_prev = float(nu_w_prev @ ratio_prev[i])
+            quadrature.append(q_now)
+            stability.append(abs(q_now - q_prev))
+            if routes[i] == "closed-form" and abs(q_now - cons[best, i]) > comparison_tol:
+                flagged = True
+        points.append(
+            VariationalSpectrumPoint(
+                feasible=True,
+                f=float(objective[best]),
+                argmax_parameter=family.parameters[best],
+                argmax=nu_best,
+                constraints=tuple(float(x) for x in cons[best]),
+                quadrature=tuple(quadrature),
+                quadrature_stability=tuple(stability),
+                comparison_flagged=flagged,
+                **common,
+            )
+        )
+    return tuple(points)
+
+
 def spectrum_variational(
     emap: ExpandingMarkovMap,
     measures: Sequence[CylinderMeasureOracle],
@@ -304,113 +512,11 @@ def spectrum_variational(
     certificates: Optional[Sequence[Optional[WeakGibbsCertificate]]] = None,
     comparison_tol: Optional[float] = None,
 ) -> VariationalSpectrumPoint:
-    """Maximize h(ν)/∫γ̃ dν over grid candidates meeting the constraints.
-
-    Feasibility is |constraint_i(ν) − α_i| ≤ delta for every coordinate; the
-    argmax is the first feasible candidate attaining the best objective (a
-    deterministic tie-break by grid order).  The default family is product
-    measures on full shifts and one-step Markov chains otherwise.
-    """
-    if emap.kind != "piecewise_linear":
-        raise ValueError("the variational search is defined for linear maps only")
-    alphas = (
-        tuple(float(a) for a in alpha)
-        if isinstance(alpha, (tuple, list, np.ndarray))
-        else (float(alpha),)
-    )
-    mus = list(measures)
-    if len(mus) != len(alphas):
-        raise ValueError("one dimension level per reference measure")
-    if not mus:
-        raise ValueError("need at least one reference measure")
-    for mu in mus:
-        if mu.system.matrix != emap.coding.matrix:
-            raise ValueError("reference measure lives on a different coding")
-    if delta <= 0:
-        raise ValueError("feasibility tolerance must be positive")
-    ts = emap.coding
-    if family is None:
-        if all(x == 1 for row in ts.matrix for x in row):
-            family = bernoulli_candidate_family(ts, step)
-        else:
-            family = markov_candidate_family(ts, step)
-    gamma = emap.slope_potential()
-    refs = [LogMassSequence(mu).family_member(1) for mu in mus]
-    routes = tuple("closed-form" if g is not None else "quadrature" for g in refs)
-    if comparison_tol is None:
-        comparison_tol = max(0.05, 3.0 / quadrature_depth)
-
-    lyap = np.array([integrate(gamma, nu) for nu in family.measures])
-    objective = np.array([entropy(nu) for nu in family.measures]) / lyap
-    cons = np.empty((len(family.measures), len(mus)))
-    words_q = word_array(ts, quadrature_depth)
-    log_d_q = emap.log_diameters(words_q)
-    for i, (mu, g) in enumerate(zip(mus, refs)):
-        if g is not None:
-            cons[:, i] = [
-                -integrate(g, nu) / d for nu, d in zip(family.measures, lyap)
-            ]
-        else:
-            ratio = mu.log_mass_words(words_q) / log_d_q
-            for c, nu in enumerate(family.measures):
-                cons[c, i] = float(np.exp(nu.log_mass_words(words_q)) @ ratio)
-    window = tuple(
-        (float(np.min(cons[:, i])), float(np.max(cons[:, i]))) for i in range(len(mus))
-    )
-    checklist = _hypothesis_checklist(mus, certificates)
-    feasible_mask = np.all(np.abs(cons - np.asarray(alphas)[None, :]) <= delta, axis=1)
-    idx = np.flatnonzero(feasible_mask)
-    if idx.size == 0:
-        return VariationalSpectrumPoint(
-            alpha=alphas,
-            feasible=False,
-            f=None,
-            argmax_parameter=None,
-            argmax=None,
-            constraints=None,
-            constraint_routes=routes,
-            constraint_window=window,
-            quadrature=None,
-            quadrature_stability=None,
-            quadrature_depth=quadrature_depth,
-            comparison_flagged=False,
-            delta=delta,
-            family_label=family.label,
-            checklist=checklist,
-        )
-    best = int(idx[int(np.argmax(objective[idx]))])
-    nu_best = family.measures[best]
-    words_prev = word_array(ts, quadrature_depth - 1)
-    log_d_prev = emap.log_diameters(words_prev)
-    nu_w_q = np.exp(nu_best.log_mass_words(words_q))
-    nu_w_prev = np.exp(nu_best.log_mass_words(words_prev))
-    quadrature = []
-    stability = []
-    flagged = False
-    for i, mu in enumerate(mus):
-        q_now = float(nu_w_q @ (mu.log_mass_words(words_q) / log_d_q))
-        q_prev = float(nu_w_prev @ (mu.log_mass_words(words_prev) / log_d_prev))
-        quadrature.append(q_now)
-        stability.append(abs(q_now - q_prev))
-        if routes[i] == "closed-form" and abs(q_now - cons[best, i]) > comparison_tol:
-            flagged = True
-    return VariationalSpectrumPoint(
-        alpha=alphas,
-        feasible=True,
-        f=float(objective[best]),
-        argmax_parameter=family.parameters[best],
-        argmax=nu_best,
-        constraints=tuple(float(x) for x in cons[best]),
-        constraint_routes=routes,
-        constraint_window=window,
-        quadrature=tuple(quadrature),
-        quadrature_stability=tuple(stability),
-        quadrature_depth=quadrature_depth,
-        comparison_flagged=flagged,
-        delta=delta,
-        family_label=family.label,
-        checklist=checklist,
-    )
+    """The constrained search at one dimension vector ᾱ (see :func:`spectrum_search`)."""
+    return spectrum_search(
+        emap, measures, [alpha], family, step, delta, quadrature_depth, certificates,
+        comparison_tol,
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -442,23 +548,23 @@ def spectrum_crosscheck(
     Requires a 2-branch full-shift linear map; the reference is Bernoulli(p)
     on its coding.  Levels are ``alpha_count`` interior points of the
     attainable range; the reported deviation is the worst |f_var − f_leg|
-    over levels feasible for both routes (O(step) by construction).
+    over levels feasible for both routes.  It is O(step + delta·|f′(α)|),
+    not O(step): a feasible candidate may sit delta away from α, where f
+    is larger, so a finer step at fixed delta does not shrink it.
     """
     if emap.kind != "piecewise_linear" or emap.coding.k != 2:
         raise ValueError("the cross-check targets 2-branch linear maps")
-    if any(x != 1 for row in emap.coding.matrix for x in row):
+    if not emap.coding.is_full:
         raise ValueError("the Legendre oracle needs a full shift")
     slopes = emap.slopes
     mu = MarkovMeasure.bernoulli(emap.coding, (p, 1.0 - p))
     family = bernoulli_candidate_family(emap.coding, step)
     lo, hi = legendre_alpha_range(p, slopes)
     grid = np.linspace(lo, hi, alpha_count + 2)[1:-1]
+    points = spectrum_search(emap, [mu], [float(a) for a in grid], family=family, delta=delta)
     f_var, f_leg, feas = [], [], []
     worst = 0.0
-    for a in grid:
-        point = spectrum_variational(
-            emap, [mu], float(a), family=family, delta=delta
-        )
+    for a, point in zip(grid, points):
         oracle_f = legendre_f_at_alpha(p, slopes, float(a))
         f_var.append(point.f)
         f_leg.append(oracle_f if oracle_f is not None else math.nan)

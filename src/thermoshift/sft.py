@@ -89,6 +89,11 @@ class TransitionSystem:
         a.setflags(write=False)
         return a
 
+    @property
+    def is_full(self) -> bool:
+        """Is every transition allowed (the full shift on k symbols)?"""
+        return all(x == 1 for row in self.matrix for x in row)
+
     def allows(self, i: int, j: int) -> bool:
         """May symbol ``j`` follow symbol ``i``?"""
         return self.matrix[i - 1][j - 1] == 1

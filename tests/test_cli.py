@@ -4,7 +4,7 @@ Each test builds a small workspace under tmp_path, invokes ``run`` with
 argv lists, and checks the exit status plus the artifacts on disk.  The
 taxonomy under test: exit 0 = command completed and every check passed,
 exit 1 = ran to completion but a verdict/check failed (reports are still
-written), exit 2 = bad inputs of any kind.
+written), exit 2 = bad inputs of any kind, exit 3 = an internal error.
 """
 
 import json
@@ -154,6 +154,19 @@ def test_pressure_rejects_mismatched_system(tmp_path, capsys):
     cfg = write_config(tmp_path, {"system": other, "potential": pot_name})
     assert run(["pressure", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "disagrees" in capsys.readouterr().err
+
+
+def test_internal_errors_exit_3_with_one_line_and_no_traceback(tmp_path, capsys):
+    # exp(800) overflows in the block transfer matrix: a defect of the
+    # program, not of the input, so it must not read as "a check failed"
+    phi = LocallyConstantPotential(FULL2, 1, {(1,): 800.0, (2,): 0.0})
+    pot_name = write(tmp_path / "phi.txt", dump_potential(phi))
+    cfg = write_config(tmp_path, {"potential": pot_name})
+    assert run(["pressure", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "internal error: FloatingPointError: overflow encountered in exp"
+    ]
 
 
 def test_pressure_runs_are_byte_identical(tmp_path):

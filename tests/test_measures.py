@@ -161,6 +161,17 @@ def test_table_measure_shape_validation(full2):
         TableMeasure(full2, 0, {})
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_table_measure_rejects_non_finite_masses(full2, bad):
+    # a NaN mass would make every additivity gap NaN, and NaN never exceeds
+    # the tolerance, so validate_oracle could not report it
+    masses = {w: 0.25 for w in enumerate_words(full2, 2)}
+    masses.update({(1,): 0.5, (2,): 0.5})
+    masses[(2, 1)] = bad
+    with pytest.raises(ValueError, match=r"\(2, 1\)"):
+        TableMeasure(full2, 2, masses)
+
+
 def test_validation_catches_a_corrupted_mass(full2):
     table = make_table(bernoulli_03(full2), 4)
     table.masses[(1, 2)] += 1e-6

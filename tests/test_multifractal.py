@@ -2,24 +2,32 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from thermoshift import (
+    CandidateFamily,
+    LocallyConstantPotential,
     MarkovMeasure,
     SpectrumCurve,
+    TableMeasure,
     TransitionSystem,
     bernoulli_candidate_family,
     doubling_map,
     entropy,
+    enumerate_words,
     full_branch_linear,
     golden_mean_linear,
+    integrate,
     legendre_alpha_range,
     legendre_f_at_alpha,
     markov_candidate_family,
     perturbed_doubling,
     spectrum_crosscheck,
     spectrum_legendre_bernoulli,
+    spectrum_search,
     spectrum_variational,
+    word_array,
 )
 
 LOG2 = math.log(2.0)
@@ -124,6 +132,177 @@ def test_markov_family_respects_the_coding(golden):
 def test_family_step_must_divide_one(full2):
     with pytest.raises(ValueError):
         bernoulli_candidate_family(full2, step=0.3)
+
+
+# a non-full 3-state coding: 1 -> {1, 2}, 2 -> {2, 3}, 3 -> {1, 2, 3}
+CODING3 = TransitionSystem(((1, 1, 0), (0, 1, 1), (1, 1, 1)))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def loop_entropy(nu):
+    """−Σ pi_i Q_ij log Q_ij as a scalar loop with math.log, zero entries skipped."""
+    total = 0.0
+    for i, row in enumerate(nu.rows):
+        for qij in row:
+            if qij > 0:
+                total -= nu.stationary[i] * qij * math.log(qij)
+    return total
+
+
+def solved_stationary(q):
+    """pi(Q − I) = 0 with Σ pi = 1, one chain, the last equation replaced."""
+    a = np.asarray(q).T - np.eye(len(q))
+    a[-1, :] = 1.0
+    b = np.zeros(len(q))
+    b[-1] = 1.0
+    return np.linalg.solve(a, b)
+
+
+def seeded_potential(ts, depth, seed):
+    rng = np.random.default_rng(seed)
+    words = list(enumerate_words(ts, depth))
+    return LocallyConstantPotential(
+        ts, depth, dict(zip(words, (float(x) for x in rng.uniform(-2.0, 2.0, len(words)))))
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: bernoulli_candidate_family(TransitionSystem.full_shift(2), 1e-3),
+        lambda: bernoulli_candidate_family(TransitionSystem.full_shift(3), 0.02),
+        lambda: markov_candidate_family(TransitionSystem(((1, 1), (1, 0))), 1e-3),
+        lambda: markov_candidate_family(CODING3, 0.1),
+    ],
+    ids=["bernoulli-full2", "bernoulli-full3", "markov-golden", "markov-coding3"],
+)
+def test_batched_columns_equal_the_per_candidate_integrals_bit_for_bit(make):
+    family = make()
+    ts = family.ts
+    nus = family.measures
+    if family.label == "markov":
+        # the batched stationary solve gives each chain the bits of its own solve
+        assert same_bits(family.pi, [solved_stationary(nu.rows) for nu in nus])
+        assert nus == tuple(MarkovMeasure.from_stochastic(ts, nu.rows) for nu in nus)
+    gamma = seeded_potential(ts, 1, 0)
+    lyap = family.integrals(gamma)
+    assert same_bits(lyap, [integrate(gamma, nu) for nu in nus])
+    assert same_bits(family.entropies(), [loop_entropy(nu) for nu in nus])
+    assert same_bits([entropy(nu) for nu in nus], [loop_entropy(nu) for nu in nus])
+    reference = MarkovMeasure.from_stochastic(ts, nus[len(nus) // 3].rows)
+    for g in (
+        reference.transition_log_potential(),
+        seeded_potential(ts, 2, 1),
+        seeded_potential(ts, 3, 2),
+    ):
+        closed_form = -family.integrals(g) / lyap
+        expected = [-integrate(g, nu) / d for nu, d in zip(nus, lyap)]
+        assert same_bits(closed_form, expected)
+
+
+def reference_search(emap, mus, levels, family, delta, depth=10):
+    """The pre-batching search: per-level scoring through MarkovMeasure objects."""
+    gamma = emap.slope_potential()
+    lyap = [integrate(gamma, nu) for nu in family.measures]
+    objective = np.array([loop_entropy(nu) for nu in family.measures]) / np.array(lyap)
+    words = word_array(emap.coding, depth)
+    cons = np.empty((len(family.measures), len(mus)))
+    for i, mu in enumerate(mus):
+        if isinstance(mu, MarkovMeasure):
+            g = mu.transition_log_potential()
+            cons[:, i] = [-integrate(g, nu) / d for nu, d in zip(family.measures, lyap)]
+        else:
+            ratio = mu.log_mass_words(words) / emap.log_diameters(words)
+            for c, nu in enumerate(family.measures):
+                cons[c, i] = float(np.exp(nu.log_mass_words(words)) @ ratio)
+    out = []
+    for alpha in levels:
+        feasible = [
+            c
+            for c in range(len(cons))
+            if all(abs(cons[c, i] - alpha[i]) <= delta for i in range(len(mus)))
+        ]
+        if not feasible:
+            out.append((False, None, None))
+            continue
+        best = feasible[0]
+        for c in feasible:
+            if objective[c] > objective[best]:
+                best = c
+        out.append((True, family.parameters[best], float(objective[best])))
+    return out
+
+
+def table_of(mu, depth):
+    masses = {w: mu.mass(w) for n in range(1, depth + 1) for w in enumerate_words(mu.system, n)}
+    return TableMeasure(mu.system, depth, masses)
+
+
+def test_search_matches_a_per_level_reference_loop():
+    emap = doubling_map()
+    bern = MarkovMeasure.bernoulli(emap.coding, (0.3, 0.7))
+    golden = golden_mean_linear()
+    golden_ref = MarkovMeasure.from_stochastic(golden.coding, [[0.4, 0.6], [1.0, 0.0]])
+    cases = [
+        # closed-form route; the last level is infeasible
+        (
+            emap,
+            [bern],
+            bernoulli_candidate_family(emap.coding, 1e-2),
+            [(0.6,), (0.9,), (1.0,), (1.2,), (1.5,), (0.4,)],
+            1e-2,
+        ),
+        # quadrature route (a table has no known potential) next to a closed form
+        (
+            emap,
+            [bern, table_of(bern, 10)],
+            bernoulli_candidate_family(emap.coding, 1e-2),
+            [(0.9, 0.9), (1.1, 1.1), (1.3, 1.2), (0.5, 0.5)],
+            2e-2,
+        ),
+        (
+            golden,
+            [golden_ref],
+            markov_candidate_family(golden.coding, 1e-2),
+            [(0.8,), (1.0,), (1.2,), (2.0,)],
+            1e-2,
+        ),
+    ]
+    for emap_, mus, fam, levels, delta in cases:
+        points = spectrum_search(emap_, mus, levels, family=fam, delta=delta)
+        assert "measures" not in vars(fam)  # the search reads only the arrays
+        expected = reference_search(emap_, mus, levels, fam, delta)
+        got = [(p.feasible, p.argmax_parameter, p.f) for p in points]
+        assert got == expected
+        assert any(p.feasible for p in points) and not all(p.feasible for p in points)
+        for alpha, point in zip(levels, points):
+            assert point == spectrum_variational(emap_, mus, alpha, family=fam, delta=delta)
+
+
+def test_family_refuses_invalid_candidates(golden):
+    family = markov_candidate_family(golden, 0.25)
+    q, pi = family.q.copy(), family.pi.copy()
+    CandidateFamily("markov", golden, family.parameters, q, pi)  # valid as given
+    off = q.copy()
+    off[1, 0] = (off[1, 0, 0] + 1e-9, off[1, 0, 1])
+    with pytest.raises(ValueError, match="candidate 2: row 1 of Q sums to"):
+        CandidateFamily("markov", golden, family.parameters, off, pi)
+    leak = q.copy()
+    leak[2, 1] = (0.5, 0.5)  # 2 -> 2 is forbidden on the golden mean
+    with pytest.raises(ValueError, match=r"candidate 3: Q\[2,2\] > 0 on a forbidden"):
+        CandidateFamily("markov", golden, family.parameters, leak, pi)
+    moved = pi.copy()
+    moved[0] = moved[0][::-1]
+    with pytest.raises(ValueError, match="candidate 1: pi is not stationary"):
+        CandidateFamily("markov", golden, family.parameters, q, moved)
+    nan = pi.copy()
+    nan[2, 0] = math.nan
+    with pytest.raises(ValueError, match="candidate 3: pi has a non-finite entry"):
+        CandidateFamily("markov", golden, family.parameters, q, nan)
 
 
 # ---------------------------------------------------------------------------
