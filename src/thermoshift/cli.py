@@ -608,7 +608,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     out = args.out or cfg.get("out", "thermoshift-out")
     if not os.path.isabs(out):
         out = os.path.join(args.base, out)
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:
+        print(f"input error: cannot create output directory {out}: {exc}", file=sys.stderr)
+        return 2
     inputs = {os.path.basename(args.config): sha256_file(args.config)}
     try:
         return _DISPATCH[args.command](cfg, out, inputs, args)

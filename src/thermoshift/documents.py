@@ -146,14 +146,18 @@ def _parse_potential_body(
     depth = int(d_tok)
     _expect(lines, idx + 1, "precision")
     idx += 2
+    _expect(lines, idx, "word")  # a table lists at least one word
     table: dict[Word, float] = {}
     while idx < len(lines) and lines[idx].split()[0] == "word":
         toks = lines[idx].split()
-        try:
-            sep = toks.index("value")
-        except ValueError:
-            raise DocumentError(f"line {idx + 1}: word line lacks a value") from None
+        sep = toks.index("value") if "value" in toks else len(toks)
+        if sep + 1 >= len(toks):
+            raise DocumentError(f"line {idx + 1}: word line lacks a value")
         word = tuple(int(t) for t in toks[1:sep])
+        if len(word) != depth:
+            raise DocumentError(
+                f"line {idx + 1}: word has {len(word)} symbols, the depth is {depth}"
+            )
         table[word] = float(toks[sep + 1])
         idx += 1
     try:
@@ -225,6 +229,8 @@ def load_measure(text: str) -> CylinderMeasureOracle:
         masses: dict[Word, float] = {}
         while idx < len(lines):
             toks = _expect(lines, idx, "mass")
+            if len(toks) < 2:
+                raise DocumentError(f"line {idx + 1}: mass line needs a word and a value")
             masses[tuple(int(t) for t in toks[:-1])] = float(toks[-1])
             idx += 1
         try:

@@ -5,8 +5,10 @@ member is ω ↦ log μ(C_{ω₁…ω_n}).  That sequence makes μ a Gibbs measu
 the strongest possible sense — ratio exactly 1, constant exactly 1, pressure
 exactly 0 — and inherits quantitative regularity (asymptotic additivity,
 almost additivity) from any Gibbs/weak-Gibbs certificate μ carries.  The
-checks here verify each of those claims by exhaustive enumeration at finite
-depth, sharing float-for-float the ratio computations used by
+checks here verify each of those claims on every admissible word up to a
+finite depth, as arrays: the rows of :func:`~thermoshift.sft.word_array`
+and the oracle's ``mass_words``/``log_mass_words`` over them.  They share
+float-for-float the ratio computations used by
 :func:`~thermoshift.measures.certify_weak_gibbs` so that "exact" assertions
 survive roundoff.
 """
@@ -26,6 +28,7 @@ from .measures import (
     TableMeasure,
     WeakGibbsCertificate,
     ZeroCylinderMassError,
+    _first_max,
     _log_gibbs_ratios,
 )
 from .potentials import (
@@ -35,7 +38,7 @@ from .potentials import (
     asymptotic_defect,
 )
 from .pressure import PressureEstimate, pressure_limit, pressure_periodic
-from .sft import SymbolicPoint, TransitionSystem, Word, enumerate_words
+from .sft import SymbolicPoint, TransitionSystem, Word, word_array
 
 
 class LogMassSequence(PotentialSequence):
@@ -62,12 +65,7 @@ class LogMassSequence(PotentialSequence):
         return n
 
     def value(self, n: int, point: SymbolicPoint) -> float:
-        m = self.oracle.mass(point.word(n))
-        if m <= 0:
-            raise ZeroCylinderMassError(
-                f"admissible word {point.word(n)} has zero mass"
-            )
-        return math.log(m)
+        return self.value_word(n, point.word(n))
 
     def value_word(self, n: int, word: Word) -> float:
         if len(word) < n:
@@ -138,10 +136,22 @@ def build_log_mass_sequence(
     if isinstance(oracle, TableMeasure):
         depth = min(depth, oracle.depth)
     for n in range(1, depth + 1):
-        for w in enumerate_words(oracle.system, n):
-            if not oracle.mass(w) > 0:
-                raise ZeroCylinderMassError(f"admissible word {w} has zero mass")
+        _positive_masses(oracle, n)
     return LogMassSequence(oracle)
+
+
+def _positive_masses(
+    oracle: CylinderMeasureOracle, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(words, masses) of the admissible n-words; the first word whose mass
+    is not positive raises :class:`ZeroCylinderMassError`."""
+    words = word_array(oracle.system, n)
+    masses = oracle.mass_words(words)
+    bad = np.flatnonzero(~(masses > 0))
+    if bad.size:
+        w = tuple(int(s) for s in words[bad[0]])
+        raise ZeroCylinderMassError(f"admissible word {w} has zero mass")
+    return words, masses
 
 
 # ---------------------------------------------------------------------------
@@ -164,17 +174,22 @@ def check_gibbs_one(
     """μ(C_w) = exp(phi_n(w)) with constant 1 and pressure 0, to full precision.
 
     True by construction — the check guards the plumbing between the oracle's
-    linear-scale ``mass`` and the sequence's log-scale values, where only an
-    exp∘log round-trip (≤ 2 ulp) separates the two.
+    linear-scale masses and the sequence's log-scale values, where only an
+    exp∘log round-trip (≤ 2 ulp) separates the two.  Runs on the arrays of
+    ``mass_words``; the witness is the first worst word in length-then-
+    lexicographic order.  A mass that is not positive raises
+    :class:`ZeroCylinderMassError`.
     """
     worst = 0.0
     witness: Optional[Word] = None
     for n in range(1, n_max + 1):
-        for w in enumerate_words(seq.system, n):
-            ratio = seq.oracle.mass(w) / math.exp(seq.value_word(n, w))
-            err = abs(ratio - 1.0)
-            if err > worst:
-                worst, witness = err, w
+        words, masses = _positive_masses(seq.oracle, n)
+        # math, not numpy: np.exp differs from math.exp in the last bit on
+        # some inputs, and the value of phi_n is math.log of the mass
+        errs = np.array([abs(m / math.exp(math.log(m)) - 1.0) for m in masses.tolist()])
+        i = _first_max(errs)
+        if errs[i] > worst:
+            worst, witness = float(errs[i]), tuple(int(s) for s in words[i])
     return GibbsOneReport(n_max, worst, witness if worst > rtol else None, worst <= rtol)
 
 

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import abc
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Optional, Sequence, Union
+from functools import cached_property, reduce
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -39,7 +40,9 @@ class CylinderMeasureOracle(abc.ABC):
     one-symbol extensions), normalized (empty word has mass 1), and positive
     on admissible words to serve as a weak-Gibbs candidate.  None of that is
     enforced per call — :func:`validate_oracle` checks it, and the CLI
-    refuses oracles that fail.
+    refuses oracles that fail.  ``mass_words`` answers every row of a word
+    array at once, with the same bits as ``mass``, row for row; the
+    validation and log-mass checks read masses only through it.
     """
 
     @property
@@ -49,13 +52,17 @@ class CylinderMeasureOracle(abc.ABC):
     @abc.abstractmethod
     def mass(self, word: Word) -> float: ...
 
+    def mass_words(self, words: np.ndarray) -> np.ndarray:
+        """μ(C_w) for each row of a word array of admissible words; array
+        forms multiply in the order ``mass`` does (fallback: ``mass()`` loop)."""
+        return np.array([self.mass(tuple(int(s) for s in row)) for row in words], dtype=float)
+
     def log_mass_words(self, words: np.ndarray) -> np.ndarray:
-        """log mass for each row of a word array (fallback: mass() loop)."""
-        out = np.empty(words.shape[0])
-        for i, row in enumerate(words):
-            m = self.mass(tuple(int(s) for s in row))
-            out[i] = math.log(m) if m > 0 else -math.inf
-        return out
+        """log mass for each row of a word array (fallback: ``math.log`` of
+        each value of ``mass_words``, log 0 = −inf)."""
+        return np.array(
+            [math.log(m) if m > 0 else -math.inf for m in self.mass_words(words).tolist()]
+        )
 
 
 @dataclass(frozen=True)
@@ -119,8 +126,12 @@ class MarkovMeasure(CylinderMeasureOracle):
         return self.ts
 
     @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.asarray(self.stationary), np.asarray(self.rows)
+
+    @cached_property
     def _log_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return _chain_logs(np.asarray(self.stationary), np.asarray(self.rows))
+        return _chain_logs(*self._arrays)
 
     def mass(self, word: Word) -> float:
         if len(word) == 0:
@@ -132,8 +143,11 @@ class MarkovMeasure(CylinderMeasureOracle):
             m *= self.rows[a - 1][b - 1]
         return m
 
+    def mass_words(self, words: np.ndarray) -> np.ndarray:
+        return _chain_fold(*self._arrays, _window_codes(words, self.ts.k, 1), np.multiply)
+
     def log_mass_words(self, words: np.ndarray) -> np.ndarray:
-        return _chain_log_masses(*self._log_arrays, words)
+        return _chain_fold(*self._log_arrays, _window_codes(words, self.ts.k, 1), np.add)
 
     def transition_log_potential(self) -> LocallyConstantPotential:
         """Depth-2 potential w ↦ log Q_{w1 w2}; the chain is its exact Gibbs
@@ -241,13 +255,33 @@ def _chain_entropies(q: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return total
 
 
-def _chain_log_masses(lp: np.ndarray, lq: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """log pi_{w1} + Σ log Q_{w_j w_{j+1}} per row of a word array, added
-    left to right."""
-    out = lp[words[:, 0] - 1].copy()
-    for j in range(words.shape[1] - 1):
-        out += lq[words[:, j] - 1, words[:, j + 1] - 1]
+def _chain_fold(
+    head: np.ndarray, steps: np.ndarray, states: Iterator[np.ndarray], op: np.ufunc
+) -> np.ndarray:
+    """head[s₁] op steps[s₁, s₂] op steps[s₂, s₃] … per path, left to right,
+    so each row gets the bits of the scalar loop.  ``states`` yields the
+    0-based states of all paths, one new int64 column per position, which
+    the fold may overwrite."""
+    flat, m = steps.ravel(), steps.shape[1]
+    prev = next(states)
+    out = head[prev]
+    for cur in states:
+        prev *= m  # the flat index of each step, built in the column just used
+        prev += cur
+        op(out, flat[prev], out=out)
+        prev = cur
     return out
+
+
+def _window_codes(words: np.ndarray, k: int, width: int) -> Iterator[np.ndarray]:
+    """Base-k code of each length-``width`` window of the rows, as int64
+    columns from the left: (s₁, …, s_w) ↦ Σ (s_i − 1)·k^(w−i).  Width 1
+    gives the 0-based symbols."""
+    for j in range(words.shape[1] - width + 1):
+        code = words[:, j].astype(np.int64) - 1
+        for r in range(1, width):
+            code = code * k + (words[:, j + r] - 1)
+        yield code
 
 
 class TableMeasure(CylinderMeasureOracle):
@@ -261,8 +295,13 @@ class TableMeasure(CylinderMeasureOracle):
     def __init__(self, ts: TransitionSystem, depth: int, masses: dict[Word, float]):
         if depth < 1:
             raise ValueError("depth must be >= 1")
-        expected = {w for n in range(1, depth + 1) for w in enumerate_words(ts, n)}
-        if set(masses) != expected:
+        # each length has a word, so the table's size bounds the depth; the
+        # words are enumerated only when they are as many as the entries
+        if (
+            depth > len(masses)
+            or len(masses) != sum(ts.count_words(n) for n in range(1, depth + 1))
+            or set(masses) != {w for n in range(1, depth + 1) for w in enumerate_words(ts, n)}
+        ):
             raise ValueError(
                 "mass table must list every admissible word of length "
                 f"1..{depth}, exactly"
@@ -337,63 +376,43 @@ class RpfGibbsData(CylinderMeasureOracle):
 
     @cached_property
     def _block_lookup(self) -> np.ndarray:
-        k = self.system.k
-        lut = np.full(k ** self.block_length, -1, dtype=np.int64)
-        for i, b in enumerate(self.blocks):
-            idx = 0
-            for s in b:
-                idx = idx * k + (s - 1)
-            lut[idx] = i
+        """Block index by the base-k code of the block (−1: not a block)."""
+        k, bl = self.system.k, self.block_length
+        lut = np.full(k**bl, -1, dtype=np.int64)
+        (codes,) = _window_codes(np.array(self.blocks), k, bl)
+        lut[codes] = np.arange(len(self.blocks))
         return lut
-
-    def _block_path(self, word: Word) -> list[int]:
-        bl = self.block_length
-        return [self.blocks.index(word[j : j + bl]) for j in range(len(word) - bl + 1)]
 
     def mass(self, word: Word) -> float:
         if len(word) == 0:
             return 1.0
         if not self.system.is_admissible(word):
             raise ValueError(f"word {tuple(word)} is not admissible")
-        bl = self.block_length
-        if len(word) < bl:
-            # short words: aggregate the stationary block weights consistently
-            return float(
-                sum(
-                    self.chain.stationary[i]
-                    for i, b in enumerate(self.blocks)
-                    if b[: len(word)] == tuple(word)
-                )
-            )
-        path = self._block_path(tuple(word))
-        m = self.chain.stationary[path[0]]
-        for a, b in zip(path, path[1:]):
-            m *= self.chain.rows[a][b]
-        return m
+        return float(self.mass_words(np.array([word], dtype=np.int64))[0])
+
+    def mass_words(self, words: np.ndarray) -> np.ndarray:
+        """A row at least one block long is folded along its path of
+        overlapping blocks; a shorter row adds the stationary weights of the
+        blocks it begins, in block order from 0.0."""
+        k, n = self.system.k, words.shape[1]
+        if n >= self.block_length:
+            return _chain_fold(*self.chain._arrays, self._block_paths(words), np.multiply)
+        sums = [0.0] * k**n
+        (prefixes,) = _window_codes(np.array(self.blocks)[:, :n], k, n)
+        for c, p in zip(prefixes.tolist(), self.chain.stationary):
+            sums[c] += p
+        (codes,) = _window_codes(words, k, n)
+        return np.array(sums)[codes]
 
     def log_mass_words(self, words: np.ndarray) -> np.ndarray:
-        bl = self.block_length
-        n = words.shape[1]
-        if n < bl:
-            return np.array(
-                [math.log(self.mass(tuple(int(s) for s in row))) for row in words]
-            )
-        k = self.system.k
-        lut = self._block_lookup
-        idx = np.zeros(words.shape[0], dtype=np.int64)
-        for r in range(bl):
-            idx = idx * k + (words[:, r].astype(np.int64) - 1)
-        path_prev = lut[idx]
-        lp, lq = self.chain._log_arrays
-        out = lp[path_prev].copy()
-        for j in range(1, n - bl + 1):
-            idx = np.zeros(words.shape[0], dtype=np.int64)
-            for r in range(bl):
-                idx = idx * k + (words[:, j + r].astype(np.int64) - 1)
-            path_next = lut[idx]
-            out += lq[path_prev, path_next]
-            path_prev = path_next
-        return out
+        if words.shape[1] < self.block_length:
+            return super().log_mass_words(words)  # math.log of each mass
+        return _chain_fold(*self.chain._log_arrays, self._block_paths(words), np.add)
+
+    def _block_paths(self, words: np.ndarray) -> Iterator[np.ndarray]:
+        """Block index of each block-long window of the rows, from the left."""
+        codes = _window_codes(words, self.system.k, self.block_length)
+        return (self._block_lookup[c] for c in codes)
 
 
 def _perron_chain(
@@ -601,12 +620,13 @@ def entropy(mu: MarkovMeasure) -> float:
 def integrate(
     phi: LocallyConstantPotential, oracle: CylinderMeasureOracle
 ) -> float:
-    """∫ φ dμ = Σ over admissible depth-words of μ(w)·φ(w), exact."""
+    """∫ φ dμ = Σ over admissible depth-words of μ(w)·φ(w), exact; the
+    products are added in word order from 0.0."""
     if phi.system.matrix != oracle.system.matrix:
         raise ValueError("potential and measure live on different systems")
-    return float(
-        sum(oracle.mass(w) * phi.table[w] for w in enumerate_words(phi.system, phi.depth))
-    )
+    words = word_array(phi.system, phi.depth)
+    values = phi.dense[tuple(words.T - 1)]
+    return reduce(operator.add, (oracle.mass_words(words) * values).tolist(), 0.0)
 
 
 @dataclass(frozen=True)
@@ -631,30 +651,36 @@ def validate_oracle(
     """Check normalization, additivity, and positivity up to length n_max.
 
     Additivity: μ(w) = Σ_s μ(w·s) over admissible extensions, within atol.
-    The worst gap and its witness are reported whether or not they pass.
+    The worst gap and its witness (the first in length-then-lexicographic
+    order) are reported whether or not they pass.  The checks run on arrays:
+    ``mass_words`` over each level's ``word_array``, the extensions of a
+    word added one at a time in successor order from 0.0.
     """
     ts = oracle.system
     total_ok = abs(oracle.mass(()) - 1.0) <= atol
+    levels = [oracle.mass_words(word_array(ts, n)) for n in range(1, max(n_max, 1) + 1)]
     worst = 0.0
     witness: Optional[Word] = None
     zero_witness: Optional[Word] = None
     # length-0 additivity: symbol masses must sum to 1
-    gap = abs(sum(oracle.mass((s,)) for s in range(1, ts.k + 1)) - 1.0)
+    gap = abs(reduce(operator.add, levels[0].tolist(), 0.0) - 1.0)
     if gap > worst:
         worst, witness = gap, ()
     for n in range(1, n_max):
-        for w in enumerate_words(ts, n):
-            m = oracle.mass(w)
-            ext = sum(oracle.mass(w + (s,)) for s in ts.successors(w[-1]))
-            gap = abs(m - ext)
-            if gap > worst:
-                worst, witness = gap, w
+        words, longer = word_array(ts, n), word_array(ts, n + 1)
+        # the rows of longer that end in s extend, in order, the rows of
+        # words that s may follow
+        ext = np.zeros(words.shape[0])
+        for s in range(1, ts.k + 1):
+            ext[ts.as_array[words[:, -1] - 1, s - 1] == 1] += levels[n][longer[:, -1] == s]
+        gaps = np.abs(levels[n - 1] - ext)
+        i = _first_max(gaps)
+        if gaps[i] > worst:
+            worst, witness = float(gaps[i]), tuple(int(s) for s in words[i])
     for n in range(1, n_max + 1):
-        for w in enumerate_words(ts, n):
-            if not oracle.mass(w) > 0:
-                zero_witness = w
-                break
-        if zero_witness is not None:
+        bad = np.flatnonzero(~(levels[n - 1] > 0))
+        if bad.size:
+            zero_witness = tuple(int(s) for s in word_array(ts, n)[bad[0]])
             break
     return OracleValidation(
         total_mass_ok=total_ok,
@@ -666,16 +692,31 @@ def validate_oracle(
     )
 
 
+def _first_max(values: np.ndarray) -> int:
+    """Index of the first largest value; NaN never wins, as under ``>``."""
+    return int(np.argmax(np.where(np.isnan(values), -np.inf, values)))
+
+
 def shift_invariance_gap(oracle: CylinderMeasureOracle, n_max: int) -> float:
-    """max over words up to n_max of |Σ_s μ(s·w) − μ(w)| (invariance test)."""
+    """max over words up to n_max of |Σ_s μ(s·w) − μ(w)| (invariance test).
+
+    On arrays, as :func:`validate_oracle`: the masses μ(s·w) are added in
+    symbol order from 0.0.
+    """
     ts = oracle.system
     worst = 0.0
+    masses = oracle.mass_words(word_array(ts, 1))
     for n in range(1, n_max + 1):
-        for w in enumerate_words(ts, n):
-            back = sum(
-                oracle.mass((s,) + w) for s in range(1, ts.k + 1) if ts.allows(s, w[0])
-            )
-            worst = max(worst, abs(back - oracle.mass(w)))
+        words, longer = word_array(ts, n), word_array(ts, n + 1)
+        longer_masses = oracle.mass_words(longer)
+        # the rows of longer that begin with s are s followed, in order, by
+        # the rows of words that may follow s
+        back = np.zeros(words.shape[0])
+        for s in range(1, ts.k + 1):
+            back[ts.as_array[s - 1, words[:, 0] - 1] == 1] += longer_masses[longer[:, 0] == s]
+        gaps = np.abs(back - masses)
+        worst = max(worst, float(gaps[_first_max(gaps)]))
+        masses = longer_masses
     return worst
 
 

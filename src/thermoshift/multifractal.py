@@ -40,9 +40,10 @@ from .measures import (
     WeakGibbsCertificate,
     _chain_entropies,
     _chain_fault,
-    _chain_log_masses,
+    _chain_fold,
     _chain_logs,
     _stationary,
+    _window_codes,
     atomfree_check,
 )
 from .potentials import LocallyConstantPotential
@@ -437,7 +438,8 @@ def spectrum_search(
             continue
         for c in range(len(family.parameters)):
             logs = _chain_logs(family.pi[c], family.q[c])
-            cons[c, i] = float(np.exp(_chain_log_masses(*logs, words_q)) @ ratio_q[i])
+            log_m = _chain_fold(*logs, _window_codes(words_q, ts.k, 1), np.add)
+            cons[c, i] = float(np.exp(log_m) @ ratio_q[i])
     window = tuple(
         (float(np.min(cons[:, i])), float(np.max(cons[:, i]))) for i in range(len(mus))
     )

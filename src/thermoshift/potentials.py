@@ -16,6 +16,7 @@ consumes them.
 from __future__ import annotations
 
 import abc
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -53,13 +54,19 @@ class LocallyConstantPotential:
     def __post_init__(self) -> None:
         if self.depth < 1:
             raise ValueError("depth must be >= 1")
-        expected = set(enumerate_words(self.system, self.depth))
-        got = set(self.table)
-        if got != expected:
-            missing = sorted(expected - got)[:3]
-            extra = sorted(got - expected)[:3]
+        d = self.depth
+        # the d-words are enumerated only when they are as many as the
+        # entries; the search for missing ones visits len(table) + 3 at most
+        if len(self.table) != self.system.count_words(d) or set(self.table) != set(
+            enumerate_words(self.system, d)
+        ):
+            unlisted = (w for w in enumerate_words(self.system, d) if w not in self.table)
+            missing = list(itertools.islice(unlisted, 3))
+            extra = sorted(
+                w for w in self.table if len(w) != d or not self.system.is_admissible(w)
+            )[:3]
             raise ValueError(
-                f"table does not match admissible {self.depth}-words "
+                f"table does not match admissible {d}-words "
                 f"(missing {missing}, extra {extra})"
             )
         for w, v in self.table.items():

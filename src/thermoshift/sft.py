@@ -141,9 +141,11 @@ class TransitionSystem:
         """Number of admissible words of length n (exact integer arithmetic)."""
         if n < 1:
             raise ValueError("word length must be >= 1")
-        t = [[int(x) for x in row] for row in self.matrix]
-        p = _int_matrix_power(t, n - 1)
-        return sum(sum(row) for row in p)
+        k = self.k
+        ending = [1] * k  # admissible words of the current length, by last symbol
+        for _ in range(n - 1):
+            ending = [sum(ending[i] for i in range(k) if self.matrix[i][j]) for j in range(k)]
+        return sum(ending)
 
     def count_periodic(self, n: int) -> int:
         """Number of points fixed by the n-th shift power: trace of matrix**n."""

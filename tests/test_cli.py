@@ -542,3 +542,35 @@ def test_result_json_records_input_hashes(tmp_path):
     res = result_of(out)
     assert set(res["inputs"]) == {"cfg.json", "sys.txt"}
     assert all(len(h) == 64 for h in res["inputs"].values())
+
+
+def test_out_naming_an_existing_file_is_an_input_error(tmp_path, capsys):
+    phi_name = write(tmp_path / "phi.txt", dump_potential(zero_potential(FULL2)))
+    cfg = write_config(tmp_path, {"potential": phi_name, "method": "spectral"})
+    blocker = tmp_path / "afile"
+    blocker.write_text("not a directory\n")
+    assert run(["pressure", "--config", cfg, "--out", str(blocker)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: cannot create output directory")
+
+
+@pytest.mark.parametrize("kind", ["potential", "measure"])
+def test_value_missing_from_the_last_table_line_is_an_input_error(tmp_path, capsys, kind):
+    if kind == "potential":
+        text = dump_potential(zero_potential(FULL2))
+        cfg_payload = {"potential": "doc.txt", "method": "spectral"}
+        command = "pressure"
+    else:
+        mu = MarkovMeasure.bernoulli(FULL2, (0.5, 0.5))
+        masses = {w: mu.mass(w) for n in (1, 2) for w in enumerate_words(FULL2, n)}
+        text = dump_measure(TableMeasure(FULL2, 2, masses))
+        cfg_payload = {"measure": "doc.txt"}
+        command = "psi-verify"
+    lines = text.splitlines()
+    # drop the value, leaving "word 2 value" or "mass 2 2"
+    lines[-1] = lines[-1].rsplit(" ", 1)[0] if kind == "potential" else "mass"
+    write(tmp_path / "doc.txt", "\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, cfg_payload)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"line {len(lines)}:" in err and "internal error" not in err

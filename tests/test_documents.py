@@ -22,6 +22,7 @@ from thermoshift import (
     dump_measure,
     dump_potential,
     dump_system,
+    enumerate_words,
     golden_mean_linear,
     load_config,
     load_map,
@@ -119,6 +120,29 @@ def test_potential_rejects_missing_value_token(example_potential):
     text = dump_potential(example_potential).replace(" value ", " ", 1)
     with pytest.raises(DocumentError, match="lacks a value"):
         load_potential(text)
+
+
+def test_potential_rejects_a_value_missing_from_the_last_line(example_potential):
+    lines = dump_potential(example_potential).splitlines()
+    lines[-1] = lines[-1].rsplit(" ", 1)[0]  # "word ... value"
+    with pytest.raises(DocumentError, match=f"line {len(lines)}: word line lacks a value"):
+        load_potential("\n".join(lines) + "\n")
+
+
+def test_potential_words_must_have_the_declared_depth(example_potential):
+    text = dump_potential(example_potential).replace(
+        f"depth {example_potential.depth}", "depth 99"
+    )
+    with pytest.raises(DocumentError, match="symbols, the depth is 99"):
+        load_potential(text)
+
+
+def test_measure_rejects_a_mass_line_without_a_value(full2):
+    mu = MarkovMeasure.bernoulli(full2, (0.5, 0.5))
+    masses = {w: mu.mass(w) for n in (1, 2) for w in enumerate_words(full2, n)}
+    lines = dump_measure(TableMeasure(full2, 2, masses)).splitlines() + ["mass"]
+    with pytest.raises(DocumentError, match=f"line {len(lines)}: mass line needs"):
+        load_measure("\n".join(lines) + "\n")
 
 
 def test_potential_rejects_truncation(example_potential):

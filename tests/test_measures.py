@@ -161,6 +161,17 @@ def test_table_measure_shape_validation(full2):
         TableMeasure(full2, 0, {})
 
 
+def test_table_measure_depth_is_bounded_by_the_table(full3):
+    # a declared depth of 99 would mean about 3**99 words; the table's size
+    # refuses it before any word is counted or enumerated
+    masses = {(s,): 1 / 3 for s in (1, 2, 3)}
+    with pytest.raises(ValueError, match="length 1..99, exactly"):
+        TableMeasure(full3, 99, masses)
+    masses.update({w: 1 / 9 for w in enumerate_words(full3, 2)})
+    with pytest.raises(ValueError, match="length 1..3, exactly"):
+        TableMeasure(full3, 3, masses)  # as many entries as depth, but too few words
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_table_measure_rejects_non_finite_masses(full2, bad):
     # a NaN mass would make every additivity gap NaN, and NaN never exceeds

@@ -44,6 +44,15 @@ def test_table_must_match_admissible_words(golden):
         LocallyConstantPotential(golden, 1, {(1,): math.inf, (2,): 0.0})
 
 
+def test_table_mismatch_is_found_without_enumerating_the_declared_depth(full3):
+    # 3**99 words of depth 99: the count refuses the three-entry table at
+    # once, and the message still names the first missing and extra words
+    table = {(s,): 0.0 for s in (1, 2, 3)}
+    with pytest.raises(ValueError, match=r"99-words \(missing \[\(1, 1, 1,") as exc:
+        LocallyConstantPotential(full3, 99, table)
+    assert "extra [(1,), (2,), (3,)]" in str(exc.value)
+
+
 def test_constant_and_symbol_value_constructors(full2):
     c = LocallyConstantPotential.constant(full2, 1.5, depth=2)
     assert c.depth == 2
