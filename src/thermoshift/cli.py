@@ -3,10 +3,12 @@
 Seven subcommands (sft-check, pressure, gibbs-build, weakgibbs-certify,
 psi-verify, map-check, spectrum) share one shape: a JSON config names the
 input documents and parameters, every run writes a ``result.json`` (sorted
-keys, input hashes, every verdict and witness) plus CSV tables carrying all
-numeric series, and the exit status is 0 for pass/complete, 1 when a check
-fails (reports still written), 2 for input errors, 3 for an internal error
-(one ``internal error: <Type>: <message>`` line on stderr, no traceback).
+keys, input hashes, every verdict and witness; the certifying commands add
+a ``diagnostics`` entry naming the route that found K*(n)) plus CSV tables
+carrying all numeric series, and the exit status is 0 for pass/complete, 1
+when a check fails (reports still written), 2 for input errors, 3 for an
+internal error (one ``internal error: <Type>: <message>`` line on stderr, no
+traceback).
 Identical configs and inputs produce byte-identical outputs: no timestamps,
 fixed enumeration orders, and the only randomness (general-map sampling)
 flows from the seed.
@@ -51,6 +53,7 @@ from .measures import (
     MarkovMeasure,
     RpfGibbsData,
     TableMeasure,
+    WeakGibbsCertificate,
     build_rpf,
     certify_weak_gibbs,
     validate_oracle,
@@ -125,6 +128,11 @@ def _resolved_pressure(cfg: dict, phi) -> float:
     if isinstance(p, (int, float)):
         return float(p)
     raise _InputError("config field 'pressure' must be a number or \"spectral\"")
+
+
+def _diagnostics(cert: WeakGibbsCertificate) -> dict:
+    """How a certificate's K*(n) were found; deterministic, no timings."""
+    return {"kstar_route": cert.route, "block_graph_order": cert.block_order}
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +242,7 @@ def _cmd_gibbs_build(cfg, out, inputs, args) -> int:
         os.path.join(out, "result.json"),
         {
             "command": "gibbs-build",
+            "diagnostics": _diagnostics(cert),
             "inputs": inputs,
             "package_version": __version__,
             "parameters": {"certify_n_max": n_max},
@@ -314,6 +323,7 @@ def _cmd_weakgibbs_certify(cfg, out, inputs, args) -> int:
         os.path.join(out, "result.json"),
         {
             "command": "weakgibbs-certify",
+            "diagnostics": _diagnostics(cert),
             "inputs": inputs,
             "package_version": __version__,
             "parameters": {"n_max": n_max, "tau": tau, "pressure_used": p},
@@ -393,6 +403,7 @@ def _cmd_psi_verify(cfg, out, inputs, args) -> int:
         os.path.join(out, "result.json"),
         {
             "command": "psi-verify",
+            "diagnostics": _diagnostics(cert),
             "inputs": inputs,
             "package_version": __version__,
             "parameters": {

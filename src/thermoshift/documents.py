@@ -73,8 +73,17 @@ def _expect(lines: list[str], idx: int, key: str) -> list[str]:
     return toks[1:]
 
 
+def _number(kind: Callable[[str], Any], tok: str, idx: int) -> Any:
+    """``int(tok)`` or ``float(tok)``; a token that is not one names its line."""
+    try:
+        return kind(tok)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise DocumentError(f"line {idx + 1}: expected {what}, got {tok!r}") from None
+
+
 def _floats(lines: list[str], idx: int, key: str, count: int) -> tuple[float, ...]:
-    vals = tuple(float(t) for t in _expect(lines, idx, key))
+    vals = tuple(_number(float, t, idx) for t in _expect(lines, idx, key))
     if len(vals) != count or not all(math.isfinite(x) for x in vals):
         raise DocumentError(f"line {idx + 1}: {key} needs {count} finite value(s)")
     return vals
@@ -94,13 +103,13 @@ def _system_lines(ts: TransitionSystem) -> list[str]:
 
 def _parse_system(lines: list[str], idx: int) -> tuple[TransitionSystem, int]:
     (k_tok,) = _expect(lines, idx, "alphabet")
-    k = int(k_tok)
+    k = _number(int, k_tok, idx)
     rows = []
     for i in range(k):
         toks = _expect(lines, idx + 1 + i, "row")
         if len(toks) != k:
             raise DocumentError(f"line {idx + 2 + i}: row needs {k} entries")
-        rows.append(tuple(int(t) for t in toks))
+        rows.append(tuple(_number(int, t, idx + 1 + i) for t in toks))
     try:
         return TransitionSystem(tuple(rows)), idx + 1 + k
     except ValueError as exc:
@@ -143,7 +152,7 @@ def _parse_potential_body(
     lines: list[str], idx: int, ts: TransitionSystem
 ) -> tuple[LocallyConstantPotential, int]:
     (d_tok,) = _expect(lines, idx, "depth")
-    depth = int(d_tok)
+    depth = _number(int, d_tok, idx)
     _expect(lines, idx + 1, "precision")
     idx += 2
     _expect(lines, idx, "word")  # a table lists at least one word
@@ -153,12 +162,12 @@ def _parse_potential_body(
         sep = toks.index("value") if "value" in toks else len(toks)
         if sep + 1 >= len(toks):
             raise DocumentError(f"line {idx + 1}: word line lacks a value")
-        word = tuple(int(t) for t in toks[1:sep])
+        word = tuple(_number(int, t, idx) for t in toks[1:sep])
         if len(word) != depth:
             raise DocumentError(
                 f"line {idx + 1}: word has {len(word)} symbols, the depth is {depth}"
             )
-        table[word] = float(toks[sep + 1])
+        table[word] = _number(float, toks[sep + 1], idx)
         idx += 1
     try:
         return LocallyConstantPotential(ts, depth, table), idx
@@ -224,14 +233,15 @@ def load_measure(text: str) -> CylinderMeasureOracle:
             raise DocumentError(f"invalid Markov measure: {exc}") from exc
     if kind == "table":
         (d_tok,) = _expect(lines, idx, "depth")
-        depth = int(d_tok)
+        depth = _number(int, d_tok, idx)
         idx += 1
         masses: dict[Word, float] = {}
         while idx < len(lines):
             toks = _expect(lines, idx, "mass")
             if len(toks) < 2:
                 raise DocumentError(f"line {idx + 1}: mass line needs a word and a value")
-            masses[tuple(int(t) for t in toks[:-1])] = float(toks[-1])
+            word = tuple(_number(int, t, idx) for t in toks[:-1])
+            masses[word] = _number(float, toks[-1], idx)
             idx += 1
         try:
             return TableMeasure(ts, depth, masses)
@@ -291,7 +301,9 @@ def load_map(text: str) -> ExpandingMarkovMap:
     domains = []
     for i in range(ts.k):
         toks = _expect(lines, idx + i, "domain")
-        domains.append((float(toks[0]), float(toks[1])))
+        if len(toks) != 2:
+            raise DocumentError(f"line {idx + i + 1}: domain needs 2 endpoints")
+        domains.append(tuple(_number(float, t, idx + i) for t in toks))
     idx += ts.k
     if kind == "piecewise_linear":
         _check_end(lines, idx, "domains")
@@ -307,7 +319,9 @@ def load_map(text: str) -> ExpandingMarkovMap:
         idx += 1
         while idx < len(lines):
             toks = _expect(lines, idx, "param")
-            params[toks[0]] = float(toks[1])
+            if len(toks) != 2:
+                raise DocumentError(f"line {idx + 1}: param needs a name and a value")
+            params[toks[0]] = _number(float, toks[1], idx)
             idx += 1
         try:
             emap = MAP_BUILTINS[name](**params)

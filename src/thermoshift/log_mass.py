@@ -29,7 +29,8 @@ from .measures import (
     WeakGibbsCertificate,
     ZeroCylinderMassError,
     _first_max,
-    _log_gibbs_ratios,
+    _gibbs_ratio_rows,
+    _log_kstar_series,
 )
 from .potentials import (
     LocallyConstantPotential,
@@ -243,9 +244,12 @@ def check_sandwich(
 
     ``k`` may be a constant, a function of n, or a certificate from
     :func:`~thermoshift.measures.certify_weak_gibbs`.  Passing the
-    certificate reuses its stored log K*(n), and the log-ratios come from
-    the routine certification itself uses, so the optimal constants pass
-    with slack exactly 0.0 rather than failing by a rounding ulp.
+    certificate reuses its stored log K*(n), and the optimal constants come
+    from the routine certification itself uses (the block-graph recursion
+    where it applies, enumeration elsewhere), so they pass with slack
+    exactly 0.0 rather than failing by a rounding ulp.  Only the first
+    violating n, if any, is enumerated word by word, to name its first
+    violating word.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -258,15 +262,16 @@ def check_sandwich(
             raise ValueError(f"K({n}) = {bound!r} < 1")
         return math.log(bound)
 
-    slacks = []
+    log_ks = [log_k(n) for n in range(1, n_max + 1)]
+    optimal, fold = _log_kstar_series(seq.oracle, target, p, n_max)
+    slacks = [lk - best for lk, best in zip(log_ks, optimal)]
     violation: Optional[tuple[int, Word]] = None
-    for n in range(1, n_max + 1):
-        words, diffs = _log_gibbs_ratios(seq.oracle, target, p, n)
-        lk = log_k(n)
-        slacks.append(lk - float(np.max(np.abs(diffs))))
-        if violation is None and slacks[-1] < 0:
-            idx = int(np.flatnonzero(np.abs(diffs) > lk)[0])
+    for n, slack in enumerate(slacks, 1):
+        if slack < 0:
+            words, diffs = _gibbs_ratio_rows(seq.oracle, target, p, n, fold)
+            idx = int(np.flatnonzero(np.abs(diffs) > log_ks[n - 1])[0])
             violation = (n, tuple(int(s) for s in words[idx, :n]))
+            break
     worst = min(slacks)
     return SandwichReport(
         p_used=p,

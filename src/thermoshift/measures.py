@@ -6,7 +6,10 @@ exact Gibbs measure of a locally constant potential (:class:`RpfGibbsData`),
 and document-backed mass tables (:class:`TableMeasure`) for externally
 supplied data.  Certification measures, for each n, the exact optimal
 two-sided constant K*(n) relating cylinder masses to exp(φ_n − nP), and
-classifies the growth of K*(n).
+classifies the growth of K*(n).  For a Markov or RPF oracle against an
+additive target, K*(n) is a path extremum on the block graph, found for
+every n by one (max,+) recursion; other oracles and targets enumerate the
+admissible words at each n.
 """
 
 from __future__ import annotations
@@ -21,12 +24,20 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .potentials import (
+    AdditiveSequence,
     LocallyConstantPotential,
     PotentialSequence,
     eta,
 )
 from .pressure import block_transfer, power_iteration, pressure_spectral
-from .sft import TransitionSystem, Word, enumerate_words, word_array
+from .sft import (
+    TransitionSystem,
+    Word,
+    _window_codes,
+    _word_ranks,
+    enumerate_words,
+    word_array,
+)
 
 
 class ZeroCylinderMassError(ValueError):
@@ -273,17 +284,6 @@ def _chain_fold(
     return out
 
 
-def _window_codes(words: np.ndarray, k: int, width: int) -> Iterator[np.ndarray]:
-    """Base-k code of each length-``width`` window of the rows, as int64
-    columns from the left: (s₁, …, s_w) ↦ Σ (s_i − 1)·k^(w−i).  Width 1
-    gives the 0-based symbols."""
-    for j in range(words.shape[1] - width + 1):
-        code = words[:, j].astype(np.int64) - 1
-        for r in range(1, width):
-            code = code * k + (words[:, j + r] - 1)
-        yield code
-
-
 class TableMeasure(CylinderMeasureOracle):
     """Masses listed explicitly for every admissible word up to a depth.
 
@@ -374,15 +374,6 @@ class RpfGibbsData(CylinderMeasureOracle):
     def block_length(self) -> int:
         return len(self.blocks[0])
 
-    @cached_property
-    def _block_lookup(self) -> np.ndarray:
-        """Block index by the base-k code of the block (−1: not a block)."""
-        k, bl = self.system.k, self.block_length
-        lut = np.full(k**bl, -1, dtype=np.int64)
-        (codes,) = _window_codes(np.array(self.blocks), k, bl)
-        lut[codes] = np.arange(len(self.blocks))
-        return lut
-
     def mass(self, word: Word) -> float:
         if len(word) == 0:
             return 1.0
@@ -394,15 +385,14 @@ class RpfGibbsData(CylinderMeasureOracle):
         """A row at least one block long is folded along its path of
         overlapping blocks; a shorter row adds the stationary weights of the
         blocks it begins, in block order from 0.0."""
-        k, n = self.system.k, words.shape[1]
+        n = words.shape[1]
         if n >= self.block_length:
             return _chain_fold(*self.chain._arrays, self._block_paths(words), np.multiply)
-        sums = [0.0] * k**n
-        (prefixes,) = _window_codes(np.array(self.blocks)[:, :n], k, n)
-        for c, p in zip(prefixes.tolist(), self.chain.stationary):
-            sums[c] += p
-        (codes,) = _window_codes(words, k, n)
-        return np.array(sums)[codes]
+        sums = [0.0] * self.system.count_words(n)
+        prefixes = _word_ranks(self.system, np.array(self.blocks)[:, :n])
+        for r, p in zip(prefixes.tolist(), self.chain.stationary):
+            sums[r] += p
+        return np.array(sums)[_word_ranks(self.system, words)]
 
     def log_mass_words(self, words: np.ndarray) -> np.ndarray:
         if words.shape[1] < self.block_length:
@@ -411,8 +401,11 @@ class RpfGibbsData(CylinderMeasureOracle):
 
     def _block_paths(self, words: np.ndarray) -> Iterator[np.ndarray]:
         """Block index of each block-long window of the rows, from the left."""
-        codes = _window_codes(words, self.system.k, self.block_length)
-        return (self._block_lookup[c] for c in codes)
+        bl = self.block_length
+        return (
+            _word_ranks(self.system, words[:, j : j + bl])
+            for j in range(words.shape[1] - bl + 1)
+        )
 
 
 def _perron_chain(
@@ -458,10 +451,8 @@ def _log_gibbs_ratios(
     oracle: CylinderMeasureOracle, seq: PotentialSequence, p: float, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(words, log r) over n-cylinders and extension representatives, with
-    r = μ(w)/exp(φ_n − nP); max |log r| is log K*(n), the exact optimal
-    constant.  The one place this arithmetic lives: certification and
-    :func:`~thermoshift.log_mass.check_sandwich` both read it, so a
-    certificate's constants pass the sandwich with slack exactly 0.0.
+    r = μ(w)/exp(φ_n − nP), by enumeration; max |log r| is log K*(n), the
+    exact optimal constant.  The enumeration route of :func:`_gibbs_ratio_rows`.
     """
     dep = seq.dep(n)
     if dep is None:
@@ -469,6 +460,158 @@ def _log_gibbs_ratios(
     words = word_array(oracle.system, max(n, dep))
     log_mass = oracle.log_mass_words(words[:, :n])
     return words, log_mass - seq.values_on_words(n, words) + n * p
+
+
+@dataclass(frozen=True)
+class _BlockGraphFold:
+    """log r(w) of a Markov or RPF oracle against an additive target, as a
+    fold along the block graph.
+
+    With b the oracle's block length (1 for Markov) and d the target's
+    depth, the states are the admissible D-words, D = max(b, d − 1), and the
+    edges the admissible (D+1)-words.  A word w of length n + d − 1 ≥ D is
+    folded left to right over its positions t: position t adds
+    fl(log Q(block step ending at t) − φ(window ending at t)), leaving out a
+    part that does not exist there; log π of the first block comes in at
+    t = b, and n·P is added last.  ``head`` holds each state's fold over the
+    positions 1..D, ``body`` each edge's term for D < t ≤ n and ``tail`` its
+    term for n < t < n + d.  Edge arrays follow ``word_array(ts, D + 1)``.
+
+    Floating-point addition is monotone, so the forward (max,+) recursion of
+    :meth:`log_kstar` returns the largest and smallest fold over all words
+    bit for bit, and :meth:`rows`, which folds each word, agrees with it.
+    """
+
+    ts: TransitionSystem
+    width: int  # D, the length of a state word
+    depth: int  # d
+    head: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    body: np.ndarray
+    tail: np.ndarray
+
+    @property
+    def states(self) -> int:
+        return self.head.size
+
+    def log_kstar(self, p: float, n_max: int) -> list[float]:
+        """[log K*(n)] for n = D..n_max in one forward pass.
+
+        Row 0 of the recursion carries the largest fold into each state, row
+        1 the largest negated fold (−fl(a + b) = fl(−a − b) exactly), so one
+        (max,+) step serves both extrema.  A zero-mass step is −inf in row 0
+        and +inf in row 1, and the rows never mix, so no NaN can arise.
+        Each n runs the d − 1 tail steps from the running state, which the
+        next n continues unchanged.
+        """
+        by_dst = np.argsort(self.dst, kind="stable")
+        starts = np.flatnonzero(np.diff(self.dst[by_dst], prepend=-1))
+        src = self.src[by_dst]
+        body = np.stack([self.body[by_dst], -self.body[by_dst]])
+        tail = np.stack([self.tail[by_dst], -self.tail[by_dst]])
+        acc = np.stack([self.head, -self.head])
+        out = []
+        for n in range(self.width, n_max + 1):
+            if n > self.width:
+                acc = np.maximum.reduceat(acc[:, src] + body, starts, axis=1)
+            end = acc
+            for _ in range(self.depth - 1):
+                end = np.maximum.reduceat(end[:, src] + tail, starts, axis=1)
+            top, neg_bottom = end.max(axis=1).tolist()
+            out.append(max(abs(top + n * p), abs(-neg_bottom + n * p)))
+        return out
+
+    def rows(self, p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """(words, log r) for every word of length n + d − 1, by the same fold."""
+        D = self.width
+        words = word_array(self.ts, n + self.depth - 1)
+        acc = self.head[_word_ranks(self.ts, words[:, :D])]
+        for t in range(D + 1, n + self.depth):
+            terms = self.body if t <= n else self.tail
+            acc = acc + terms[_word_ranks(self.ts, words[:, t - D - 1 : t])]
+        return words, acc + n * p
+
+
+def _block_graph_fold(
+    oracle: CylinderMeasureOracle, seq: PotentialSequence
+) -> Optional[_BlockGraphFold]:
+    """The block-graph fold of a Markov or RPF oracle against an additive
+    target on its own system; None for every other pair."""
+    if isinstance(oracle, MarkovMeasure):
+        chain, b = oracle, 1
+    elif isinstance(oracle, RpfGibbsData):
+        chain, b = oracle.chain, oracle.block_length
+    else:
+        return None
+    if not isinstance(seq, AdditiveSequence) or seq.system.matrix != oracle.system.matrix:
+        return None
+    ts, phi = oracle.system, seq.potential
+    d = phi.depth
+    D = max(b, d - 1)
+    log_pi, log_q = chain._log_arrays
+
+    def term(y: np.ndarray, t: int, mass: bool) -> np.ndarray:
+        """Position t's term on words y ending at t (mass: t ≤ n)."""
+        window = phi.dense[tuple(y[:, -d:].T - 1)] if t >= d else None
+        if not mass or t < b:
+            return -window
+        if t == b:
+            m = log_pi[_word_ranks(ts, y[:, -b:])]
+        else:
+            m = log_q[_word_ranks(ts, y[:, -b - 1 : -1]), _word_ranks(ts, y[:, -b:])]
+        return m if window is None else m - window
+
+    states, edges = word_array(ts, D), word_array(ts, D + 1)
+    head = np.zeros(states.shape[0])
+    for t in range(1, D + 1):
+        if t >= min(b, d):
+            head = head + term(states[:, :t], t, True)
+    return _BlockGraphFold(
+        ts,
+        D,
+        d,
+        head,
+        _word_ranks(ts, edges[:, :-1]),
+        _word_ranks(ts, edges[:, 1:]),
+        term(edges, D + 1, True),
+        term(edges, D + 1, False),
+    )
+
+
+def _log_kstar_series(
+    oracle: CylinderMeasureOracle, seq: PotentialSequence, p: float, n_max: int
+) -> tuple[list[float], Optional[_BlockGraphFold]]:
+    """[log K*(n)] for n = 1..n_max, and the block-graph fold that gave the
+    values from n = D on (None: every n was enumerated).
+
+    The one place these numbers come from: certification and
+    :func:`~thermoshift.log_mass.check_sandwich` both read them, so a
+    certificate's constants pass the sandwich with slack exactly 0.0.
+    """
+    fold = _block_graph_fold(oracle, seq)
+    enumerated = n_max if fold is None else min(fold.width - 1, n_max)
+    log_ks = [
+        float(np.max(np.abs(_log_gibbs_ratios(oracle, seq, p, n)[1])))
+        for n in range(1, enumerated + 1)
+    ]
+    if fold is not None:
+        log_ks += fold.log_kstar(p, n_max)
+    return log_ks, fold
+
+
+def _gibbs_ratio_rows(
+    oracle: CylinderMeasureOracle,
+    seq: PotentialSequence,
+    p: float,
+    n: int,
+    fold: Optional[_BlockGraphFold],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(words, log r) at one n by the route :func:`_log_kstar_series` took
+    there, so the max of |log r| is its value; for naming witnesses."""
+    if fold is None or n < fold.width:
+        return _log_gibbs_ratios(oracle, seq, p, n)
+    return fold.rows(p, n)
 
 
 @dataclass(frozen=True)
@@ -485,6 +628,10 @@ class WeakGibbsCertificate:
     evaluated at n_max; ``implied_pressure_shift`` is the fitted slope of
     log K*(n) itself, which estimates |P_supplied − P_true| when a wrong
     pressure made K* grow exponentially.
+
+    ``route`` says how K*(n) was found: "max-plus" (the block-graph
+    recursion, with ``block_order`` states, for every n ≥ its word length D)
+    or "enumeration" (every word at every n; ``block_order`` is None).
     """
 
     p_used: float
@@ -495,6 +642,8 @@ class WeakGibbsCertificate:
     verdict: str
     gibbs_constant: Optional[float]
     threshold: Optional[float]
+    route: str
+    block_order: Optional[int]
 
     def log_k(self, n: int) -> float:
         for m, v in self.log_kstar:
@@ -516,25 +665,27 @@ def certify_weak_gibbs(
 ) -> WeakGibbsCertificate:
     """Exact per-n Gibbs constants K*(n) and growth classification.
 
-    For each n ≤ n_max the toolkit enumerates every admissible n-word and
-    every extension needed to settle φ_n, so K*(n) is the optimal constant
-    for that n, not an estimate.  Raises :class:`ZeroCylinderMassError` on
-    an admissible zero-mass cylinder; everything else is a verdict, not an
-    exception.
+    K*(n) = max |log μ(w) − φ_n(w) + nP| over every admissible n-word and
+    every extension needed to settle φ_n, so it is the optimal constant for
+    that n, not an estimate.  A Markov or RPF oracle against an additive
+    target gets it as a path extremum on the block graph, in one (max,+)
+    pass over n (see :class:`_BlockGraphFold`); any other pair, and n below
+    the graph's word length, enumerates the words.  Raises
+    :class:`ZeroCylinderMassError` on an admissible zero-mass cylinder,
+    naming the first one of the first such n; everything else is a verdict,
+    not an exception.
     """
     if n_max < 4:
         raise ValueError("certification needs n_max >= 4")
     if tau <= 0:
         raise ValueError("threshold must be positive")
-    log_ks = []
-    for n in range(1, n_max + 1):
-        words, log_ratios = _log_gibbs_ratios(oracle, seq, p, n)
-        bad = np.flatnonzero(~np.isfinite(log_ratios))
-        if bad.size:
+    log_ks, fold = _log_kstar_series(oracle, seq, p, n_max)
+    for n, lk in enumerate(log_ks, 1):
+        if not math.isfinite(lk):
+            words, log_ratios = _gibbs_ratio_rows(oracle, seq, p, n, fold)
+            bad = np.flatnonzero(~np.isfinite(log_ratios))
             w = tuple(int(s) for s in words[bad[0], :n])
             raise ZeroCylinderMassError(f"admissible word {w} has zero mass")
-        log_ks.append(float(np.max(np.abs(log_ratios))))
-        del log_ratios  # not alive while the k-times larger next n is built
     ns = np.arange(1, n_max + 1)
     tail_from = (n_max + 1) // 2
     tail = slice(tail_from - 1, None)
@@ -571,6 +722,8 @@ def certify_weak_gibbs(
         verdict=verdict,
         gibbs_constant=constant,
         threshold=threshold,
+        route="enumeration" if fold is None else "max-plus",
+        block_order=None if fold is None else fold.states,
     )
 
 

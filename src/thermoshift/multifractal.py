@@ -43,11 +43,10 @@ from .measures import (
     _chain_fold,
     _chain_logs,
     _stationary,
-    _window_codes,
     atomfree_check,
 )
 from .potentials import LocallyConstantPotential
-from .sft import TransitionSystem, enumerate_words, word_array
+from .sft import TransitionSystem, _window_codes, enumerate_words, word_array
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -32,7 +31,7 @@ from .potentials import (
     _prefix_group_starts,
     asymptotic_defect,
 )
-from .sft import TransitionSystem, Word, cyclic_mask, enumerate_words, word_array
+from .sft import TransitionSystem, Word, _word_ranks, cyclic_mask, word_array
 
 
 class EigensolverError(RuntimeError):
@@ -123,26 +122,23 @@ class BlockTransfer:
         return max(self.potential.depth, 2)
 
     def block_system(self) -> TransitionSystem:
-        adj = tuple(
-            tuple(int(math.isfinite(self.log_edges[i, j])) for j in range(self.order))
-            for i in range(self.order)
-        )
-        return TransitionSystem(adj)
+        adj = np.isfinite(self.log_edges).astype(int)
+        return TransitionSystem(tuple(map(tuple, adj.tolist())))
 
 
 def block_transfer(phi: LocallyConstantPotential) -> BlockTransfer:
     ts = phi.system
     dp = max(phi.depth, 2)
-    blocks = tuple(enumerate_words(ts, dp - 1))
-    m = len(blocks)
-    log_edges = np.full((m, m), -math.inf)
-    for i, u in enumerate(blocks):
-        for j, v in enumerate(blocks):
-            if u[1:] == v[:-1] and ts.is_admissible(u + v[-1:]):
-                log_edges[i, j] = phi.table[(u + v[-1:])[: phi.depth]]
+    blocks = word_array(ts, dp - 1)
+    # an edge is an admissible d′-word: its first and last d′−1 symbols are
+    # the blocks it joins, its first depth symbols the potential's window
+    edges = word_array(ts, dp)
+    sources, targets = _word_ranks(ts, edges[:, :-1]), _word_ranks(ts, edges[:, 1:])
+    log_edges = np.full((len(blocks), len(blocks)), -math.inf)
+    log_edges[sources, targets] = phi.dense[tuple(edges[:, : phi.depth].T - 1)]
     with np.errstate(over="raise"):
         matrix = np.where(np.isfinite(log_edges), np.exp(log_edges), 0.0)
-    return BlockTransfer(phi, blocks, log_edges, matrix)
+    return BlockTransfer(phi, tuple(map(tuple, blocks.tolist())), log_edges, matrix)
 
 
 def _max_plus_end_weights(bt: BlockTransfer) -> np.ndarray:
@@ -167,13 +163,11 @@ def _row_weight_split(bt: BlockTransfer) -> Optional[tuple[np.ndarray, np.ndarra
     scatter 1-ulp dust into every step.
     """
     finite = np.isfinite(bt.log_edges)
-    a = np.empty(bt.order)
-    for i in range(bt.order):
-        row = bt.log_edges[i, finite[i]]
-        if row.size == 0 or np.any(row != row[0]):
-            return None
-        a[i] = math.exp(row[0])
-    return a, finite.astype(float)
+    top = bt.log_edges.max(axis=1)
+    if np.any(top != np.where(finite, bt.log_edges, math.inf).min(axis=1)):
+        return None
+    # math.exp, not np.exp: the two can differ in the last bit
+    return np.array([math.exp(x) for x in top.tolist()]), finite.astype(float)
 
 
 def _step(w: np.ndarray, split: Optional[tuple[np.ndarray, np.ndarray]], v: np.ndarray) -> np.ndarray:

@@ -181,19 +181,27 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def enumerate_words(ts: TransitionSystem, n: int) -> Iterator[Word]:
-    """Yield all admissible words of length n in lexicographic order."""
+    """Yield all admissible words of length n in lexicographic order.
+
+    Depth-first with an explicit stack of successor iterators, so the word
+    length is not bounded by the interpreter's recursion limit.
+    """
     if n < 1:
         raise ValueError("word length must be >= 1")
-
-    def extend(prefix: Word) -> Iterator[Word]:
-        if len(prefix) == n:
-            yield prefix
-            return
-        for s in ts.successors(prefix[-1]):
-            yield from extend(prefix + (s,))
-
-    for first in range(1, ts.k + 1):
-        yield from extend((first,))
+    successors = {s: ts.successors(s) for s in range(1, ts.k + 1)}
+    prefix: list[int] = []
+    choices = [iter(range(1, ts.k + 1))]  # choices[i] offers the symbol after prefix[:i]
+    while choices:
+        s = next(choices[-1], None)
+        if s is None:
+            choices.pop()
+            if prefix:
+                prefix.pop()
+        elif len(prefix) == n - 1:
+            yield tuple(prefix) + (s,)
+        else:
+            prefix.append(s)
+            choices.append(iter(successors[s]))
 
 
 def enumerate_cyclic_words(ts: TransitionSystem, n: int) -> Iterator[Word]:
@@ -233,6 +241,35 @@ def cyclic_mask(ts: TransitionSystem, words: np.ndarray) -> np.ndarray:
     """Boolean mask of rows whose last->first transition is allowed."""
     t = ts.as_array
     return t[words[:, -1] - 1, words[:, 0] - 1] == 1
+
+
+def _window_codes(words: np.ndarray, k: int, width: int) -> Iterator[np.ndarray]:
+    """Base-k code of each length-``width`` window of the rows, as int64
+    columns from the left: (s₁, …, s_w) ↦ Σ (s_i − 1)·k^(w−i).  Width 1
+    gives the 0-based symbols."""
+    for j in range(words.shape[1] - width + 1):
+        code = words[:, j].astype(np.int64) - 1
+        for r in range(1, width):
+            code = code * k + (words[:, j + r] - 1)
+        yield code
+
+
+@lru_cache(maxsize=32)
+def _rank_table(ts: TransitionSystem, n: int) -> np.ndarray:
+    """Row index in ``word_array(ts, n)`` by base-k word code; −1 where the
+    code is not an admissible word."""
+    table = np.full(ts.k**n, -1, dtype=np.int64)
+    (codes,) = _window_codes(word_array(ts, n), ts.k, n)
+    table[codes] = np.arange(codes.size)
+    table.setflags(write=False)
+    return table
+
+
+def _word_ranks(ts: TransitionSystem, words: np.ndarray) -> np.ndarray:
+    """Index of each row among the admissible words of its length, in the
+    lexicographic order of :func:`word_array` (−1: not admissible)."""
+    (codes,) = _window_codes(words, ts.k, words.shape[1])
+    return _rank_table(ts, words.shape[1])[codes]
 
 
 # ---------------------------------------------------------------------------

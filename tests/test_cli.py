@@ -237,6 +237,45 @@ def test_certify_parry_measure_for_zero_potential(tmp_path, capsys):
     assert res["summary"]["gibbs_constant"] == pytest.approx(math.sqrt(5), rel=1e-6)
 
 
+def test_certifying_commands_record_the_kstar_route(tmp_path):
+    cfg = certify_workspace(tmp_path, math.log((1 + math.sqrt(5)) / 2))
+    psi_cfg = write_config(tmp_path, {"measure": "mu.txt", "n_max": 8}, "psi.json")
+    phi = LocallyConstantPotential(
+        FULL2, 3, {w: 0.25 * w.count(2) for w in enumerate_words(FULL2, 3)}
+    )
+    pot_name = write(tmp_path / "phi3.txt", dump_potential(phi))
+    gibbs_cfg = write_config(tmp_path, {"potential": pot_name}, "gibbs.json")
+    diagnostics = {}
+    for command, config in (
+        ("weakgibbs-certify", cfg),
+        ("psi-verify", psi_cfg),
+        ("gibbs-build", gibbs_cfg),
+    ):
+        out = str(tmp_path / command)
+        assert run([command, "--config", config, "--out", out]) == 0
+        diagnostics[command] = result_of(out)["diagnostics"]
+    assert diagnostics == {
+        # the golden-mean Parry chain: one state per symbol
+        "weakgibbs-certify": {"kstar_route": "max-plus", "block_graph_order": 2},
+        "psi-verify": {"kstar_route": "max-plus", "block_graph_order": 2},
+        # a depth-3 potential: its RPF chain runs on the four 2-blocks
+        "gibbs-build": {"kstar_route": "max-plus", "block_graph_order": 4},
+    }
+
+
+def test_certify_of_a_mass_table_records_the_enumeration_route(tmp_path):
+    mu = MarkovMeasure.bernoulli(FULL2, (0.3, 0.7))
+    masses = {w: mu.mass(w) for n in range(1, 7) for w in enumerate_words(FULL2, n)}
+    mu_name = write(tmp_path / "mu.txt", dump_measure(TableMeasure(FULL2, 6, masses)))
+    log_p = LocallyConstantPotential.from_symbol_values(FULL2, [math.log(x) for x in (0.3, 0.7)])
+    pot_name = write(tmp_path / "phi.txt", dump_potential(log_p))
+    cfg = write_config(tmp_path, {"measure": mu_name, "potential": pot_name, "pressure": 0.0})
+    out = str(tmp_path / "out")
+    assert run(["weakgibbs-certify", "--config", cfg, "--out", out]) == 0
+    diagnostics = result_of(out)["diagnostics"]
+    assert diagnostics == {"kstar_route": "enumeration", "block_graph_order": None}
+
+
 def test_certify_wrong_pressure_is_a_failed_check(tmp_path, capsys):
     golden_ratio = (1 + math.sqrt(5)) / 2
     cfg = certify_workspace(tmp_path, math.log(golden_ratio) + 0.05)
@@ -552,6 +591,17 @@ def test_out_naming_an_existing_file_is_an_input_error(tmp_path, capsys):
     assert run(["pressure", "--config", cfg, "--out", str(blocker)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("input error: cannot create output directory")
+
+
+def test_a_table_value_that_is_not_a_number_is_an_input_error(tmp_path, capsys):
+    lines = dump_potential(zero_potential(FULL2)).splitlines()
+    lines[-1] = "word 2 value abc"
+    write(tmp_path / "phi.txt", "\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, {"potential": "phi.txt", "method": "spectral"})
+    assert run(["pressure", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: potential document")
+    assert err[0].endswith(f"line {len(lines)}: expected a number, got 'abc'")
 
 
 @pytest.mark.parametrize("kind", ["potential", "measure"])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from thermoshift import (
     DocumentError,
+    LocallyConstantPotential,
     MarkovMeasure,
     TableMeasure,
     TransitionSystem,
@@ -250,6 +251,72 @@ def test_measure_refuses_foreign_oracle_types():
 
     with pytest.raises(DocumentError, match="cannot serialize"):
         dump_measure(Opaque())
+
+
+def _replace_line(text, prefix, new):
+    """The document with its first line starting ``prefix`` replaced, and
+    that line's 1-based number."""
+    lines = text.splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    lines[i] = new
+    return "\n".join(lines) + "\n", i + 1
+
+
+@pytest.mark.parametrize(
+    "prefix,bad,what",
+    [
+        ("alphabet", "alphabet two", "an integer"),
+        ("row", "row 1 x", "an integer"),
+        ("depth", "depth 1.5", "an integer"),
+        ("word", "word 1 x value 0", "an integer"),
+        ("word", "word 1 1 value abc", "a number"),
+    ],
+)
+def test_potential_tokens_that_are_not_numbers_name_their_line(
+    example_potential, prefix, bad, what
+):
+    text, line = _replace_line(dump_potential(example_potential), prefix, bad)
+    with pytest.raises(DocumentError, match=f"line {line}: expected {what}, got"):
+        load_potential(text)
+
+
+@pytest.mark.parametrize(
+    "kind,prefix,bad,what",
+    [
+        ("markov", "q", "q 0.5 half", "a number"),
+        ("markov", "pi", "pi 0.5 x", "a number"),
+        ("table", "depth", "depth two", "an integer"),
+        ("table", "mass", "mass 1 a 0.25", "an integer"),
+        ("table", "mass", "mass 1 0.25x", "a number"),
+        ("rpf", "lambda", "lambda big", "a number"),
+    ],
+)
+def test_measure_tokens_that_are_not_numbers_name_their_line(full2, kind, prefix, bad, what):
+    mu = MarkovMeasure.bernoulli(full2, (0.5, 0.5))
+    if kind == "markov":
+        oracle = mu
+    elif kind == "table":
+        oracle = TableMeasure(full2, 1, {(1,): 0.5, (2,): 0.5})
+    else:
+        oracle = build_rpf(LocallyConstantPotential.from_symbol_values(full2, (0.1, 0.2)))
+    text, line = _replace_line(dump_measure(oracle), prefix, bad)
+    with pytest.raises(DocumentError, match=f"line {line}: expected {what}, got"):
+        load_measure(text)
+
+
+@pytest.mark.parametrize(
+    "prefix,bad,match",
+    [
+        ("domain", "domain 0 half", "expected a number, got 'half'"),
+        ("domain", "domain 0", "domain needs 2 endpoints"),
+        ("param", "param c", "param needs a name and a value"),
+        ("param", "param c eight", "expected a number, got 'eight'"),
+    ],
+)
+def test_map_tokens_that_are_not_numbers_name_their_line(prefix, bad, match):
+    text, line = _replace_line(_general_map_text(), prefix, bad)
+    with pytest.raises(DocumentError, match=f"line {line}: {match}"):
+        load_map(text)
 
 
 def test_markov_measure_document_wraps_validation(full2):

@@ -53,6 +53,13 @@ def test_table_mismatch_is_found_without_enumerating_the_declared_depth(full3):
     assert "extra [(1,), (2,), (3,)]" in str(exc.value)
 
 
+def test_table_mismatch_of_a_deep_table_is_a_value_error(full2):
+    # the missing words are found by a word enumeration 1500 symbols deep,
+    # which must not run into the interpreter's recursion limit
+    with pytest.raises(ValueError, match="table does not match admissible 1500-words"):
+        LocallyConstantPotential(full2, 1500, {(1,) * 1500: 0.0})
+
+
 def test_constant_and_symbol_value_constructors(full2):
     c = LocallyConstantPotential.constant(full2, 1.5, depth=2)
     assert c.depth == 2
