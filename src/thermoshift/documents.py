@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from .interval_maps import ExpandingMarkovMap, perturbed_doubling
 from .measures import (
@@ -64,12 +64,14 @@ def _split(text: str) -> list[str]:
     return [ln.strip() for ln in text.splitlines() if ln.strip()]
 
 
-def _expect(lines: list[str], idx: int, key: str) -> list[str]:
+def _expect(lines: list[str], idx: int, key: str, count: Optional[int] = None) -> list[str]:
     if idx >= len(lines):
         raise DocumentError(f"line {idx + 1}: expected {key!r}, got end of file")
     toks = lines[idx].split()
     if toks[0] != key:
         raise DocumentError(f"line {idx + 1}: expected {key!r}, got {toks[0]!r}")
+    if count is not None and len(toks) - 1 != count:
+        raise DocumentError(f"line {idx + 1}: {key} needs {count} value(s), got {len(toks) - 1}")
     return toks[1:]
 
 
@@ -102,7 +104,7 @@ def _system_lines(ts: TransitionSystem) -> list[str]:
 
 
 def _parse_system(lines: list[str], idx: int) -> tuple[TransitionSystem, int]:
-    (k_tok,) = _expect(lines, idx, "alphabet")
+    (k_tok,) = _expect(lines, idx, "alphabet", 1)
     k = _number(int, k_tok, idx)
     rows = []
     for i in range(k):
@@ -151,7 +153,7 @@ def dump_potential(phi: LocallyConstantPotential) -> str:
 def _parse_potential_body(
     lines: list[str], idx: int, ts: TransitionSystem
 ) -> tuple[LocallyConstantPotential, int]:
-    (d_tok,) = _expect(lines, idx, "depth")
+    (d_tok,) = _expect(lines, idx, "depth", 1)
     depth = _number(int, d_tok, idx)
     _expect(lines, idx + 1, "precision")
     idx += 2
@@ -221,7 +223,7 @@ def dump_measure(oracle: CylinderMeasureOracle) -> str:
 def load_measure(text: str) -> CylinderMeasureOracle:
     lines = _split(text)
     _check_header(lines, "measure")
-    (kind,) = _expect(lines, 1, "kind")
+    (kind,) = _expect(lines, 1, "kind", 1)
     ts, idx = _parse_system(lines, 2)
     if kind == "markov":
         rows = tuple(_floats(lines, idx + i, "q", ts.k) for i in range(ts.k))
@@ -232,7 +234,7 @@ def load_measure(text: str) -> CylinderMeasureOracle:
         except ValueError as exc:
             raise DocumentError(f"invalid Markov measure: {exc}") from exc
     if kind == "table":
-        (d_tok,) = _expect(lines, idx, "depth")
+        (d_tok,) = _expect(lines, idx, "depth", 1)
         depth = _number(int, d_tok, idx)
         idx += 1
         masses: dict[Word, float] = {}
@@ -296,7 +298,7 @@ def dump_map(
 def load_map(text: str) -> ExpandingMarkovMap:
     lines = _split(text)
     _check_header(lines, "map")
-    (kind,) = _expect(lines, 1, "kind")
+    (kind,) = _expect(lines, 1, "kind", 1)
     ts, idx = _parse_system(lines, 2)
     domains = []
     for i in range(ts.k):
@@ -312,7 +314,7 @@ def load_map(text: str) -> ExpandingMarkovMap:
         except ValueError as exc:
             raise DocumentError(f"invalid linear map: {exc}") from exc
     if kind == "general":
-        (name,) = _expect(lines, idx, "builtin")
+        (name,) = _expect(lines, idx, "builtin", 1)
         if name not in MAP_BUILTINS:
             raise DocumentError(f"unknown map builtin {name!r}")
         params: dict[str, float] = {}

@@ -7,9 +7,10 @@ and document-backed mass tables (:class:`TableMeasure`) for externally
 supplied data.  Certification measures, for each n, the exact optimal
 two-sided constant K*(n) relating cylinder masses to exp(φ_n − nP), and
 classifies the growth of K*(n).  For a Markov or RPF oracle against an
-additive target, K*(n) is a path extremum on the block graph, found for
-every n by one (max,+) recursion; other oracles and targets enumerate the
-admissible words at each n.
+additive target, K*(n) is a path extremum on the block graph of
+:mod:`~thermoshift.sft`, found for every n by one (max,+) recursion, as is
+sup S_n φ in :func:`atomfree_check`; other oracles and targets enumerate
+the admissible words at each n.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -31,10 +32,12 @@ from .potentials import (
 )
 from .pressure import block_transfer, power_iteration, pressure_spectral
 from .sft import (
+    BlockGraph,
     TransitionSystem,
     Word,
     _window_codes,
-    _word_ranks,
+    _window_ranks,
+    block_graph,
     enumerate_words,
     word_array,
 )
@@ -349,14 +352,14 @@ class RpfGibbsData(CylinderMeasureOracle):
         self,
         potential: LocallyConstantPotential,
         lam: float,
-        blocks: tuple[Word, ...],
+        graph: BlockGraph,
         h: np.ndarray,
         nu: np.ndarray,
         chain: MarkovMeasure,
     ):
         self.potential = potential
         self.lam = lam
-        self.blocks = blocks
+        self.graph = graph
         self.h = h
         self.nu = nu
         self.chain = chain
@@ -370,9 +373,13 @@ class RpfGibbsData(CylinderMeasureOracle):
         """P(φ) = log λ."""
         return math.log(self.lam)
 
+    @cached_property
+    def blocks(self) -> tuple[Word, ...]:
+        return tuple(map(tuple, self.graph.states.tolist()))
+
     @property
     def block_length(self) -> int:
-        return len(self.blocks[0])
+        return self.graph.width
 
     def mass(self, word: Word) -> float:
         if len(word) == 0:
@@ -387,25 +394,17 @@ class RpfGibbsData(CylinderMeasureOracle):
         blocks it begins, in block order from 0.0."""
         n = words.shape[1]
         if n >= self.block_length:
-            return _chain_fold(*self.chain._arrays, self._block_paths(words), np.multiply)
+            return _chain_fold(*self.chain._arrays, self.graph.path(words), np.multiply)
         sums = [0.0] * self.system.count_words(n)
-        prefixes = _word_ranks(self.system, np.array(self.blocks)[:, :n])
+        prefixes = next(_window_ranks(self.system, self.graph.states[:, :n], n))
         for r, p in zip(prefixes.tolist(), self.chain.stationary):
             sums[r] += p
-        return np.array(sums)[_word_ranks(self.system, words)]
+        return np.array(sums)[next(_window_ranks(self.system, words, n))]
 
     def log_mass_words(self, words: np.ndarray) -> np.ndarray:
         if words.shape[1] < self.block_length:
             return super().log_mass_words(words)  # math.log of each mass
-        return _chain_fold(*self.chain._log_arrays, self._block_paths(words), np.add)
-
-    def _block_paths(self, words: np.ndarray) -> Iterator[np.ndarray]:
-        """Block index of each block-long window of the rows, from the left."""
-        bl = self.block_length
-        return (
-            _word_ranks(self.system, words[:, j : j + bl])
-            for j in range(words.shape[1] - bl + 1)
-        )
+        return _chain_fold(*self.chain._log_arrays, self.graph.path(words), np.add)
 
 
 def _perron_chain(
@@ -439,8 +438,8 @@ def build_rpf(phi: LocallyConstantPotential) -> RpfGibbsData:
     """
     phi.system.require_mixing()
     bt = block_transfer(phi)
-    lam, h, nu, chain = _perron_chain(bt.block_system(), bt.matrix)
-    return RpfGibbsData(phi, lam, bt.blocks, h, nu, chain)
+    lam, h, nu, chain = _perron_chain(bt.graph.system, bt.matrix)
+    return RpfGibbsData(phi, lam, bt.graph, h, nu, chain)
 
 
 # ---------------------------------------------------------------------------
@@ -468,32 +467,28 @@ class _BlockGraphFold:
     fold along the block graph.
 
     With b the oracle's block length (1 for Markov) and d the target's
-    depth, the states are the admissible D-words, D = max(b, d − 1), and the
-    edges the admissible (D+1)-words.  A word w of length n + d − 1 ≥ D is
-    folded left to right over its positions t: position t adds
-    fl(log Q(block step ending at t) − φ(window ending at t)), leaving out a
-    part that does not exist there; log π of the first block comes in at
-    t = b, and n·P is added last.  ``head`` holds each state's fold over the
-    positions 1..D, ``body`` each edge's term for D < t ≤ n and ``tail`` its
-    term for n < t < n + d.  Edge arrays follow ``word_array(ts, D + 1)``.
+    depth, the graph has width D = max(b, d − 1).  A word w of length
+    n + d − 1 ≥ D is folded left to right over its positions t: position t
+    adds fl(log Q(block step ending at t) − φ(window ending at t)), leaving
+    out a part that does not exist there; log π of the first block comes in
+    at t = b, and n·P is added last.  ``head`` holds each state's fold over
+    the positions 1..D, ``body`` each edge's term for D < t ≤ n and ``tail``
+    its term for n < t < n + d, in the graph's edge order.
 
     Floating-point addition is monotone, so the forward (max,+) recursion of
     :meth:`log_kstar` returns the largest and smallest fold over all words
     bit for bit, and :meth:`rows`, which folds each word, agrees with it.
     """
 
-    ts: TransitionSystem
-    width: int  # D, the length of a state word
+    graph: BlockGraph
     depth: int  # d
     head: np.ndarray
-    src: np.ndarray
-    dst: np.ndarray
     body: np.ndarray
     tail: np.ndarray
 
     @property
-    def states(self) -> int:
-        return self.head.size
+    def width(self) -> int:
+        return self.graph.width
 
     def log_kstar(self, p: float, n_max: int) -> list[float]:
         """[log K*(n)] for n = D..n_max in one forward pass.
@@ -505,31 +500,26 @@ class _BlockGraphFold:
         Each n runs the d − 1 tail steps from the running state, which the
         next n continues unchanged.
         """
-        by_dst = np.argsort(self.dst, kind="stable")
-        starts = np.flatnonzero(np.diff(self.dst[by_dst], prepend=-1))
-        src = self.src[by_dst]
-        body = np.stack([self.body[by_dst], -self.body[by_dst]])
-        tail = np.stack([self.tail[by_dst], -self.tail[by_dst]])
+        body = np.stack([self.body, -self.body])
+        tail = np.stack([self.tail, -self.tail])
         acc = np.stack([self.head, -self.head])
         out = []
         for n in range(self.width, n_max + 1):
             if n > self.width:
-                acc = np.maximum.reduceat(acc[:, src] + body, starts, axis=1)
+                acc = self.graph.step(acc, body)
             end = acc
             for _ in range(self.depth - 1):
-                end = np.maximum.reduceat(end[:, src] + tail, starts, axis=1)
+                end = self.graph.step(end, tail)
             top, neg_bottom = end.max(axis=1).tolist()
             out.append(max(abs(top + n * p), abs(-neg_bottom + n * p)))
         return out
 
     def rows(self, p: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         """(words, log r) for every word of length n + d − 1, by the same fold."""
-        D = self.width
-        words = word_array(self.ts, n + self.depth - 1)
-        acc = self.head[_word_ranks(self.ts, words[:, :D])]
-        for t in range(D + 1, n + self.depth):
-            terms = self.body if t <= n else self.tail
-            acc = acc + terms[_word_ranks(self.ts, words[:, t - D - 1 : t])]
+        words = word_array(self.graph.ts, n + self.depth - 1)
+        acc = self.head[next(self.graph.path(words))]
+        for t, edge in enumerate(self.graph.path(words, edges=True), self.width + 1):
+            acc = acc + (self.body if t <= n else self.tail)[edge]
         return words, acc + n * p
 
 
@@ -548,7 +538,7 @@ def _block_graph_fold(
         return None
     ts, phi = oracle.system, seq.potential
     d = phi.depth
-    D = max(b, d - 1)
+    graph, blocks = block_graph(ts, max(b, d - 1)), block_graph(ts, b)
     log_pi, log_q = chain._log_arrays
 
     def term(y: np.ndarray, t: int, mass: bool) -> np.ndarray:
@@ -556,27 +546,17 @@ def _block_graph_fold(
         window = phi.dense[tuple(y[:, -d:].T - 1)] if t >= d else None
         if not mass or t < b:
             return -window
-        if t == b:
-            m = log_pi[_word_ranks(ts, y[:, -b:])]
-        else:
-            m = log_q[_word_ranks(ts, y[:, -b - 1 : -1]), _word_ranks(ts, y[:, -b:])]
+        # the oracle's blocks ending at t − 1 and t (only t's when t = b)
+        path = list(blocks.path(y[:, -b - 1 :]))
+        m = log_pi[path[0]] if t == b else log_q[path[0], path[1]]
         return m if window is None else m - window
 
-    states, edges = word_array(ts, D), word_array(ts, D + 1)
-    head = np.zeros(states.shape[0])
-    for t in range(1, D + 1):
+    head = np.zeros(graph.order)
+    for t in range(1, graph.width + 1):
         if t >= min(b, d):
-            head = head + term(states[:, :t], t, True)
-    return _BlockGraphFold(
-        ts,
-        D,
-        d,
-        head,
-        _word_ranks(ts, edges[:, :-1]),
-        _word_ranks(ts, edges[:, 1:]),
-        term(edges, D + 1, True),
-        term(edges, D + 1, False),
-    )
+            head = head + term(graph.states[:, :t], t, True)
+    t = graph.width + 1  # the position an edge ends at
+    return _BlockGraphFold(graph, d, head, term(graph.edges, t, True), term(graph.edges, t, False))
 
 
 def _log_kstar_series(
@@ -723,7 +703,7 @@ def certify_weak_gibbs(
         gibbs_constant=constant,
         threshold=threshold,
         route="enumeration" if fold is None else "max-plus",
-        block_order=None if fold is None else fold.states,
+        block_order=None if fold is None else fold.graph.order,
     )
 
 
@@ -746,15 +726,18 @@ def atomfree_check(phi: LocallyConstantPotential, n_max: int) -> Optional[int]:
     measures for φ are atom-free.  A witness can first appear at some
     n > 1 even when n = 1 fails — averaging can pull the sup below the
     pressure only once orbits mix the large and small values of φ.
+
+    sup S_n φ is the n-th forward (max,+) step on φ's block graph from 0.0:
+    bit for bit the largest left-to-right sum over the (n + d − 1)-words.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     p = pressure_spectral(phi)
-    d = phi.depth
+    bt = block_transfer(phi)
+    sums = np.zeros(bt.order)
     for n in range(1, n_max + 1):
-        words = word_array(phi.system, n + d - 1)
-        top = float(np.max(phi.values_on_windows(words, n))) / n
-        if top < p - 1e-12:
+        sums = bt.graph.step(sums, bt.weights)
+        if float(np.max(sums)) / n < p - 1e-12:
             return n
     return None
 

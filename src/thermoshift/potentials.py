@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -156,12 +156,8 @@ def variation(phi: LocallyConstantPotential, n: int) -> float:
     d = phi.depth
     if n >= d:
         return 0.0
-    worst = 0.0
-    for w in enumerate_words(phi.system, d):
-        prefix = w[:n]
-        vals = [v for u, v in phi.table.items() if u[:n] == prefix]
-        worst = max(worst, max(vals) - min(vals))
-    return worst
+    words = word_array(phi.system, d)
+    return _prefix_group_spread(words, n, phi.dense[tuple(words.T - 1)])
 
 
 def eta(phi: LocallyConstantPotential, n: int) -> float:

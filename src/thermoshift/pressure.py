@@ -2,9 +2,9 @@
 
 Routes: cylinder sums (1/n) log Σ_C exp(sup_C S_n φ), periodic-point sums
 (1/n) log Σ_{Fix σ^n} exp(φ_n), and the spectral oracle log λ where λ is the
-Perron root of the weighted block transfer matrix.  The first two are exact
-finite-n enumerations; `pressure_limit` produces the n→∞ extrapolation with
-an error bar.
+Perron root of the weighted transfer matrix on φ's block graph, which lives
+in :mod:`~thermoshift.sft`.  The first two are exact finite-n enumerations;
+`pressure_limit` produces the n→∞ extrapolation with an error bar.
 
 Extrapolation detail that matters: the raw values (1/n) log Z_n carry a
 β/n error term from the log-prefactor of Z_n ≈ c·λ^n, so accelerating them
@@ -31,7 +31,7 @@ from .potentials import (
     _prefix_group_starts,
     asymptotic_defect,
 )
-from .sft import TransitionSystem, Word, _word_ranks, cyclic_mask, word_array
+from .sft import BlockGraph, Word, block_graph, cyclic_mask, word_array
 
 
 class EigensolverError(RuntimeError):
@@ -100,57 +100,36 @@ def power_iteration(m: np.ndarray) -> tuple[float, np.ndarray]:
 
 @dataclass(frozen=True)
 class BlockTransfer:
-    """Weighted transfer matrix of a potential on the (d′−1)-block recoding.
+    """Weighted transfer matrix of a potential on its block graph.
 
-    States are the admissible words of length d′−1 where d′ = max(depth, 2);
-    the edge u→v exists when u and v overlap correctly and the combined
-    d′-word is admissible, carrying weight exp(φ(combined word)).  Row/column
-    order is the lexicographic block order, fixed for reproducibility.
+    The graph has width max(depth − 1, 1); the edge u→v carries weight
+    exp(φ(first depth symbols of the edge word)).  Row/column order is the
+    lexicographic block order, fixed for reproducibility.
     """
 
     potential: LocallyConstantPotential
-    blocks: tuple[Word, ...]
-    log_edges: np.ndarray  # -inf where no edge
+    graph: BlockGraph
+    weights: np.ndarray  # φ on each edge, in the graph's edge order
+    log_edges: np.ndarray  # weights at [src, dst], -inf where no edge
     matrix: np.ndarray  # exp(log_edges), 0 where no edge
 
     @property
-    def order(self) -> int:
-        return len(self.blocks)
+    def blocks(self) -> tuple[Word, ...]:
+        return tuple(map(tuple, self.graph.states.tolist()))
 
     @property
-    def dprime(self) -> int:
-        return max(self.potential.depth, 2)
-
-    def block_system(self) -> TransitionSystem:
-        adj = np.isfinite(self.log_edges).astype(int)
-        return TransitionSystem(tuple(map(tuple, adj.tolist())))
+    def order(self) -> int:
+        return self.graph.order
 
 
 def block_transfer(phi: LocallyConstantPotential) -> BlockTransfer:
-    ts = phi.system
-    dp = max(phi.depth, 2)
-    blocks = word_array(ts, dp - 1)
-    # an edge is an admissible d′-word: its first and last d′−1 symbols are
-    # the blocks it joins, its first depth symbols the potential's window
-    edges = word_array(ts, dp)
-    sources, targets = _word_ranks(ts, edges[:, :-1]), _word_ranks(ts, edges[:, 1:])
-    log_edges = np.full((len(blocks), len(blocks)), -math.inf)
-    log_edges[sources, targets] = phi.dense[tuple(edges[:, : phi.depth].T - 1)]
+    graph = block_graph(phi.system, max(phi.depth - 1, 1))
+    weights = phi.dense[tuple(graph.edges[:, : phi.depth].T - 1)]
+    log_edges = np.full((graph.order, graph.order), -math.inf)
+    log_edges[graph.src, graph.dst] = weights
     with np.errstate(over="raise"):
         matrix = np.where(np.isfinite(log_edges), np.exp(log_edges), 0.0)
-    return BlockTransfer(phi, tuple(map(tuple, blocks.tolist())), log_edges, matrix)
-
-
-def _max_plus_end_weights(bt: BlockTransfer) -> np.ndarray:
-    """g(u) = max over (d′−1) further edges out of u of the edge-log sum.
-
-    This is sup over cylinder extensions of the trailing S_n φ windows, the
-    exact tail needed for cylinder sums in block coordinates.
-    """
-    g = np.zeros(bt.order)
-    for _ in range(bt.dprime - 1):
-        g = np.max(bt.log_edges + g[None, :], axis=1)
-    return g
+    return BlockTransfer(phi, graph, weights, log_edges, matrix)
 
 
 def _row_weight_split(bt: BlockTransfer) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -418,10 +397,14 @@ def _additive_log_sums(
     split = _row_weight_split(bt)
     ns = list(range(n_min, n_max + 1))
     if method == "cylinder":
-        g = _max_plus_end_weights(bt)
+        # g(u) = max over D further edges out of u of their φ sum: the sup
+        # over cylinder extensions of the trailing windows of S_n φ
+        lead = bt.graph.width  # D, the symbols inside the end weights
+        g = np.zeros(bt.order)
+        for _ in range(lead):
+            g = bt.graph.step(g, bt.weights, backward=True)
         scale = float(np.max(g)) if abs(float(np.max(g))) > 300.0 else 0.0
         v0 = np.exp(g - scale)
-        lead = bt.dprime - 1  # this many symbols are inside the end weights
         sums = _ratio_vector_logs(bt.matrix, split, v0, scale, max(0, n_max - lead))
         # sums[r] = log Z_{lead + r}; for n < lead fall back to enumeration
         out = []

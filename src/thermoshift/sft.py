@@ -8,7 +8,6 @@ words, eventually periodic points, and the cylinder sets they label.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
@@ -138,42 +137,17 @@ class TransitionSystem:
         return l
 
     def count_words(self, n: int) -> int:
-        """Number of admissible words of length n (exact integer arithmetic)."""
+        """Number of admissible words of length n, exact: the matrix powers
+        have Python-int entries, which never overflow."""
         if n < 1:
             raise ValueError("word length must be >= 1")
-        k = self.k
-        ending = [1] * k  # admissible words of the current length, by last symbol
-        for _ in range(n - 1):
-            ending = [sum(ending[i] for i in range(k) if self.matrix[i][j]) for j in range(k)]
-        return sum(ending)
+        return int(np.linalg.matrix_power(np.array(self.matrix, dtype=object), n - 1).sum())
 
     def count_periodic(self, n: int) -> int:
         """Number of points fixed by the n-th shift power: trace of matrix**n."""
         if n < 1:
             raise ValueError("period must be >= 1")
-        t = [[int(x) for x in row] for row in self.matrix]
-        p = _int_matrix_power(t, n)
-        return sum(p[i][i] for i in range(self.k))
-
-
-def _int_matrix_power(t: list[list[int]], n: int) -> list[list[int]]:
-    k = len(t)
-    result = [[int(i == j) for j in range(k)] for i in range(k)]
-    base = [row[:] for row in t]
-    while n:
-        if n & 1:
-            result = _int_matmul(result, base)
-        base = _int_matmul(base, base)
-        n >>= 1
-    return result
-
-
-def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    k = len(a)
-    return [
-        [sum(a[i][m] * b[m][j] for m in range(k)) for j in range(k)]
-        for i in range(k)
-    ]
+        return int(np.trace(np.linalg.matrix_power(np.array(self.matrix, dtype=object), n)))
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +239,70 @@ def _rank_table(ts: TransitionSystem, n: int) -> np.ndarray:
     return table
 
 
-def _word_ranks(ts: TransitionSystem, words: np.ndarray) -> np.ndarray:
-    """Index of each row among the admissible words of its length, in the
-    lexicographic order of :func:`word_array` (−1: not admissible)."""
-    (codes,) = _window_codes(words, ts.k, words.shape[1])
-    return _rank_table(ts, words.shape[1])[codes]
+def _window_ranks(ts: TransitionSystem, words: np.ndarray, width: int) -> Iterator[np.ndarray]:
+    """Row index in ``word_array(ts, width)`` of each length-``width`` window of
+    the rows, from the left, one int64 column at a time (−1: not admissible)."""
+    table = _rank_table(ts, width)
+    return (table[code] for code in _window_codes(words, ts.k, width))
+
+
+class BlockGraph:
+    """The block recoding of width D of a subshift, built by :func:`block_graph`.
+
+    States are the admissible D-words and edges the admissible (D+1)-words,
+    in the row order of :func:`word_array`; an edge joins the state of its
+    first D symbols (``src``) to that of its last D (``dst``).  Path extrema
+    over words are (max,+) recursions on it (:meth:`step`).
+    """
+
+    def __init__(self, ts: TransitionSystem, width: int):
+        self.ts = ts
+        self.width = width
+        self.states = word_array(ts, width)
+        self.edges = word_array(ts, width + 1)
+        self.src, self.dst = self.path(self.edges)
+        # every state has an edge in and an edge out (no dead row or column),
+        # so each reduceat group below is one state, in state order
+        self._src_starts = np.flatnonzero(np.diff(self.src, prepend=-1))
+        self._by_dst = np.argsort(self.dst, kind="stable")
+        self._src_by_dst = self.src[self._by_dst]
+        self._dst_starts = np.flatnonzero(np.diff(self.dst[self._by_dst], prepend=-1))
+
+    @property
+    def order(self) -> int:
+        return self.states.shape[0]
+
+    @cached_property
+    def system(self) -> TransitionSystem:
+        """The states as a subshift: v may follow u iff an edge joins them."""
+        adj = np.zeros((self.order, self.order), dtype=int)
+        adj[self.src, self.dst] = 1
+        return TransitionSystem(tuple(map(tuple, adj.tolist())))
+
+    def path(self, words: np.ndarray, edges: bool = False) -> Iterator[np.ndarray]:
+        """The state (with ``edges``, the edge) of each D-long ((D+1)-long)
+        window of the rows, from the left, one int64 column at a time."""
+        return _window_ranks(self.ts, words, self.width + edges)
+
+    def step(self, values: np.ndarray, weights: np.ndarray, backward: bool = False) -> np.ndarray:
+        """One (max,+) step along the edges, over the last axis.
+
+        Forward, state v gets the max over edges e into v of
+        values[…, src(e)] + weights[…, e]; backward, state u gets the max
+        over edges e out of u of weights[…, e] + values[…, dst(e)].
+        ``weights`` follow the edge order; leading axes are carried through.
+        """
+        if backward:
+            return np.maximum.reduceat(weights + values[..., self.dst], self._src_starts, axis=-1)
+        return np.maximum.reduceat(
+            values[..., self._src_by_dst] + weights[..., self._by_dst], self._dst_starts, axis=-1
+        )
+
+
+@lru_cache(maxsize=32)
+def block_graph(ts: TransitionSystem, width: int) -> BlockGraph:
+    """The :class:`BlockGraph` of width ``width``, cached like :func:`word_array`."""
+    return BlockGraph(ts, width)
 
 
 # ---------------------------------------------------------------------------

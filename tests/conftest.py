@@ -104,6 +104,25 @@ def brute_periodic_pressure(matrix, table, depth, n):
     return math.log(math.fsum(total)) / n
 
 
+def brute_atomfree(matrix, table, depth, n_max, pressure):
+    """Smallest n <= n_max with (1/n) sup S_n phi < pressure - 1e-12, or None.
+
+    The sup runs over every admissible (n + depth - 1)-word: each is the
+    prefix of some (n_max + depth - 1)-word, whose running sums from 0.0
+    give S_1, ..., S_{n_max} left to right.
+    """
+    sups = [-math.inf] * n_max
+    for w in brute_words(matrix, n_max + depth - 1):
+        s = 0.0
+        for i in range(n_max):
+            s += table[w[i : i + depth]]
+            sups[i] = max(sups[i], s)
+    for n, top in enumerate(sups, 1):
+        if top / n < pressure - 1e-12:
+            return n
+    return None
+
+
 def brute_spectral_pressure(matrix, table, depth):
     """log of the Perron root of the dense transfer matrix, via eigvals."""
     states = brute_words(matrix, max(depth - 1, 1))

@@ -319,6 +319,30 @@ def test_map_tokens_that_are_not_numbers_name_their_line(prefix, bad, match):
         load_map(text)
 
 
+@pytest.mark.parametrize(
+    "document,prefix,bad,count",
+    [
+        ("potential", "alphabet", "alphabet 2 2", 2),
+        ("potential", "depth", "depth 2 2", 2),
+        ("table", "depth", "depth", 0),
+        ("markov", "kind", "kind", 0),
+        ("markov", "kind", "kind markov extra", 2),
+        ("map", "kind", "kind general general", 2),
+        ("map", "builtin", "builtin perturbed-doubling x", 2),
+    ],
+)
+def test_single_value_lines_name_their_line(example_potential, full2, document, prefix, bad, count):
+    load, text = {
+        "potential": (load_potential, dump_potential(example_potential)),
+        "table": (load_measure, dump_measure(TableMeasure(full2, 1, {(1,): 0.5, (2,): 0.5}))),
+        "markov": (load_measure, dump_measure(MarkovMeasure.bernoulli(full2, (0.5, 0.5)))),
+        "map": (load_map, _general_map_text()),
+    }[document]
+    text, line = _replace_line(text, prefix, bad)
+    with pytest.raises(DocumentError, match=rf"line {line}: {prefix} needs 1 value\(s\), got {count}$"):
+        load(text)
+
+
 def test_markov_measure_document_wraps_validation(full2):
     text = dump_measure(MarkovMeasure.from_stochastic(full2, ((0.5, 0.5), (0.5, 0.5))))
     broken = text.replace("pi 0.5 0.5", "pi 0.9 0.1")

@@ -28,7 +28,15 @@ from thermoshift import (
     word_array,
 )
 
-from conftest import ATOMFREE_TABLE, markov_rows, mixing_systems, potentials
+from conftest import (
+    ATOMFREE_TABLE,
+    brute_atomfree,
+    brute_words,
+    markov_rows,
+    mixing_systems,
+    potentials,
+    small_values,
+)
 
 
 def bernoulli_03(ts):
@@ -370,3 +378,32 @@ def test_atomfree_can_fail_outright(full2):
         full2, 2, {(1, 1): 0.0, (1, 2): -50.0, (2, 1): -50.0, (2, 2): -50.0}
     )
     assert atomfree_check(spiked, 8) is None
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    ts=st.sampled_from(
+        (TransitionSystem.full_shift(2), TransitionSystem.full_shift(3), TransitionSystem.golden_mean())
+    ),
+    depth=st.integers(min_value=1, max_value=3),
+    n_max=st.integers(min_value=1, max_value=8),
+    data=st.data(),
+)
+def test_atomfree_witness_matches_brute_sup_over_words(ts, depth, n_max, data):
+    table = {w: data.draw(small_values) for w in brute_words(ts.matrix, depth)}
+    phi = LocallyConstantPotential(ts, depth, table)
+    p = pressure_spectral(phi)
+    assert atomfree_check(phi, n_max) == brute_atomfree(ts.matrix, table, depth, n_max, p)
+
+
+@pytest.mark.parametrize(
+    "table,n_max",
+    [
+        ({(1, 1): 0.0, (1, 2): -50.0, (2, 1): -50.0, (2, 2): -50.0}, 8),  # no witness
+        (ATOMFREE_TABLE, 6),  # witness n = 2
+    ],
+)
+def test_atomfree_matches_brute_sup_on_named_tables(full2, table, n_max):
+    phi = LocallyConstantPotential(full2, 2, dict(table))
+    p = pressure_spectral(phi)
+    assert atomfree_check(phi, n_max) == brute_atomfree(full2.matrix, table, 2, n_max, p)

@@ -80,6 +80,19 @@ def test_periodic_point_count_matches_integer_trace(ts, n):
     assert ts.count_periodic(n) == brute_periodic_count(ts.matrix, n)
 
 
+def test_golden_mean_counts_are_exact_beyond_int64():
+    # trace(M^n) is the Lucas number L_n and the n-word count the Fibonacci
+    # number F_{n+2}; at n = 300 both exceed 2^63
+    lucas, fib = [2, 1], [0, 1]
+    for _ in range(301):
+        lucas.append(lucas[-1] + lucas[-2])
+        fib.append(fib[-1] + fib[-2])
+    golden = TransitionSystem.golden_mean()
+    periodic, words = golden.count_periodic(300), golden.count_words(300)
+    assert type(periodic) is int and periodic == lucas[300] > 2**63
+    assert type(words) is int and words == fib[302]
+
+
 @given(ts=mixing_systems, n=st.integers(min_value=1, max_value=6))
 def test_cyclic_mask_selects_exactly_the_wraparound_words(ts, n):
     words = word_array(ts, n)
