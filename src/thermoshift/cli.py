@@ -26,7 +26,9 @@ import math
 import json
 import os
 import sys
-from typing import Any, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
+
+import numpy as np
 
 from . import __version__
 from .documents import (
@@ -62,6 +64,7 @@ from .potentials import AdditiveSequence
 from .pressure import pressure_limit, pressure_spectral
 from .multifractal import (
     bernoulli_candidate_family,
+    legendre_alpha_range,
     legendre_f_at_alpha,
     markov_candidate_family,
     spectrum_search,
@@ -90,18 +93,29 @@ def _cell(x: Any) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+def _write_csv(out: str, name: str, header: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    with open(os.path.join(out, name), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_cell(x) for x in row])
 
 
-def _write_json(path: str, obj: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+def _write_result(out: str, command: str, inputs: dict, **fields: Any) -> None:
+    """result.json: the command, input hashes and package version, plus fields."""
+    obj = {"command": command, "inputs": inputs, "package_version": __version__, **fields}
+    with open(os.path.join(out, "result.json"), "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_kstar(out: str, cert: WeakGibbsCertificate) -> None:
+    _write_csv(
+        out,
+        "kstar.csv",
+        ("n", "kstar", "log_kstar_over_n"),
+        [(n, k, math.log(k) / n) for n, k in cert.kstar],
+    )
 
 
 def _load_doc(cfg: dict, key: str, loader, base: str, inputs: dict) -> Any:
@@ -144,22 +158,19 @@ def _cmd_sft_check(cfg, out, inputs, args) -> int:
     n_max = args.n_max or cfg.get("n_max", 10)
     exponent = ts.mixing_exponent()
     rows = [(n, ts.count_words(n), ts.count_periodic(n)) for n in range(1, n_max + 1)]
-    _write_csv(os.path.join(out, "counts.csv"), ("n", "admissible_words", "periodic_points"), rows)
+    _write_csv(out, "counts.csv", ("n", "admissible_words", "periodic_points"), rows)
     passed = exponent is not None
-    _write_json(
-        os.path.join(out, "result.json"),
-        {
-            "command": "sft-check",
-            "inputs": inputs,
-            "package_version": __version__,
-            "parameters": {"n_max": n_max},
-            "summary": {
-                "alphabet": ts.k,
-                "mixing_exponent": exponent,
-                "counts_csv": "counts.csv",
-            },
-            "passed": passed,
+    _write_result(
+        out,
+        "sft-check",
+        inputs,
+        parameters={"n_max": n_max},
+        summary={
+            "alphabet": ts.k,
+            "mixing_exponent": exponent,
+            "counts_csv": "counts.csv",
         },
+        passed=passed,
     )
     print(f"sft-check: {'mixing' if passed else 'NOT mixing'} (k = {ts.k})")
     return 0 if passed else 1
@@ -185,12 +196,8 @@ def _cmd_pressure(cfg, out, inputs, args) -> int:
         for n, v in est.finite_n_values:
             finite_rows.append((n, m, v))
         summary_rows.append((m, est.extrapolated, est.error_bar))
-    _write_csv(os.path.join(out, "pressure_finite_n.csv"), ("n", "method", "estimate"), finite_rows)
-    _write_csv(
-        os.path.join(out, "pressure_summary.csv"),
-        ("method", "extrapolated", "error_bar"),
-        summary_rows,
-    )
+    _write_csv(out, "pressure_finite_n.csv", ("n", "method", "estimate"), finite_rows)
+    _write_csv(out, "pressure_summary.csv", ("method", "extrapolated", "error_bar"), summary_rows)
     passed = True
     agreement = {}
     if "spectral" in estimates:
@@ -202,20 +209,17 @@ def _cmd_pressure(cfg, out, inputs, args) -> int:
             agreement[m] = gap
             if gap > est.error_bar + tol:
                 passed = False
-    _write_json(
-        os.path.join(out, "result.json"),
-        {
-            "command": "pressure",
-            "inputs": inputs,
-            "package_version": __version__,
-            "parameters": {"method": method, "n_min": n_min, "n_max": n_max, "tol": tol},
-            "summary": {
-                m: {"extrapolated": e.extrapolated, "error_bar": e.error_bar}
-                for m, e in estimates.items()
-            },
-            "agreement_gaps": agreement,
-            "passed": passed,
+    _write_result(
+        out,
+        "pressure",
+        inputs,
+        parameters={"method": method, "n_min": n_min, "n_max": n_max, "tol": tol},
+        summary={
+            m: {"extrapolated": e.extrapolated, "error_bar": e.error_bar}
+            for m, e in estimates.items()
         },
+        agreement_gaps=agreement,
+        passed=passed,
     )
     for m, est in estimates.items():
         print(f"pressure[{m}] = {est.extrapolated!r} (error bar {est.error_bar!r})")
@@ -233,28 +237,21 @@ def _cmd_gibbs_build(cfg, out, inputs, args) -> int:
     cert = certify_weak_gibbs(data, AdditiveSequence(phi), data.pressure, n_max)
     with open(os.path.join(out, "rpf_measure.txt"), "w", encoding="utf-8") as fh:
         fh.write(dump_measure(data))
-    _write_csv(
-        os.path.join(out, "kstar.csv"),
-        ("n", "kstar", "log_kstar_over_n"),
-        [(n, k, math.log(k) / n) for n, k in cert.kstar],
-    )
-    _write_json(
-        os.path.join(out, "result.json"),
-        {
-            "command": "gibbs-build",
-            "diagnostics": _diagnostics(cert),
-            "inputs": inputs,
-            "package_version": __version__,
-            "parameters": {"certify_n_max": n_max},
-            "summary": {
-                "perron_root": data.lam,
-                "pressure": data.pressure,
-                "gibbs_constant": cert.gibbs_constant,
-                "verdict": cert.verdict,
-                "measure_document": "rpf_measure.txt",
-            },
-            "passed": cert.verdict == "gibbs",
+    _write_kstar(out, cert)
+    _write_result(
+        out,
+        "gibbs-build",
+        inputs,
+        diagnostics=_diagnostics(cert),
+        parameters={"certify_n_max": n_max},
+        summary={
+            "perron_root": data.lam,
+            "pressure": data.pressure,
+            "gibbs_constant": cert.gibbs_constant,
+            "verdict": cert.verdict,
+            "measure_document": "rpf_measure.txt",
         },
+        passed=cert.verdict == "gibbs",
     )
     print(f"gibbs-build: verdict {cert.verdict}, pressure {data.pressure!r}")
     return 0 if cert.verdict == "gibbs" else 1
@@ -291,15 +288,12 @@ def _cmd_weakgibbs_certify(cfg, out, inputs, args) -> int:
             "positivity_ok": check.positivity_ok,
             "zero_mass_witness": list(check.zero_mass_witness or ()) or None,
         }
-        _write_json(
-            os.path.join(out, "result.json"),
-            {
-                "command": "weakgibbs-certify",
-                "inputs": inputs,
-                "package_version": __version__,
-                "error": "measure oracle failed validation",
-                "validation": detail,
-            },
+        _write_result(
+            out,
+            "weakgibbs-certify",
+            inputs,
+            error="measure oracle failed validation",
+            validation=detail,
         )
         if check.additivity_witness is not None:
             print(
@@ -314,27 +308,20 @@ def _cmd_weakgibbs_certify(cfg, out, inputs, args) -> int:
     n_max = _certification_depth_cap(oracle, phi, args.n_max or cfg.get("n_max", 12))
     tau = cfg.get("tau", 1e-3)
     cert = certify_weak_gibbs(oracle, AdditiveSequence(phi), p, n_max, tau)
-    _write_csv(
-        os.path.join(out, "kstar.csv"),
-        ("n", "kstar", "log_kstar_over_n"),
-        [(n, k, math.log(k) / n) for n, k in cert.kstar],
-    )
-    _write_json(
-        os.path.join(out, "result.json"),
-        {
-            "command": "weakgibbs-certify",
-            "diagnostics": _diagnostics(cert),
-            "inputs": inputs,
-            "package_version": __version__,
-            "parameters": {"n_max": n_max, "tau": tau, "pressure_used": p},
-            "summary": {
-                "verdict": cert.verdict,
-                "gibbs_constant": cert.gibbs_constant,
-                "rate": cert.rate,
-                "implied_pressure_shift": cert.implied_pressure_shift,
-            },
-            "passed": cert.verdict != "rejected",
+    _write_kstar(out, cert)
+    _write_result(
+        out,
+        "weakgibbs-certify",
+        inputs,
+        diagnostics=_diagnostics(cert),
+        parameters={"n_max": n_max, "tau": tau, "pressure_used": p},
+        summary={
+            "verdict": cert.verdict,
+            "gibbs_constant": cert.gibbs_constant,
+            "rate": cert.rate,
+            "implied_pressure_shift": cert.implied_pressure_shift,
         },
+        passed=cert.verdict != "rejected",
     )
     print(f"verdict: {cert.verdict}")
     return 0 if cert.verdict != "rejected" else 1
@@ -368,28 +355,18 @@ def _cmd_psi_verify(cfg, out, inputs, args) -> int:
         "asymptotic_additivity": r_asym.passed,
         "almost_additivity": r_almost.passed,
     }
+    _write_kstar(out, cert)
+    _write_csv(out, "pressure_zero.csv", ("n", "estimate"), r_zero.estimate.finite_n_values)
+    _write_csv(out, "sandwich.csv", ("n", "slack"), zip(r_sandwich.n_values, r_sandwich.slacks))
     _write_csv(
-        os.path.join(out, "kstar.csv"),
-        ("n", "kstar", "log_kstar_over_n"),
-        [(n, k, math.log(k) / n) for n, k in cert.kstar],
-    )
-    _write_csv(
-        os.path.join(out, "pressure_zero.csv"),
-        ("n", "estimate"),
-        list(r_zero.estimate.finite_n_values),
-    )
-    _write_csv(
-        os.path.join(out, "sandwich.csv"),
-        ("n", "slack"),
-        list(zip(r_sandwich.n_values, r_sandwich.slacks)),
-    )
-    _write_csv(
-        os.path.join(out, "asymptotic_additivity.csv"),
+        out,
+        "asymptotic_additivity.csv",
         ("n", "defect", "bound"),
         list(zip(r_asym.n_values, r_asym.defects, r_asym.bounds)),
     )
     _write_csv(
-        os.path.join(out, "checks.csv"),
+        out,
+        "checks.csv",
         ("check", "passed", "headline", "value"),
         [
             ("gibbs_one", r_gibbs.passed, "max_rel_error", r_gibbs.max_rel_error),
@@ -399,33 +376,30 @@ def _cmd_psi_verify(cfg, out, inputs, args) -> int:
             ("almost_additivity", r_almost.passed, "worst_defect", r_almost.worst_defect),
         ],
     )
-    _write_json(
-        os.path.join(out, "result.json"),
-        {
-            "command": "psi-verify",
-            "diagnostics": _diagnostics(cert),
-            "inputs": inputs,
-            "package_version": __version__,
-            "parameters": {
-                "n_max": n_max,
-                "tau": tau,
-                "pressure_used": p,
-                "family_index": family_index,
-                "gibbs_constant": constant,
-            },
-            "summary": {
-                "verdict": cert.verdict,
-                "checks": checks,
-                "gibbs_one_max_rel_error": r_gibbs.max_rel_error,
-                "pressure_zero_extrapolated": r_zero.estimate.extrapolated,
-                "pressure_zero_error_bar": r_zero.estimate.error_bar,
-                "sandwich_worst_slack": r_sandwich.worst_slack,
-                "asymptotic_worst_tail_excess": r_asym.worst_tail_excess,
-                "almost_additive_worst_defect": r_almost.worst_defect,
-                "almost_additive_budget": 3.0 * r_almost.log_constant,
-            },
-            "passed": all(checks.values()),
+    _write_result(
+        out,
+        "psi-verify",
+        inputs,
+        diagnostics=_diagnostics(cert),
+        parameters={
+            "n_max": n_max,
+            "tau": tau,
+            "pressure_used": p,
+            "family_index": family_index,
+            "gibbs_constant": constant,
         },
+        summary={
+            "verdict": cert.verdict,
+            "checks": checks,
+            "gibbs_one_max_rel_error": r_gibbs.max_rel_error,
+            "pressure_zero_extrapolated": r_zero.estimate.extrapolated,
+            "pressure_zero_error_bar": r_zero.estimate.error_bar,
+            "sandwich_worst_slack": r_sandwich.worst_slack,
+            "asymptotic_worst_tail_excess": r_asym.worst_tail_excess,
+            "almost_additive_worst_defect": r_almost.worst_defect,
+            "almost_additive_budget": 3.0 * r_almost.log_constant,
+        },
+        passed=all(checks.values()),
     )
     for name, ok in checks.items():
         print(f"{name}: {'pass' if ok else 'FAIL'}")
@@ -439,28 +413,23 @@ def _cmd_map_check(cfg, out, inputs, args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     sample_size = cfg.get("sample_size", 40)
     report = check_ujr(emap, n_max, sample_size=sample_size, seed=seed)
-    if report.sampling_spread is None:
-        rows = list(zip(report.n_values, report.m_values))
-        _write_csv(os.path.join(out, "ujr.csv"), ("n", "m_value"), rows)
-    else:
-        rows = list(zip(report.n_values, report.m_values, report.sampling_spread))
-        _write_csv(os.path.join(out, "ujr.csv"), ("n", "m_value", "sampling_spread"), rows)
-    _write_json(
-        os.path.join(out, "result.json"),
-        {
-            "command": "map-check",
-            "inputs": inputs,
-            "package_version": __version__,
-            "parameters": {"n_max": n_max, "sample_size": sample_size, "seed": seed},
-            "summary": {
-                "kind": report.kind,
-                "certified": report.certified,
-                "tail_from": report.tail_from,
-                "max_m": max(report.m_values),
-                "last_m": report.m_values[-1],
-            },
-            "passed": report.passed,
+    header, cols = ("n", "m_value"), [report.n_values, report.m_values]
+    if report.sampling_spread is not None:
+        header, cols = header + ("sampling_spread",), cols + [report.sampling_spread]
+    _write_csv(out, "ujr.csv", header, zip(*cols))
+    _write_result(
+        out,
+        "map-check",
+        inputs,
+        parameters={"n_max": n_max, "sample_size": sample_size, "seed": seed},
+        summary={
+            "kind": report.kind,
+            "certified": report.certified,
+            "tail_from": report.tail_from,
+            "max_m": max(report.m_values),
+            "last_m": report.m_values[-1],
         },
+        passed=report.passed,
     )
     print(
         f"map-check[{report.kind}]: M({n_max}) = {report.m_values[-1]!r}, "
@@ -479,9 +448,7 @@ def _cmd_spectrum(cfg, out, inputs, args) -> int:
     emap = _load_doc(cfg, "map", load_map, args.base, inputs)
     if "measures" not in cfg or not isinstance(cfg["measures"], list) or not cfg["measures"]:
         raise _InputError("config field 'measures' must be a nonempty list of documents")
-    mus = []
-    for i, rel in enumerate(cfg["measures"]):
-        mus.append(_load_doc({"m": rel}, "m", load_measure, args.base, inputs))
+    mus = [_load_doc({"m": rel}, "m", load_measure, args.base, inputs) for rel in cfg["measures"]]
     step = cfg.get("step", 1e-3)
     delta = cfg.get("delta", 1e-3)
     qdepth = cfg.get("quadrature_depth", 10)
@@ -497,9 +464,6 @@ def _cmd_spectrum(cfg, out, inputs, args) -> int:
             raise _InputError("config field 'alpha_grid' must be a nonempty list")
         alphas = [tuple(a) if isinstance(a, list) else (float(a),) for a in raw]
     elif "alpha_count" in cfg and legendre_p is not None:
-        from .multifractal import legendre_alpha_range
-        import numpy as np
-
         lo, hi = legendre_alpha_range(legendre_p, emap.slopes)
         alphas = [(float(a),) for a in np.linspace(lo, hi, cfg["alpha_count"] + 2)[1:-1]]
     else:
@@ -545,11 +509,7 @@ def _cmd_spectrum(cfg, out, inputs, args) -> int:
             )
             if f_leg is not None and point.feasible:
                 max_dev = max(max_dev, abs(point.f - f_leg))
-    _write_csv(
-        os.path.join(out, "spectrum.csv"),
-        ("alpha", "f", "method", "feasible", "argmax_parameters"),
-        rows,
-    )
+    _write_csv(out, "spectrum.csv", ("alpha", "f", "method", "feasible", "argmax_parameters"), rows)
     summary: dict[str, Any] = {
         "family": family.label,
         "candidates": len(family.parameters),
@@ -559,16 +519,13 @@ def _cmd_spectrum(cfg, out, inputs, args) -> int:
     if legendre_p is not None:
         summary["legendre_p"] = legendre_p
         summary["max_deviation_vs_legendre"] = max_dev
-    _write_json(
-        os.path.join(out, "result.json"),
-        {
-            "command": "spectrum",
-            "inputs": inputs,
-            "package_version": __version__,
-            "parameters": {"step": step, "delta": delta, "quadrature_depth": qdepth},
-            "summary": summary,
-            "passed": not flagged,
-        },
+    _write_result(
+        out,
+        "spectrum",
+        inputs,
+        parameters={"step": step, "delta": delta, "quadrature_depth": qdepth},
+        summary=summary,
+        passed=not flagged,
     )
     print(
         f"spectrum: {len(alphas)} levels, family {family.label}"
@@ -609,6 +566,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     if args.tol is not None and args.tol <= 0:
         print("input error: --tol must be positive", file=sys.stderr)
+        return 2
+    if args.seed is not None and args.seed < 0:
+        print("input error: --seed must be a nonnegative integer", file=sys.stderr)
         return 2
     try:
         cfg = load_config(args.config, args.command)

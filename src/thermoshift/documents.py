@@ -422,6 +422,8 @@ def load_config(path: str, command: str) -> dict[str, Any]:
     for key in ("n_max", "n_min", "sample_size", "quadrature_depth", "alpha_count"):
         if key in raw and not (_is_int(raw[key]) and raw[key] >= 1):
             raise DocumentError(f"config field {key!r} must be a positive integer")
+    if "seed" in raw and not (_is_int(raw["seed"]) and raw["seed"] >= 0):
+        raise DocumentError("config field 'seed' must be a nonnegative integer")
     if "n_min" in raw and "n_max" in raw and raw["n_min"] > raw["n_max"]:
         raise DocumentError("config n range is empty (n_min > n_max)")
     return raw

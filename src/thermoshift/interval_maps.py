@@ -8,8 +8,8 @@ covers exactly the branch domains allowed by row i.  Two subclasses:
   hull of its targets.  Everything about these maps (cylinder intervals,
   diameters, slopes) is closed-form, and the diameter obeys the product law
   D_n(w) = |I_{w_n}| · Π_{j<n} 1/s_{w_j} exactly.
-* ``general`` — branches given as callables with derivative callables.
-  Inverse branches are bisected to 1e−12 and the expansion condition is
+* ``general`` — branches given as array callables with derivative callables.
+  Inverse branches are bisected to 1e−13 and the expansion condition is
   checked on a sample grid only, so these maps are flagged non-certified.
 
 Real coordinates appear only through interval endpoints; all dynamics runs
@@ -27,9 +27,11 @@ import numpy as np
 
 from .measures import CylinderMeasureOracle, ZeroCylinderMassError
 from .potentials import LocallyConstantPotential
-from .sft import SymbolicPoint, TransitionSystem, Word, word_array
+from .sft import SymbolicPoint, TransitionSystem, Word
 
 _GEOMETRY_TOL = 1e-9
+# endpoint pairs (rows × n_max²) one chunk of the sampled diameter sweep holds
+_SWEEP_CELLS = 1 << 18
 
 
 class InverseBranchError(RuntimeError):
@@ -60,15 +62,31 @@ class CylinderInterval:
             )
 
 
+def _branch_values(fns, groups, x: np.ndarray) -> np.ndarray:
+    """fns[i](x) elementwise, one call per (i, index) group."""
+    out = np.empty(x.shape)
+    for i, mask in groups:
+        out[mask] = fns[i](x[mask])
+    return out
+
+
 class ExpandingMarkovMap:
-    """Branch data plus coding; see the module docstring for the two kinds."""
+    """Branch data plus coding; see the module docstring for the two kinds.
+
+    General branches are solved for many points at once, so every ``fn``
+    and ``dfn`` must accept a float64 array and act elementwise (plain
+    NumPy arithmetic does; a scalar result stands for a constant, as in
+    ``lambda x: 2.0``).  The constructor evaluates each callable on the
+    expansion grid in one call and refuses, with ``ValueError``, one that
+    only takes Python floats.
+    """
 
     def __init__(
         self,
         coding: TransitionSystem,
         domains: Sequence[tuple[float, float]],
-        branch_fns: Optional[Sequence[Callable[[float], float]]] = None,
-        branch_dfns: Optional[Sequence[Callable[[float], float]]] = None,
+        branch_fns: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None,
+        branch_dfns: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None,
         expansion_grid: int = 101,
     ):
         coding.require_mixing()
@@ -108,15 +126,18 @@ class ExpandingMarkovMap:
                 raise ValueError("general maps need one (fn, dfn) pair per symbol")
             self.kind = "general"
             self.certified = False
-            self.branch_fns = tuple(branch_fns)
-            self.branch_dfns = tuple(branch_dfns)
+            self.branch_fns = fns = tuple(branch_fns)
+            self.branch_dfns = dfns = tuple(branch_dfns)
             self.slopes = None
             images = []
             for i, (l, r) in enumerate(doms):
-                ends = sorted((self.branch_fns[i](l), self.branch_fns[i](r)))
-                images.append((ends[0], ends[1]))
+                images.append(tuple(sorted((fns[i](l), fns[i](r)))))
                 grid = np.linspace(l, r, expansion_grid)
-                worst = min(abs(self.branch_dfns[i](float(x))) for x in grid)
+                try:
+                    _, dfn = (np.broadcast_to(f[i](grid), grid.shape) for f in (fns, dfns))
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"branch {i + 1} is not elementwise on arrays: {exc}") from exc
+                worst = float(np.min(np.abs(dfn)))
                 if worst < 1.0 - 1e-12:
                     raise ValueError(
                         f"branch {i + 1} contracts: |T'| = {worst} on the sample grid"
@@ -157,65 +178,60 @@ class ExpandingMarkovMap:
             return a + self.slopes[symbol - 1] * (x - l)
         return self.branch_fns[symbol - 1](x)
 
-    def branch_log_derivative(self, symbol: int, x: float) -> float:
-        if self.kind == "piecewise_linear":
-            return math.log(self.slopes[symbol - 1])
-        return math.log(abs(self.branch_dfns[symbol - 1](x)))
-
     def apply(self, x: float) -> float:
         return self.branch_apply(self.branch_of(x), x)
 
     def branch_inverse(self, symbol: int, y: float) -> float:
-        """The unique preimage of y under branch ``symbol``.
+        """The unique preimage of y under branch ``symbol``."""
+        return float(self.inverse(np.array([symbol]), np.array([y], dtype=float))[0])
 
-        Affine inversion for linear branches; bisection to 1e−13 for general
-        ones (monotonicity gives a guaranteed bracket, either orientation).
+    def inverse(self, symbols: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Preimages of the points y under the branches ``symbols``, elementwise.
+
+        Linear branches invert affinely.  General branches are bisected to a
+        bracket ≤ 1e−13 (monotonicity brackets the root in either
+        orientation), each element frozen once its own bracket is, then take
+        three Newton steps clipped to the domain: a depth-30 cylinder is ~1e−9
+        wide, so the bracket alone would leave a 1e−4 relative diameter error,
+        and Newton reaches ~1 ulp.  Each element runs the float operations of
+        a lone solve, so no result depends on the batch it came in.
         """
-        l, r = self.domains[symbol - 1]
-        if self.kind == "piecewise_linear":
-            a, b = self.images[symbol - 1]
-            if not (a - 1e-9 <= y <= b + 1e-9):
-                raise InverseBranchError(
-                    f"{y} is outside the image of branch {symbol} ({a}, {b})"
-                )
-            return l + (y - a) / self.slopes[symbol - 1]
-        fn = self.branch_fns[symbol - 1]
-        fl, fr = fn(l), fn(r)
-        rising = fr >= fl
-        lo, hi = min(fl, fr), max(fl, fr)
-        if not (lo - 1e-9 <= y <= hi + 1e-9):
+        s = np.asarray(symbols, dtype=np.intp).ravel() - 1
+        y = np.asarray(y, dtype=float).ravel()
+        (lo, hi), (l, r) = np.array(self.images)[s].T, np.array(self.domains)[s].T
+        outside = np.flatnonzero(~((lo - 1e-9 <= y) & (y <= hi + 1e-9)))
+        if len(outside):
+            i = outside[0]
             raise InverseBranchError(
-                f"{y} is outside the image of branch {symbol} ({lo}, {hi})"
+                f"{float(y[i])} is outside the image of branch {int(s[i]) + 1} "
+                f"({float(lo[i])}, {float(hi[i])})"
             )
+        if self.kind == "piecewise_linear":
+            return (l + (y - lo) / np.array(self.slopes)[s]).reshape(np.shape(symbols))
+        order = np.argsort(s, kind="stable")  # each branch's elements become one slice
+        s, y, l, r = s[order], y[order], l[order], r[order]
+        cut = np.searchsorted(s, np.arange(self.coding.k + 1))
+        groups = [(i, slice(cut[i], cut[i + 1])) for i in range(self.coding.k)]
+        fns, dfns = self.branch_fns, self.branch_dfns
+        rising = _branch_values(fns, groups, r) >= _branch_values(fns, groups, l)
         a, b = l, r
         for _ in range(200):
-            if b - a <= 1e-13:
-                return self._newton_polish(symbol, y, 0.5 * (a + b))
+            live = b - a > 1e-13
+            if not live.any():
+                break
             mid = 0.5 * (a + b)
-            if (fn(mid) < y) == rising:
-                a = mid
-            else:
-                b = mid
-        raise InverseBranchError(f"bisection stalled inverting branch {symbol}")
-
-    def _newton_polish(self, symbol: int, y: float, x: float) -> float:
-        """Drive a bisection-accurate preimage to machine precision.
-
-        Deep cylinder diameters are differences of pulled-back endpoints;
-        at depth 30 they sit near 1e−9, where a 1e−13 endpoint error is a
-        1e−4 relative error.  Three Newton steps (quadratic convergence
-        from a 1e−13 bracket, derivative bounded away from 0 by expansion)
-        reach ~1 ulp, keeping log-diameters usable at all tested depths.
-        """
-        if self.branch_dfns is None:
-            return x
-        fn = self.branch_fns[symbol - 1]
-        dfn = self.branch_dfns[symbol - 1]
-        l, r = self.domains[symbol - 1]
+            up = (_branch_values(fns, groups, mid) < y) == rising
+            a = np.where(live & up, mid, a)
+            b = np.where(live & ~up, mid, b)
+        else:
+            raise InverseBranchError(f"bisection stalled inverting branch {int(s[live][0]) + 1}")
+        x = 0.5 * (a + b)
         for _ in range(3):
-            step = (fn(x) - y) / dfn(x)
-            x = min(max(x - step, l), r)
-        return x
+            step = (_branch_values(fns, groups, x) - y) / _branch_values(dfns, groups, x)
+            x = np.minimum(np.maximum(x - step, l), r)
+        out = np.empty(x.shape)
+        out[order] = x
+        return out.reshape(np.shape(symbols))
 
     # -- cylinders ---------------------------------------------------------
 
@@ -228,7 +244,7 @@ class ExpandingMarkovMap:
             raise ValueError(f"word {word} is not admissible for the coding")
         lo, hi = self.domains[word[-1] - 1]
         for symbol in reversed(word[:-1]):
-            a, b = self.branch_inverse(symbol, lo), self.branch_inverse(symbol, hi)
+            a, b = self.inverse(np.array([symbol, symbol]), np.array([lo, hi])).tolist()
             lo, hi = min(a, b), max(a, b)
         if self.kind == "piecewise_linear":
             diam = self.domains[word[-1] - 1][1] - self.domains[word[-1] - 1][0]
@@ -247,9 +263,7 @@ class ExpandingMarkovMap:
     def log_diameters(self, words: np.ndarray) -> np.ndarray:
         """log D_n(w) for each row of a word array, linear maps only.
 
-        The product law log|I_{w_n}| − S_{n−1}γ(w) with γ the slope
-        potential, summed by the same Birkhoff kernel as S_nγ, so that
-        log D_n + S_nγ cancels the shared prefix sum bit for bit.
+        The product law log|I_{w_n}| − S_{n−1}γ(w) with γ the slope potential.
         """
         gamma = self.slope_potential()
         log_w = np.array([math.log(r - l) for l, r in self.domains])
@@ -339,10 +353,10 @@ class UjrReport:
     The sign convention once and for all: diameters shrink, so log D_n is
     negative and the Birkhoff sum of the positive expansion potential γ
     enters with a plus; |log D_n + S_n γ| = |log D_n − S_n(−γ)|.  Linear
-    maps are enumerated exhaustively (exact maxima); general maps are
-    evaluated on seeded sample itineraries with the per-n spread of sampled
-    defects reported, and are not certified.  The verdict requires M(n)
-    nonincreasing on the tail half.
+    maps give exact maxima over all admissible n-words (a closed form in the
+    last symbol); general maps are evaluated on seeded sample itineraries
+    with the per-n spread of sampled defects reported, and are not
+    certified.  The verdict requires M(n) nonincreasing on the tail half.
     """
 
     kind: str
@@ -362,37 +376,38 @@ def check_ujr(
 ) -> UjrReport:
     """Exact (linear) or sampled (general) comparison defect per n ≤ n_max.
 
-    For linear maps the defect of a word is (log|I_{w_n}| − p) + (p + log
-    s_{w_n}) with p the shared prefix sum of log-slopes: sharing p between
-    the diameter and the Birkhoff sum makes the cancellation structural, so
-    full-image-width maps report exactly 0.0, not 1e−16 dust.  For general
-    maps, ``sample_size`` itineraries of length n_max are drawn once from
-    the seed and their prefixes are scored at every n: diameters from
-    bisected inverse branches, Birkhoff sums along the true orbit of the
-    cylinder midpoint.
+    For linear maps the product law gives log D_n(w) + S_nγ(w) = log|I_{w_n}|
+    + log s_{w_n}: M(n) is the largest |entry| of that k-vector over the
+    symbols that can end an admissible n-word, tracked by one boolean step
+    of the transition matrix per n (O(k²) per n, not kⁿ words).  Full-image
+    maps, whose two logs cancel, report exactly 0.0.  For general maps,
+    ``sample_size`` itineraries of length n_max are drawn once from the
+    seed and every prefix of every itinerary is scored by one batched sweep.
     """
     if n_max < 2:
         raise ValueError("need n_max >= 2")
     ns = tuple(range(1, n_max + 1))
     spread: Optional[tuple[float, ...]] = None
     if emap.kind == "piecewise_linear":
-        gamma = emap.slope_potential()
+        defect = np.array(
+            [abs(math.log(r - l) + math.log(s)) for (l, r), s in zip(emap.domains, emap.slopes)]
+        )
+        step = emap.coding.as_array > 0
+        ends = np.ones(emap.coding.k, dtype=bool)
         m_values = []
         for n in ns:
-            words = word_array(emap.coding, n)
-            defect = emap.log_diameters(words) + gamma.values_on_windows(words, n)
-            m_values.append(float(np.max(np.abs(defect))) / n)
+            m_values.append(float(defect[ends].max()) / n)
+            ends = step[ends].any(axis=0)
     else:
         rng = np.random.default_rng(seed)
-        paths = [_sample_itinerary(emap.coding, n_max, rng) for _ in range(sample_size)]
-        per_path = np.asarray([_general_defects(emap, path) for path in paths])
-        m_values = []
-        spreads = []
-        for i, n in enumerate(ns):
-            col = per_path[:, i]
-            m_values.append(float(col.max()) / n)
-            spreads.append(float(col.max() - col.min()) / n)
-        spread = tuple(spreads)
+        paths = np.array([_sample_itinerary(emap.coding, n_max, rng) for _ in range(sample_size)])
+        rows = max(1, _SWEEP_CELLS // n_max**2)
+        per_path = np.vstack(
+            [_endpoint_defects(emap, paths[i : i + rows]) for i in range(0, sample_size, rows)]
+        )
+        top, bottom = per_path.max(axis=0), per_path.min(axis=0)
+        m_values = [float(top[i]) / n for i, n in enumerate(ns)]
+        spread = tuple(float(top[i] - bottom[i]) / n for i, n in enumerate(ns))
     tail_from = (n_max + 1) // 2
     tail = m_values[tail_from - 1 :]
     passed = all(b <= a for a, b in zip(tail, tail[1:]))
@@ -407,9 +422,7 @@ def check_ujr(
     )
 
 
-def _sample_itinerary(
-    ts: TransitionSystem, n: int, rng: np.random.Generator
-) -> Word:
+def _sample_itinerary(ts: TransitionSystem, n: int, rng: np.random.Generator) -> Word:
     word = [int(rng.integers(1, ts.k + 1))]
     for _ in range(n - 1):
         succ = ts.successors(word[-1])
@@ -417,45 +430,66 @@ def _sample_itinerary(
     return tuple(word)
 
 
-def _general_defects(emap: ExpandingMarkovMap, word: Word) -> list[float]:
-    """max endpoint-orbit |log D_n + S_n γ| for every prefix of one itinerary.
+def _endpoint_defects(emap: ExpandingMarkovMap, words: np.ndarray) -> np.ndarray:
+    """max endpoint-orbit |log D_n + S_n γ|; entry [i, n − 1] for words[i, :n].
 
-    For each prefix length n, one backward sweep pulls the last branch
-    domain back through the word, yielding every suffix window
-    I(w_j..w_n) and, at the end, D_n itself.  The two representatives are
-    the cylinder's endpoints: their orbits are exactly the suffix-window
-    endpoints (an endpoint maps to an endpoint, with orientation tracked
-    through decreasing branches), so no forward float iteration is needed
-    — forward orbits of points known to ~1e−16 lose all cylinder
-    information after ~50 doublings.  Taking the max of the two endpoint
-    defects tracks the within-cylinder distortion envelope, which is the
-    quantity with the clean ~V/n decay; a single interior representative
-    sits at an uncontrolled depth inside that envelope and wobbles across
-    n by more than the 1/n² decrements being tested.
+    For each prefix, pulling the last branch domain back through the word
+    yields every suffix window I(w_j..w_n) and, at the end, D_n itself.
+    The two representatives are the cylinder's endpoints: their orbits are
+    exactly the suffix-window endpoints (an endpoint maps to an endpoint,
+    with orientation tracked through decreasing branches), so no forward
+    float iteration is needed — forward orbits of points known to ~1e−16
+    lose all cylinder information after ~50 doublings.  Taking the max of
+    the two endpoint defects tracks the within-cylinder distortion
+    envelope, which is the quantity with the clean ~V/n decay; a single
+    interior representative sits at an uncontrolled depth inside that
+    envelope and wobbles across n by more than the 1/n² decrements tested.
+
+    The windows come from :func:`_prefix_windows`; the log-derivative sums
+    then run left to right as vector adds.
     """
-    out = []
-    for n in range(1, len(word) + 1):
-        lo, hi = emap.domains[word[n - 1] - 1]
-        ends = [(lo, hi)]
-        for j in range(n - 2, -1, -1):
-            a = emap.branch_inverse(word[j], lo)
-            b = emap.branch_inverse(word[j], hi)
-            lo, hi = min(a, b), max(a, b)
-            ends.append((lo, hi))
-        ends.reverse()
-        log_d = math.log(hi - lo)
-        left_sum = 0.0
-        right_sum = 0.0
-        rising = True
-        for j in range(n):
-            a, b = ends[j]
-            x_left, x_right = (a, b) if rising else (b, a)
-            left_sum += emap.branch_log_derivative(word[j], x_left)
-            right_sum += emap.branch_log_derivative(word[j], x_right)
-            if emap.branch_apply(word[j], a) > emap.branch_apply(word[j], b):
-                rising = not rising
-        out.append(max(abs(log_d + left_sum), abs(log_d + right_sum)))
-    return out
+    count, n_max = words.shape
+    words, ends = _prefix_windows(emap, words)
+    log_d = _log(ends[:, 0, 1] - ends[:, 0, 0])
+    sums = np.zeros((len(words), 2))
+    rising = np.ones(len(words), dtype=bool)
+    for j in range(n_max):
+        live = count * (n_max - j)
+        s = np.repeat(words[:live, j, None] - 1, 2, axis=1)
+        groups = [(i, s == i) for i in range(emap.coding.k)]
+        pair = ends[:live, j]
+        x = np.where(rising[:live, None], pair, pair[:, ::-1])
+        sums[:live] += _log(np.abs(_branch_values(emap.branch_dfns, groups, x)))
+        image = _branch_values(emap.branch_fns, groups, pair)
+        rising[:live] ^= image[:, 0] > image[:, 1]
+    defects = np.abs(log_d[:, None] + sums).max(axis=1)
+    return defects.reshape(n_max, count)[::-1].T
+
+
+def _prefix_windows(emap: ExpandingMarkovMap, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix windows I(w_j..w_n), as (lo, hi), of every prefix of every row.
+
+    Item (n_max − n)·count + i is row i's prefix of length n.  Longest go
+    first, so the items still being pulled back at step t are a leading
+    slice, moved by one ``inverse`` call.  Returns item words, ends[item, j].
+    """
+    count, n_max = words.shape
+    lengths = np.repeat(np.arange(n_max, 0, -1), count)
+    words = np.tile(words, (n_max, 1))
+    items = np.arange(len(lengths))
+    ends = np.empty((len(lengths), n_max, 2))
+    ends[items, lengths - 1] = cur = np.array(emap.domains)[words[items, lengths - 1] - 1]
+    for t in range(1, n_max):
+        live = items[: count * (n_max - t)]
+        j = lengths[live] - 1 - t
+        cur = np.sort(emap.inverse(np.repeat(words[live, j, None], 2, axis=1), cur[live]), axis=1)
+        ends[live, j] = cur
+    return words, ends
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """math.log elementwise: np.log can differ from it by an ulp on SIMD builds."""
+    return np.array(list(map(math.log, x.ravel().tolist()))).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -495,9 +529,13 @@ def pointwise_dimension_estimates(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     word = point.word(n_max)
+    if emap.kind == "general":
+        windows = _prefix_windows(emap, np.array([word]))[1][::-1, 0]
+        log_ds = _log(windows[:, 1] - windows[:, 0]).tolist()
+    else:
+        log_ds = [emap.log_diameter(word[:n]) for n in range(1, n_max + 1)]
     values = []
-    for n in range(1, n_max + 1):
-        log_d = emap.log_diameter(word[:n])
+    for n, log_d in enumerate(log_ds, 1):
         if log_d == 0.0:
             raise ValueError(f"D_{n} = 1 at {word[:n]}: quotient undefined")
         log_m = float(mu.log_mass_words(np.asarray([word[:n]], dtype=np.int64))[0])

@@ -144,6 +144,88 @@ def brute_spectral_pressure(matrix, table, depth):
     return math.log(lam)
 
 
+def brute_branch_inverse(emap, symbol, y):
+    """Scalar bisection to a 1e-13 bracket, then three clipped Newton steps,
+    on the raw branch callables of a general map."""
+    fn, dfn = emap.branch_fns[symbol - 1], emap.branch_dfns[symbol - 1]
+    l, r = emap.domains[symbol - 1]
+    rising = fn(r) >= fn(l)
+    a, b = l, r
+    while b - a > 1e-13:
+        mid = 0.5 * (a + b)
+        if (fn(mid) < y) == rising:
+            a = mid
+        else:
+            b = mid
+    x = 0.5 * (a + b)
+    for _ in range(3):
+        x = min(max(x - (fn(x) - y) / dfn(x), l), r)
+    return x
+
+
+def brute_endpoint_defects(emap, word):
+    """max endpoint-orbit |log D_n + S_n log|T'|| for every prefix of one
+    itinerary: one scalar backward pull per prefix, then the two endpoint
+    orbits' log-derivative sums left to right."""
+    out = []
+    for n in range(1, len(word) + 1):
+        lo, hi = emap.domains[word[n - 1] - 1]
+        ends = [(lo, hi)]
+        for j in range(n - 2, -1, -1):
+            a = brute_branch_inverse(emap, word[j], lo)
+            b = brute_branch_inverse(emap, word[j], hi)
+            lo, hi = min(a, b), max(a, b)
+            ends.append((lo, hi))
+        ends.reverse()
+        log_d = math.log(hi - lo)
+        sums = [0.0, 0.0]
+        rising = True
+        for j in range(n):
+            fn, dfn = emap.branch_fns[word[j] - 1], emap.branch_dfns[word[j] - 1]
+            a, b = ends[j]
+            for side, x in enumerate((a, b) if rising else (b, a)):
+                sums[side] += math.log(abs(dfn(x)))
+            if fn(a) > fn(b):
+                rising = not rising
+        out.append(max(abs(log_d + sums[0]), abs(log_d + sums[1])))
+    return out
+
+
+def brute_sampled_ujr(emap, n_max, sample_size, seed):
+    """(M(n), spread(n)) over seeded sample itineraries, path by path."""
+    matrix = emap.coding.matrix
+    rng = np.random.default_rng(seed)
+    per_path = []
+    for _ in range(sample_size):
+        word = [int(rng.integers(1, len(matrix) + 1))]
+        for _ in range(n_max - 1):
+            succ = [j + 1 for j, ok in enumerate(matrix[word[-1] - 1]) if ok]
+            word.append(succ[int(rng.integers(0, len(succ)))])
+        per_path.append(brute_endpoint_defects(emap, word))
+    columns = list(zip(*per_path))
+    m_values = tuple(max(col) / n for n, col in enumerate(columns, 1))
+    spread = tuple((max(col) - min(col)) / n for n, col in enumerate(columns, 1))
+    return m_values, spread
+
+
+def brute_linear_ujr(emap, n_max):
+    """M(n) of a linear map by enumerating every admissible n-word: the
+    product-law diameter (log|I_{w_n}| - p) plus the Birkhoff sum (p + log
+    s_{w_n}), with p the prefix sum of log-slopes added left to right."""
+    log_w = [math.log(r - l) for l, r in emap.domains]
+    log_s = [math.log(s) for s in emap.slopes]
+    m_values = []
+    for n in range(1, n_max + 1):
+        top = 0.0
+        for w in brute_words(emap.coding.matrix, n):
+            p = 0.0
+            for s in w[:-1]:
+                p += log_s[s - 1]
+            top = max(top, abs((log_w[w[-1] - 1] - p) + (p + log_s[w[-1] - 1])))
+        m_values.append(top / n)
+    return tuple(m_values)
+
+
 # ---------------------------------------------------------------------------
 # hypothesis strategies
 

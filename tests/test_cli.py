@@ -19,6 +19,7 @@ from thermoshift import (
     TransitionSystem,
     doubling_map,
     dump_map,
+    full_branch_linear,
     dump_measure,
     dump_potential,
     dump_system,
@@ -422,6 +423,41 @@ def test_map_check_general_map_samples_with_seed(tmp_path):
             first = fh.read()
         with open(os.path.join(out2, name), "rb") as fh:
             assert first == fh.read(), name
+
+
+def test_map_check_linear_map_needs_no_word_enumeration(tmp_path):
+    # 2⁴⁰ admissible words at n = 40: an enumerating check would not finish
+    map_name = write(tmp_path / "map.txt", dump_map(full_branch_linear((2.0, 3.0))))
+    cfg = write_config(tmp_path, {"map": map_name, "n_max": 40})
+    out = str(tmp_path / "out")
+    assert run(["map-check", "--config", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "ujr.csv"), encoding="utf-8") as fh:
+        rows = fh.read().splitlines()[1:]
+    values = [row.split(",") for row in rows]
+    assert [(int(n), float(m)) for n, m in values] == [(n, 0.0) for n in range(1, 41)]
+
+
+@pytest.mark.parametrize("seed", ["abc", 1.5, True, -1])
+def test_map_check_refuses_a_bad_config_seed(tmp_path, capsys, seed):
+    map_name = write(
+        tmp_path / "map.txt",
+        dump_map(perturbed_doubling(0.8), builtin="perturbed-doubling", params={"c": 0.8}),
+    )
+    cfg = write_config(tmp_path, {"map": map_name, "n_max": 4, "seed": seed})
+    assert run(["map-check", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config field 'seed' must be a nonnegative integer" in err
+    assert "internal error" not in err
+
+
+def test_map_check_refuses_a_negative_seed_flag(tmp_path, capsys):
+    map_name = write(
+        tmp_path / "map.txt",
+        dump_map(perturbed_doubling(0.8), builtin="perturbed-doubling", params={"c": 0.8}),
+    )
+    cfg = write_config(tmp_path, {"map": map_name, "n_max": 4})
+    assert run(["map-check", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert "--seed must be a nonnegative integer" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

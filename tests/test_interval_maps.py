@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thermoshift import (
+    ExpandingMarkovMap,
     InverseBranchError,
     MarkovMeasure,
     TransitionSystem,
@@ -21,7 +22,12 @@ from thermoshift import (
     word_array,
 )
 
-from conftest import brute_words
+from conftest import (
+    brute_branch_inverse,
+    brute_linear_ujr,
+    brute_sampled_ujr,
+    brute_words,
+)
 
 
 def test_doubling_map_shape():
@@ -88,6 +94,39 @@ def test_branch_inverse_round_trips(emap):
             assert emap.branch_apply(symbol, x) == pytest.approx(y, abs=1e-13)
 
 
+@given(
+    c=st.floats(min_value=0.01, max_value=1.99),
+    ys=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
+)
+@settings(max_examples=50, deadline=None)
+def test_batched_inverse_is_the_scalar_solve_elementwise(c, ys):
+    m = perturbed_doubling(c)
+    symbols = np.array([1 + i % 2 for i in range(len(ys))])
+    batch = m.inverse(symbols, np.array(ys))
+    for s, y, x in zip(symbols, ys, batch):
+        assert x == brute_branch_inverse(m, int(s), y)
+        assert m.branch_inverse(int(s), y) == x
+
+
+def test_branch_callables_must_take_arrays():
+    scalar_only = (lambda x: math.fsum((2.0 * x, -1.0)) + 1.0, lambda x: 2.0 * x - 1.0)
+    with pytest.raises(ValueError, match="elementwise on arrays"):
+        ExpandingMarkovMap(
+            TransitionSystem.full_shift(2),
+            ((0.0, 0.5), (0.5, 1.0)),
+            scalar_only,
+            (lambda x: 2.0, lambda x: 2.0),
+        )
+    branchy = (lambda x: 2.0 * x, lambda x: 2.0 * x - 1.0)
+    with pytest.raises(ValueError, match="elementwise on arrays"):
+        ExpandingMarkovMap(
+            TransitionSystem.full_shift(2),
+            ((0.0, 0.5), (0.5, 1.0)),
+            branchy,
+            (lambda x: 2.0 if x < 0.5 else 2.0, lambda x: 2.0),
+        )
+
+
 def test_branch_inverse_rejects_points_outside_the_image():
     m = golden_mean_linear()
     a = (math.sqrt(5.0) - 1.0) / 2.0
@@ -145,7 +184,13 @@ def test_slope_potential_reads_the_log_derivatives():
 
 @pytest.mark.parametrize(
     "emap",
-    [doubling_map(), full_branch_linear((2.0, 3.0)), full_branch_linear((4.0, 4.0, 4.0, 4.0))],
+    [
+        doubling_map(),
+        full_branch_linear((2.0, 3.0)),
+        full_branch_linear((2.0, 4.0)),
+        full_branch_linear((2.0, 3.0, 6.0)),
+        full_branch_linear((4.0, 4.0, 4.0, 4.0)),
+    ],
 )
 def test_full_image_linear_maps_have_exactly_zero_defect(emap):
     report = check_ujr(emap, 10)
@@ -154,6 +199,63 @@ def test_full_image_linear_maps_have_exactly_zero_defect(emap):
     assert report.sampling_spread is None
     assert report.m_values == tuple(0.0 for _ in report.n_values)
     assert report.passed
+    # the kⁿ enumeration agrees to the bit
+    assert brute_linear_ujr(emap, 6) == report.m_values[:6]
+
+
+@st.composite
+def linear_maps(draw):
+    """Linear Markov maps with gaps, slopes in (1, 4] and every image hull
+    at least 0.6 wide: on these the enumeration's prefix-sum rounding stays
+    below 2u·log 4 + 1.5u·log(1/0.6) < 4e-16 (u = 2⁻⁵³, worst at n = 2)."""
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    shape = draw(st.sampled_from(("full2", "full3", "golden", "mirrored")))
+    if shape.startswith("full"):
+        k = int(shape[-1])
+        span = 0.6 + 0.4 * draw(unit)
+        widths = [span / (k + (4.0 - k) * draw(unit)) for _ in range(k)]
+        gaps = [draw(unit) + 1e-3 for _ in range(k - 1)]
+        slack = span - sum(widths)
+        gaps = [slack * g / sum(gaps) for g in gaps] + [0.0]
+        left = (1.0 - span) * draw(unit)
+        domains = []
+        for w, g in zip(widths, gaps):
+            domains.append((left, left + w))
+            left += w + g
+        matrix = TransitionSystem.full_shift(k).matrix
+    else:
+        # one branch maps onto the other domain only, which is >= 0.6 wide
+        wide = 0.6 + 0.15 * draw(unit)
+        narrow = wide / 4.0 + (min(wide / 1.05, 1.0 - wide) - wide / 4.0) * draw(unit)
+        gap = (1.0 - wide - narrow) * draw(unit)
+        left = (1.0 - wide - narrow - gap) * draw(unit)
+        domains = [(left, left + wide), (left + wide + gap, left + wide + gap + narrow)]
+        matrix = ((1, 1), (1, 0))
+        if shape == "mirrored":
+            domains = [(1.0 - b, 1.0 - a) for a, b in reversed(domains)]
+            matrix = ((0, 1), (1, 1))
+    emap = ExpandingMarkovMap(TransitionSystem(matrix), domains)
+    assert 1.0 < min(emap.slopes) and max(emap.slopes) <= 4.0 + 1e-12
+    assert min(b - a for a, b in emap.images) >= 0.6 - 1e-12
+    return emap
+
+
+@given(emap=linear_maps(), n_max=st.integers(min_value=2, max_value=7))
+@settings(max_examples=60, deadline=None)
+def test_linear_closed_form_matches_the_word_enumeration(emap, n_max):
+    report = check_ujr(emap, n_max)
+    oracle = brute_linear_ujr(emap, n_max)
+    assert report.m_values[0] == oracle[0]
+    for closed, enumerated in zip(report.m_values, oracle):
+        assert abs(closed - enumerated) <= 4e-16
+
+
+def test_linear_check_does_not_enumerate_words():
+    # 2⁴⁰ admissible words at the last n; the closed form needs none
+    report = check_ujr(full_branch_linear((2.0, 3.0)), 40)
+    assert report.m_values == (0.0,) * 40
+    report = check_ujr(golden_mean_linear(), 200)
+    assert report.m_values[-1] == report.m_values[0] / 200
 
 
 def test_golden_mean_defect_is_the_last_branch_hull_factor():
@@ -183,6 +285,21 @@ def test_perturbed_doubling_defect_decays_on_the_tail():
     # the same seed reproduces the same sampled statistic
     again = check_ujr(perturbed_doubling(), 16, sample_size=25, seed=3)
     assert again.m_values == report.m_values
+
+
+@given(
+    c=st.floats(min_value=0.01, max_value=1.99),
+    n_max=st.integers(min_value=2, max_value=30),
+    sample_size=st.integers(min_value=1, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+@settings(max_examples=20, deadline=None)
+def test_batched_sweep_is_the_scalar_path_by_path_sweep(c, n_max, sample_size, seed):
+    emap = perturbed_doubling(c)
+    report = check_ujr(emap, n_max, sample_size=sample_size, seed=seed)
+    m_values, spread = brute_sampled_ujr(emap, n_max, sample_size, seed)
+    assert report.m_values == m_values
+    assert report.sampling_spread == spread
 
 
 # ---------------------------------------------------------------------------
