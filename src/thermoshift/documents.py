@@ -346,6 +346,10 @@ def load_map(text: str) -> ExpandingMarkovMap:
 CONFIG_VERSION = 1
 
 _COMMON_KEYS = {"version", "out"}
+_POSITIVE_INT_KEYS = (
+    "n_max", "n_min", "sample_size", "quadrature_depth", "alpha_count", "certify_n_max",
+    "validate_n_max", "pressure_n_max", "family_index", "almost_additive_bound",
+)
 ALLOWED_CONFIG_KEYS: dict[str, set[str]] = {
     "sft-check": {"system", "n_max"},
     "pressure": {"system", "potential", "method", "n_min", "n_max", "tol"},
@@ -385,11 +389,16 @@ def _is_int(x: Any) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_number(x: Any) -> bool:
+    # json.load reads NaN and Infinity as floats
+    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+
+
 def load_config(path: str, command: str) -> dict[str, Any]:
     """Parse and validate a JSON config for the given command.
 
     Enforces the version, rejects unknown keys, and checks the elementary
-    invariants (positive tolerances, nonempty n ranges).  Referenced
+    invariants (field types, positive tolerances, nonempty n ranges).  Referenced
     documents are *not* loaded here — the CLI does that next, still inside
     its input-error phase.
     """
@@ -415,13 +424,22 @@ def load_config(path: str, command: str) -> dict[str, Any]:
             f"config field(s) {', '.join(unknown)} not recognized for {command}"
         )
     for key in ("tol", "tau", "step", "delta"):
-        if key in raw and not (
-            (_is_int(raw[key]) or isinstance(raw[key], float)) and raw[key] > 0
-        ):
+        if key in raw and not (_is_number(raw[key]) and raw[key] > 0):
             raise DocumentError(f"config field {key!r} must be a positive number")
-    for key in ("n_max", "n_min", "sample_size", "quadrature_depth", "alpha_count"):
+    for key in _POSITIVE_INT_KEYS:
         if key in raw and not (_is_int(raw[key]) and raw[key] >= 1):
             raise DocumentError(f"config field {key!r} must be a positive integer")
+    for key in ("system", "potential", "measure", "map", "out"):
+        if key in raw and not isinstance(raw[key], str):
+            raise DocumentError(f"config field {key!r} must be a string")
+    if "measures" in raw and not (
+        isinstance(raw["measures"], list)
+        and raw["measures"]
+        and all(isinstance(x, str) for x in raw["measures"])
+    ):
+        raise DocumentError("config field 'measures' must be a nonempty list of documents")
+    if "pressure" in raw and not (raw["pressure"] == "spectral" or _is_number(raw["pressure"])):
+        raise DocumentError("config field 'pressure' must be a number or \"spectral\"")
     if "seed" in raw and not (_is_int(raw["seed"]) and raw["seed"] >= 0):
         raise DocumentError("config field 'seed' must be a nonnegative integer")
     if "n_min" in raw and "n_max" in raw and raw["n_min"] > raw["n_max"]:

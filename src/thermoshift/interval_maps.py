@@ -87,7 +87,6 @@ class ExpandingMarkovMap:
         domains: Sequence[tuple[float, float]],
         branch_fns: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None,
         branch_dfns: Optional[Sequence[Callable[[np.ndarray], np.ndarray]]] = None,
-        expansion_grid: int = 101,
     ):
         coding.require_mixing()
         if len(domains) != coding.k:
@@ -132,7 +131,7 @@ class ExpandingMarkovMap:
             images = []
             for i, (l, r) in enumerate(doms):
                 images.append(tuple(sorted((fns[i](l), fns[i](r)))))
-                grid = np.linspace(l, r, expansion_grid)
+                grid = np.linspace(l, r, 101)
                 try:
                     _, dfn = (np.broadcast_to(f[i](grid), grid.shape) for f in (fns, dfns))
                 except (TypeError, ValueError) as exc:

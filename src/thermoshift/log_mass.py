@@ -39,7 +39,7 @@ from .potentials import (
     asymptotic_defect,
 )
 from .pressure import PressureEstimate, pressure_limit, pressure_periodic
-from .sft import SymbolicPoint, TransitionSystem, Word, word_array
+from .sft import TransitionSystem, Word, word_array
 
 
 class LogMassSequence(PotentialSequence):
@@ -53,8 +53,6 @@ class LogMassSequence(PotentialSequence):
     picks up automatically.
     """
 
-    kind = "measure_derived"
-
     def __init__(self, oracle: CylinderMeasureOracle):
         self.oracle = oracle
 
@@ -65,9 +63,6 @@ class LogMassSequence(PotentialSequence):
     def dep(self, n: int) -> int:
         return n
 
-    def value(self, n: int, point: SymbolicPoint) -> float:
-        return self.value_word(n, point.word(n))
-
     def value_word(self, n: int, word: Word) -> float:
         if len(word) < n:
             raise ValueError(f"need {n} symbols, got {len(word)}")
@@ -76,11 +71,7 @@ class LogMassSequence(PotentialSequence):
             raise ZeroCylinderMassError(f"admissible word {word[:n]} has zero mass")
         return math.log(m)
 
-    def values_on_words(
-        self, n: int, words: np.ndarray, cyclic: bool = False
-    ) -> np.ndarray:
-        # dep(n) = n: the first n columns settle the value, wrap-around never
-        # enters, so the cyclic flag is irrelevant here.
+    def values_on_words(self, n: int, words: np.ndarray) -> np.ndarray:
         return self.oracle.log_mass_words(words[:, :n])
 
     def family_member(self, k: int) -> Optional[LocallyConstantPotential]:
@@ -123,17 +114,15 @@ class LogMassSequence(PotentialSequence):
         return out
 
 
-def build_log_mass_sequence(
-    oracle: CylinderMeasureOracle, scan_depth: int = 6
-) -> LogMassSequence:
+def build_log_mass_sequence(oracle: CylinderMeasureOracle) -> LogMassSequence:
     """Wrap an oracle as its log-mass sequence, scanning for zero masses.
 
     Positivity on admissible cylinders is a standing assumption of every
-    downstream check; violations up to ``scan_depth`` (capped at a table
+    downstream check; violations up to length 6 (capped at a table
     oracle's depth) raise :class:`ZeroCylinderMassError` immediately rather
     than surfacing later as −inf values.
     """
-    depth = scan_depth
+    depth = 6
     if isinstance(oracle, TableMeasure):
         depth = min(depth, oracle.depth)
     for n in range(1, depth + 1):
@@ -169,10 +158,8 @@ class GibbsOneReport:
     passed: bool
 
 
-def check_gibbs_one(
-    seq: LogMassSequence, n_max: int, rtol: float = 1e-14
-) -> GibbsOneReport:
-    """μ(C_w) = exp(phi_n(w)) with constant 1 and pressure 0, to full precision.
+def check_gibbs_one(seq: LogMassSequence, n_max: int) -> GibbsOneReport:
+    """μ(C_w) = exp(phi_n(w)) with constant 1 and pressure 0, to 1e-14.
 
     True by construction — the check guards the plumbing between the oracle's
     linear-scale masses and the sequence's log-scale values, where only an
@@ -191,7 +178,8 @@ def check_gibbs_one(
         i = _first_max(errs)
         if errs[i] > worst:
             worst, witness = float(errs[i]), tuple(int(s) for s in words[i])
-    return GibbsOneReport(n_max, worst, witness if worst > rtol else None, worst <= rtol)
+    passed = worst <= 1e-14
+    return GibbsOneReport(n_max, worst, None if passed else witness, passed)
 
 
 @dataclass(frozen=True)
@@ -355,12 +343,11 @@ def check_almost_additivity(
     seq: LogMassSequence,
     gibbs_constant: float,
     total_length: int,
-    atol: float = 1e-12,
 ) -> AlmostAdditivityReport:
     """Split defects of the log-mass sequence stay within 3·log C, exactly.
 
     Enumerates every (n, m) with n + m ≤ ``total_length`` and every
-    (n+m)-word.  ``atol`` absorbs float dust only: product measures have
+    (n+m)-word.  An absolute 1e-12 absorbs float dust only: product measures have
     mathematical defect 0 and constant C = 1, where a literal comparison
     would fail on a ~1e−16 rounding residue.
     """
@@ -383,5 +370,5 @@ def check_almost_additivity(
         worst_defect=worst,
         worst_split=split,
         worst_witness=witness,
-        passed=worst <= budget + atol,
+        passed=worst <= budget + 1e-12,
     )

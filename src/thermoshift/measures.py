@@ -781,19 +781,17 @@ class OracleValidation:
         return self.total_mass_ok and self.additivity_witness is None and self.positivity_ok
 
 
-def validate_oracle(
-    oracle: CylinderMeasureOracle, n_max: int = 10, atol: float = 1e-12
-) -> OracleValidation:
+def validate_oracle(oracle: CylinderMeasureOracle, n_max: int = 10) -> OracleValidation:
     """Check normalization, additivity, and positivity up to length n_max.
 
-    Additivity: μ(w) = Σ_s μ(w·s) over admissible extensions, within atol.
+    Additivity: μ(w) = Σ_s μ(w·s) over admissible extensions, within 1e-12.
     The worst gap and its witness (the first in length-then-lexicographic
     order) are reported whether or not they pass.  The checks run on arrays:
     ``mass_words`` over each level's ``word_array``, the extensions of a
     word added one at a time in successor order from 0.0.
     """
     ts = oracle.system
-    total_ok = abs(oracle.mass(()) - 1.0) <= atol
+    total_ok = abs(oracle.mass(()) - 1.0) <= 1e-12
     levels = [oracle.mass_words(word_array(ts, n)) for n in range(1, max(n_max, 1) + 1)]
     worst = 0.0
     witness: Optional[Word] = None
@@ -821,7 +819,7 @@ def validate_oracle(
     return OracleValidation(
         total_mass_ok=total_ok,
         additivity_gap=worst,
-        additivity_witness=witness if worst > atol else None,
+        additivity_witness=witness if worst > 1e-12 else None,
         positivity_ok=zero_witness is None,
         zero_mass_witness=zero_witness,
         checked_to=n_max,

@@ -37,7 +37,6 @@ from .measures import (
     CylinderMeasureOracle,
     MarkovMeasure,
     RpfGibbsData,
-    WeakGibbsCertificate,
     _chain_entropies,
     _chain_fault,
     _chain_fold,
@@ -318,7 +317,6 @@ class VariationalSpectrumPoint:
 def _hypothesis_checklist(
     measures: Sequence[CylinderMeasureOracle],
     refs: Sequence[Optional[LocallyConstantPotential]],
-    certificates: Optional[Sequence[Optional[WeakGibbsCertificate]]],
 ) -> tuple[ChecklistItem, ...]:
     items = []
     for i, (mu, g) in enumerate(zip(measures, refs)):
@@ -339,15 +337,7 @@ def _hypothesis_checklist(
                     "table oracle: invariance not derivable at finite depth",
                 )
             )
-        cert = certificates[i] if certificates else None
-        if cert is not None:
-            items.append(
-                ChecklistItem(f"{tag} weak-gibbs", cert.verdict, f"P_used = {cert.p_used!r}")
-            )
-        else:
-            items.append(
-                ChecklistItem(f"{tag} weak-gibbs", "not-supplied", "no certificate attached")
-            )
+        items.append(ChecklistItem(f"{tag} weak-gibbs", "not-supplied", "no certificate attached"))
         if g is None:
             items.append(ChecklistItem(f"{tag} non-atomic", "not-checked", "no known potential"))
         else:
@@ -377,8 +367,6 @@ def spectrum_search(
     step: float = 1e-3,
     delta: float = 1e-3,
     quadrature_depth: int = 10,
-    certificates: Optional[Sequence[Optional[WeakGibbsCertificate]]] = None,
-    comparison_tol: Optional[float] = None,
 ) -> tuple[VariationalSpectrumPoint, ...]:
     """Maximize h(ν)/∫γ̃ dν over grid candidates meeting the constraints,
     at every dimension vector of ``levels``; one point per level.
@@ -419,8 +407,7 @@ def spectrum_search(
             family = markov_candidate_family(ts, step)
     refs = [LogMassSequence(mu).family_member(1) for mu in mus]
     routes = tuple("closed-form" if g is not None else "quadrature" for g in refs)
-    if comparison_tol is None:
-        comparison_tol = max(0.05, 3.0 / quadrature_depth)
+    comparison_tol = max(0.05, 3.0 / quadrature_depth)
 
     lyap = family.integrals(emap.slope_potential())
     objective = family.entropies() / lyap
@@ -442,7 +429,7 @@ def spectrum_search(
     window = tuple(
         (float(np.min(cons[:, i])), float(np.max(cons[:, i]))) for i in range(len(mus))
     )
-    checklist = _hypothesis_checklist(mus, refs, certificates)
+    checklist = _hypothesis_checklist(mus, refs)
 
     points = []
     for alpha in alphas:
@@ -510,14 +497,9 @@ def spectrum_variational(
     step: float = 1e-3,
     delta: float = 1e-3,
     quadrature_depth: int = 10,
-    certificates: Optional[Sequence[Optional[WeakGibbsCertificate]]] = None,
-    comparison_tol: Optional[float] = None,
 ) -> VariationalSpectrumPoint:
     """The constrained search at one dimension vector ᾱ (see :func:`spectrum_search`)."""
-    return spectrum_search(
-        emap, measures, [alpha], family, step, delta, quadrature_depth, certificates,
-        comparison_tol,
-    )[0]
+    return spectrum_search(emap, measures, [alpha], family, step, delta, quadrature_depth)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import abc
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .sft import (
     TransitionSystem,
     Word,
     enumerate_words,
-    representative_point,
     word_array,
 )
 
@@ -119,21 +118,16 @@ class LocallyConstantPotential:
         object.__setattr__(self, "_dense_cache", a)
         return a
 
-    def values_on_windows(self, words: np.ndarray, n: int, cyclic: bool = False) -> np.ndarray:
+    def values_on_windows(self, words: np.ndarray, n: int) -> np.ndarray:
         """Vectorized Birkhoff sums S_n over rows of a word array.
 
-        With ``cyclic=False`` rows must have at least ``n + depth - 1``
-        columns; with ``cyclic=True`` rows are read modulo their length n.
+        Rows must have at least ``n + depth - 1`` columns.
         """
         d = self.depth
         dense = self.dense
         total = np.zeros(words.shape[0])
         for j in range(n):
-            if cyclic:
-                idx = tuple(words[:, (j + r) % words.shape[1]] - 1 for r in range(d))
-            else:
-                idx = tuple(words[:, j + r] - 1 for r in range(d))
-            total += dense[idx]
+            total += dense[tuple(words[:, j + r] - 1 for r in range(d))]
         return total
 
 
@@ -141,8 +135,8 @@ def birkhoff_sum(phi: LocallyConstantPotential, point: SymbolicPoint, n: int) ->
     """S_n(phi) at the point: sum of phi along the first n shifts."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    w = point.word(n + phi.depth - 1)
-    return float(sum(phi.table[w[j : j + phi.depth]] for j in range(n)))
+    row = np.array([point.word(n + phi.depth - 1)], dtype=np.int64)
+    return float(phi.values_on_windows(row, n)[0])
 
 
 def variation(phi: LocallyConstantPotential, n: int) -> float:
@@ -196,22 +190,22 @@ def _prefix_group_spread(words: np.ndarray, n: int, values: np.ndarray) -> float
 class PotentialSequence(abc.ABC):
     """A sequence of functions phi_n on the shift, one per n >= 1.
 
-    Subclasses declare ``kind`` ("additive", "explicit_table",
-    "measure_derived") and, when the n-th function is determined by an
-    initial word, its dependence length ``dep(n)``.  Sequences without a
-    finite dependence length cannot be fed to the exact (enumeration-based)
-    diagnostics and raise :class:`InexactSequenceError` there.
+    A subclass implements one evaluation method, :meth:`values_on_words`
+    (phi_n on every row of a word array), and declares, when the n-th
+    function is determined by an initial word, its dependence length
+    ``dep(n)``.  :meth:`value_word` and every diagnostic below are derived
+    from that one method.  Sequences without a finite dependence length
+    cannot be fed to the exact (enumeration-based) diagnostics and raise
+    :class:`InexactSequenceError` there.
     """
-
-    kind: str = "abstract"
 
     @property
     @abc.abstractmethod
     def system(self) -> TransitionSystem: ...
 
     @abc.abstractmethod
-    def value(self, n: int, point: SymbolicPoint) -> float:
-        """phi_n evaluated at the point."""
+    def values_on_words(self, n: int, words: np.ndarray) -> np.ndarray:
+        """phi_n over the rows of a word array with at least dep(n) columns."""
 
     def dep(self, n: int) -> Optional[int]:
         """Number of leading symbols that determine phi_n, or None."""
@@ -230,20 +224,11 @@ class PotentialSequence(abc.ABC):
             )
         if len(word) < L:
             raise ValueError(f"need {L} symbols to evaluate phi_{n}, got {len(word)}")
-        return self.value(n, representative_point(self.system, word))
-
-    def values_on_words(self, n: int, words: np.ndarray, cyclic: bool = False) -> np.ndarray:
-        """Vectorized phi_n over rows of a word array (fallback: row loop)."""
-        if cyclic:
-            pts = [SymbolicPoint(self.system, (), tuple(int(s) for s in row)) for row in words]
-            return np.array([self.value(n, p) for p in pts])
-        return np.array([self.value_word(n, tuple(int(s) for s in row)) for row in words])
+        return float(self.values_on_words(n, np.array([word[:L]], dtype=np.int64))[0])
 
 
 class AdditiveSequence(PotentialSequence):
     """Birkhoff sums of a fixed locally constant potential: phi_n = S_n phi."""
-
-    kind = "additive"
 
     def __init__(self, phi: LocallyConstantPotential):
         self.potential = phi
@@ -252,9 +237,6 @@ class AdditiveSequence(PotentialSequence):
     def system(self) -> TransitionSystem:
         return self.potential.system
 
-    def value(self, n: int, point: SymbolicPoint) -> float:
-        return birkhoff_sum(self.potential, point, n)
-
     def dep(self, n: int) -> int:
         return n + self.potential.depth - 1
 
@@ -262,15 +244,8 @@ class AdditiveSequence(PotentialSequence):
         # an additive sequence approximates itself exactly at every accuracy
         return self.potential
 
-    def value_word(self, n: int, word: Word) -> float:
-        L = self.dep(n)
-        if len(word) < L:
-            raise ValueError(f"need {L} symbols to evaluate S_{n}, got {len(word)}")
-        d = self.potential.depth
-        return float(sum(self.potential.table[word[j : j + d]] for j in range(n)))
-
-    def values_on_words(self, n: int, words: np.ndarray, cyclic: bool = False) -> np.ndarray:
-        return self.potential.values_on_windows(words, n, cyclic=cyclic)
+    def values_on_words(self, n: int, words: np.ndarray) -> np.ndarray:
+        return self.potential.values_on_windows(words, n)
 
 
 class ExplicitSequence(PotentialSequence):
@@ -280,8 +255,6 @@ class ExplicitSequence(PotentialSequence):
     word handed to ``fn`` has exactly that length.  Used for synthetic
     sequences in tests and for tables loaded from documents.
     """
-
-    kind = "explicit_table"
 
     def __init__(
         self,
@@ -305,14 +278,9 @@ class ExplicitSequence(PotentialSequence):
     def family_member(self, k: int) -> Optional[LocallyConstantPotential]:
         return self._family(k) if self._family is not None else None
 
-    def value(self, n: int, point: SymbolicPoint) -> float:
-        return float(self._fn(n, point.word(self.dep(n))))
-
-    def value_word(self, n: int, word: Word) -> float:
+    def values_on_words(self, n: int, words: np.ndarray) -> np.ndarray:
         L = self.dep(n)
-        if len(word) < L:
-            raise ValueError(f"need {L} symbols to evaluate phi_{n}, got {len(word)}")
-        return float(self._fn(n, word[:L]))
+        return np.array([float(self._fn(n, tuple(int(s) for s in row[:L]))) for row in words])
 
 
 # ---------------------------------------------------------------------------
@@ -335,27 +303,14 @@ def gamma(seq: PotentialSequence, n: int) -> float:
     return _prefix_group_spread(words, n, seq.values_on_words(n, words))
 
 
-def almost_additivity_defect(
-    seq: PotentialSequence,
-    n: int,
-    m: int,
-    sample: Optional[Iterable[SymbolicPoint]] = None,
-) -> tuple[float, Word]:
+def almost_additivity_defect(seq: PotentialSequence, n: int, m: int) -> tuple[float, Word]:
     """Largest |phi_{n+m} - phi_n - phi_m(shifted)| and where it occurs.
 
     Exhaustive over all admissible words long enough to settle all three
-    terms, unless ``sample`` supplies points to restrict to.  Returns
-    ``(defect, witness_word)``.
+    terms.  Returns ``(defect, witness_word)``.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    if sample is not None:
-        worst, where = -1.0, ()
-        for p in sample:
-            d = abs(seq.value(n + m, p) - seq.value(n, p) - seq.value(m, p.shift(n)))
-            if d > worst:
-                worst, where = d, p.word(n + m)
-        return worst, where
     deps = [seq.dep(j) for j in (n + m, n, m)]
     if any(x is None for x in deps):
         raise InexactSequenceError("exhaustive defect needs dependence lengths")

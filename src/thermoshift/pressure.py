@@ -26,6 +26,7 @@ import numpy as np
 
 from .potentials import (
     AdditiveSequence,
+    InexactSequenceError,
     LocallyConstantPotential,
     PotentialSequence,
     _prefix_group_starts,
@@ -259,14 +260,20 @@ def pressure_periodic(seq: Union[PotentialSequence, LocallyConstantPotential], n
         seq = AdditiveSequence(seq)
     if n < 1:
         raise ValueError("n must be >= 1")
+    L = seq.dep(n)
+    if L is None:
+        raise InexactSequenceError("periodic pressure needs a dependence length")
     ts = seq.system
     ts.require_mixing()
     words = word_array(ts, n)
     cyc = words[cyclic_mask(ts, words)]
     if cyc.shape[0] == 0:
         return -math.inf
-    vals = seq.values_on_words(n, cyc, cyclic=True)
-    return log_sum_exp(vals) / n
+    if L > n:
+        # the point of period n repeats its cyclic word out to the dep(n)
+        # symbols phi_n reads
+        cyc = cyc[:, np.arange(L) % n]
+    return log_sum_exp(seq.values_on_words(n, cyc)) / n
 
 
 def pressure_spectral(phi: LocallyConstantPotential) -> float:
@@ -285,11 +292,11 @@ def pressure_spectral(phi: LocallyConstantPotential) -> float:
 # extrapolation
 
 
-def _wynn_even_tails(q: Sequence[float], tiny: float = 1e-300) -> list[float]:
+def _wynn_even_tails(q: Sequence[float]) -> list[float]:
     """Last entries of the even ε-table columns built over q.
 
     Column 2 is classical Aitken Δ²; higher even columns iterate it.  The
-    walk stops as soon as a difference underflows ``tiny`` (the remaining
+    walk stops as soon as a difference underflows 1e-300 (the remaining
     columns would amplify noise).
     """
     e_prev = [0.0] * (len(q) + 1)
@@ -300,7 +307,7 @@ def _wynn_even_tails(q: Sequence[float], tiny: float = 1e-300) -> list[float]:
         nxt = []
         for i in range(len(e_cur) - 1):
             d = e_cur[i + 1] - e_cur[i]
-            if abs(d) < tiny:
+            if abs(d) < 1e-300:
                 return tails
             nxt.append(e_prev[i + 1] + 1.0 / d)
         e_prev, e_cur = e_cur, nxt

@@ -107,18 +107,16 @@ class TransitionSystem:
                 return False
         return all(self.allows(a, b) for a, b in zip(word, word[1:]))
 
-    def mixing_exponent(self, l_max: Optional[int] = None) -> Optional[int]:
+    def mixing_exponent(self) -> Optional[int]:
         """Minimal l with ``matrix**l`` entrywise positive, or None.
 
-        Searches up to ``l_max``; the default is the Wielandt bound
-        (k-1)**2 + 1, beyond which no primitive matrix needs to go, so None
-        under the default means the system is genuinely not mixing.
-        Boolean matrix powers only — no integer overflow at any l.
+        Searches up to the Wielandt bound (k-1)**2 + 1, beyond which no
+        primitive matrix needs to go, so None means the system is genuinely
+        not mixing.  Boolean matrix powers only — no integer overflow at any l.
         """
-        bound = _wielandt_bound(self.k) if l_max is None else l_max
         b = self.as_array > 0
         p = b.copy()
-        for l in range(1, bound + 1):
+        for l in range(1, _wielandt_bound(self.k) + 1):
             if p.all():
                 return l
             p = (p.astype(np.int64) @ b.astype(np.int64)) > 0
@@ -429,8 +427,8 @@ def enumerate_periodic_points(ts: TransitionSystem, n: int) -> Iterator[Symbolic
         yield SymbolicPoint(ts, (), w)
 
 
-def metric_distance(x: SymbolicPoint, y: SymbolicPoint, tol: float = 1e-12) -> float:
-    """Distance sum |x_i - y_i| / 2^i, truncated once the tail bound < tol.
+def metric_distance(x: SymbolicPoint, y: SymbolicPoint) -> float:
+    """Distance sum |x_i - y_i| / 2^i, truncated once the tail bound < 1e-12.
 
     Exact zero is returned iff the points are equal as sequences (decided
     symbolically, not by truncation).
@@ -440,7 +438,7 @@ def metric_distance(x: SymbolicPoint, y: SymbolicPoint, tol: float = 1e-12) -> f
     k = max(x.system.k, y.system.k)
     total = 0.0
     i = 1
-    while (k - 1) * 2.0 ** (-i) >= tol:
+    while (k - 1) * 2.0 ** (-i) >= 1e-12:
         total += abs(x.symbol_at(i) - y.symbol_at(i)) * 2.0 ** (-i)
         i += 1
     return total

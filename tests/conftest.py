@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from thermoshift import LocallyConstantPotential, TransitionSystem
+from thermoshift import LocallyConstantPotential, SymbolicPoint, TransitionSystem
 
 # The depth-2 table used in the format documentation; its Birkhoff-sum
 # oscillation over 2-cylinders is exactly 3.
@@ -45,6 +45,15 @@ def brute_words(matrix, n):
 
 def brute_cyclic_words(matrix, n):
     return [w for w in brute_words(matrix, n) if matrix[w[-1] - 1][w[0] - 1]]
+
+
+def brute_periodic_values(ts, rule, dep, n):
+    """rule(n, word) at every point of period n, in the lexicographic order of
+    its cyclic n-word; ``word`` is the point's first ``dep`` symbols, so a
+    rule that reads past n symbols sees the cyclic word repeated."""
+    return [
+        rule(n, SymbolicPoint(ts, (), w).word(dep)) for w in brute_cyclic_words(ts.matrix, n)
+    ]
 
 
 def brute_periodic_count(matrix, n):

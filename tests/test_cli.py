@@ -563,6 +563,32 @@ def test_flag_validation(tmp_path, capsys, flag, value, fragment):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,field,value,message",
+    [
+        ("gibbs-build", "certify_n_max", "abc", "must be a positive integer"),
+        ("weakgibbs-certify", "validate_n_max", "x", "must be a positive integer"),
+        ("psi-verify", "pressure_n_max", "q", "must be a positive integer"),
+        ("psi-verify", "family_index", 0, "must be a positive integer"),
+        ("psi-verify", "almost_additive_bound", 2.5, "must be a positive integer"),
+        ("pressure", "potential", 5, "must be a string"),
+        ("sft-check", "out", 5, "must be a string"),
+        ("spectrum", "measures", ["m.txt", 3], "must be a nonempty list of documents"),
+        ("weakgibbs-certify", "pressure", True, 'must be a number or "spectral"'),
+        ("weakgibbs-certify", "pressure", math.nan, 'must be a number or "spectral"'),
+    ],
+)
+def test_config_fields_of_the_wrong_type_are_input_errors(
+    tmp_path, capsys, command, field, value, message
+):
+    # refused by load_config, before any document is read
+    cfg = write_config(tmp_path, {field: value})
+    assert run([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"input error: config field {field!r} {message}"]
+    assert not (tmp_path / "thermoshift-out").exists()
+
+
 def test_threads_flag_is_accepted(tmp_path):
     sys_name = write(tmp_path / "sys.txt", dump_system(FULL2))
     cfg = write_config(tmp_path, {"system": sys_name})

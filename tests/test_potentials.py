@@ -192,6 +192,23 @@ def test_asymptotic_defect_sees_a_constant_offset(full2):
         assert asymptotic_defect(AdditiveSequence(phi), rho, n) == 0.125
 
 
+@given(phi=potentials(), data=st.data(), n=st.integers(min_value=1, max_value=5))
+def test_value_word_and_birkhoff_sum_are_the_table_sums(phi, data, n):
+    d = phi.depth
+    word = data.draw(st.sampled_from(brute_words(phi.system.matrix, n + d - 1)))
+    expected = table_birkhoff(phi.table, d, word, n)
+    assert AdditiveSequence(phi).value_word(n, word) == expected
+    x = representative_point(phi.system, word)
+    assert birkhoff_sum(phi, x, n) == expected
+    # the rule sees exactly dep(n) symbols however long the word handed in
+    explicit = ExplicitSequence(
+        phi.system,
+        lambda n, w: table_birkhoff(phi.table, d, w, n) if len(w) == n + d - 1 else math.nan,
+        lambda n: n + d - 1,
+    )
+    assert explicit.value_word(n, x.word(n + d + 1)) == expected
+
+
 def test_tempered_variation_report_on_the_example(example_potential):
     seq = AdditiveSequence(example_potential)
     report = tempered_variation_report(seq, 8, threshold=0.5)

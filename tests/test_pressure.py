@@ -11,8 +11,10 @@ from thermoshift import (
     AdditiveSequence,
     EigensolverError,
     ExplicitSequence,
+    InexactSequenceError,
     LocallyConstantPotential,
     NotMixingError,
+    PotentialSequence,
     PressureEstimate,
     TransitionSystem,
     family_pressure_bracket,
@@ -27,8 +29,12 @@ from thermoshift import (
 from conftest import (
     brute_cylinder_pressure,
     brute_periodic_pressure,
+    brute_periodic_values,
     brute_spectral_pressure,
+    mixing_systems,
     potentials,
+    small_values,
+    table_birkhoff,
 )
 
 finite_floats = st.floats(min_value=-700.0, max_value=700.0, allow_nan=False)
@@ -117,6 +123,53 @@ def test_spectral_route_matches_dense_eigenvalues(phi):
         rel=1e-10,
         abs=1e-10,
     )
+
+
+@given(
+    ts=mixing_systems,
+    weights=st.lists(small_values, min_size=3, max_size=3),
+    n=st.integers(min_value=1, max_value=6),
+)
+def test_periodic_route_reads_past_the_cyclic_word_like_a_periodic_point(ts, weights, n):
+    # phi_n reads n + 2 symbols, each weighted by its position, so both the
+    # wrap-around and its phase enter the value
+    def rule(n, w):
+        return float(sum((i + 1) * weights[s - 1] for i, s in enumerate(w)))
+
+    seq = ExplicitSequence(ts, rule, lambda n: n + 2)
+    values = brute_periodic_values(ts, rule, n + 2, n)
+    assert pressure_periodic(seq, n) == log_sum_exp(np.array(values)) / n
+
+
+@given(phi=potentials(), n=st.integers(min_value=1, max_value=6))
+def test_periodic_route_on_additive_sequences_equals_the_point_oracle(phi, n):
+    def rule(n, w):
+        return table_birkhoff(phi.table, phi.depth, w, n)
+
+    values = brute_periodic_values(phi.system, rule, n + phi.depth - 1, n)
+    assert pressure_periodic(AdditiveSequence(phi), n) == log_sum_exp(np.array(values)) / n
+
+
+class _Undeclared(PotentialSequence):
+    """phi_n = 0 everywhere, with no declared dependence length."""
+
+    def __init__(self, ts):
+        self._ts = ts
+
+    @property
+    def system(self):
+        return self._ts
+
+    def values_on_words(self, n, words):
+        return np.zeros(words.shape[0])
+
+
+def test_periodic_route_needs_a_dependence_length(full2):
+    seq = _Undeclared(full2)
+    with pytest.raises(InexactSequenceError):
+        pressure_periodic(seq, 3)
+    with pytest.raises(InexactSequenceError):
+        seq.value_word(3, (1, 2, 1))
 
 
 def test_periodic_route_needs_mixing():
