@@ -53,7 +53,6 @@ from .log_mass import (
 )
 from .measures import (
     MarkovMeasure,
-    RpfGibbsData,
     TableMeasure,
     WeakGibbsCertificate,
     build_rpf,
@@ -455,10 +454,7 @@ def _cmd_spectrum(cfg, out, inputs, args) -> int:
     if len(mus) == 1 and full and ts.k == 2 and _is_product_measure(mus[0]):
         legendre_p = mus[0].stationary[0]
     if "alpha_grid" in cfg:
-        raw = cfg["alpha_grid"]
-        if not isinstance(raw, list) or not raw:
-            raise _InputError("config field 'alpha_grid' must be a nonempty list")
-        alphas = [tuple(a) if isinstance(a, list) else (float(a),) for a in raw]
+        alphas = [tuple(a) if isinstance(a, list) else (a,) for a in cfg["alpha_grid"]]
     elif "alpha_count" in cfg and legendre_p is not None:
         lo, hi = legendre_alpha_range(legendre_p, emap.slopes)
         alphas = [(float(a),) for a in np.linspace(lo, hi, cfg["alpha_count"] + 2)[1:-1]]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from typing import Any, Callable, Optional
 
 from .interval_maps import ExpandingMarkovMap, perturbed_doubling
@@ -390,8 +391,13 @@ def _is_int(x: Any) -> bool:
 
 
 def _is_number(x: Any) -> bool:
-    # json.load reads NaN and Infinity as floats
-    return _is_int(x) or (isinstance(x, float) and math.isfinite(x))
+    # json.load reads NaN and Infinity as floats, and integers of any size
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+def _is_level(x: Any) -> bool:
+    # an alpha_grid entry: a number, or a nonempty list of numbers
+    return _is_number(x) or (isinstance(x, list) and bool(x) and all(map(_is_number, x)))
 
 
 def load_config(path: str, command: str) -> dict[str, Any]:
@@ -440,6 +446,14 @@ def load_config(path: str, command: str) -> dict[str, Any]:
         raise DocumentError("config field 'measures' must be a nonempty list of documents")
     if "pressure" in raw and not (raw["pressure"] == "spectral" or _is_number(raw["pressure"])):
         raise DocumentError("config field 'pressure' must be a number or \"spectral\"")
+    if "alpha_grid" in raw and not (
+        isinstance(raw["alpha_grid"], list)
+        and raw["alpha_grid"]
+        and all(_is_level(a) for a in raw["alpha_grid"])
+    ):
+        raise DocumentError(
+            "config field 'alpha_grid' must be a nonempty list of numbers or of lists of numbers"
+        )
     if "seed" in raw and not (_is_int(raw["seed"]) and raw["seed"] >= 0):
         raise DocumentError("config field 'seed' must be a nonnegative integer")
     if "n_min" in raw and "n_max" in raw and raw["n_min"] > raw["n_max"]:

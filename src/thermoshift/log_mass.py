@@ -4,11 +4,13 @@ Every cylinder-measure oracle μ induces a potential sequence whose n-th
 member is ω ↦ log μ(C_{ω₁…ω_n}).  That sequence makes μ a Gibbs measure in
 the strongest possible sense — ratio exactly 1, constant exactly 1, pressure
 exactly 0 — and inherits quantitative regularity (asymptotic additivity,
-almost additivity) from any Gibbs/weak-Gibbs certificate μ carries.  The
-checks here verify each of those claims on every admissible word up to a
-finite depth, as arrays: the rows of :func:`~thermoshift.sft.word_array`
-and the oracle's ``mass_words``/``log_mass_words`` over them.  They share
-float-for-float the ratio computations used by
+almost additivity) from any Gibbs/weak-Gibbs certificate μ carries.  Its
+additive approximant ρ is the oracle's ``reference_potential`` and its
+periodic sums read the oracle's ``block_chain``.  The checks here verify
+each of those claims on every admissible word up to a finite depth, as
+arrays: the rows of :func:`~thermoshift.sft.word_array` and the oracle's
+``mass_words``/``log_mass_words`` over them.  They share float-for-float
+the ratio computations used by
 :func:`~thermoshift.measures.certify_weak_gibbs` so that "exact" assertions
 survive roundoff.
 """
@@ -17,14 +19,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .measures import (
     CylinderMeasureOracle,
-    MarkovMeasure,
-    RpfGibbsData,
     TableMeasure,
     WeakGibbsCertificate,
     ZeroCylinderMassError,
@@ -38,7 +38,7 @@ from .potentials import (
     almost_additivity_defect,
     asymptotic_defect,
 )
-from .pressure import PressureEstimate, pressure_limit, pressure_periodic
+from .pressure import PressureEstimate, pressure_limit
 from .sft import TransitionSystem, Word, word_array
 
 
@@ -47,10 +47,9 @@ class LogMassSequence(PotentialSequence):
 
     Values are ≤ 0 (masses are probabilities) and finite on admissible
     words whenever μ is positive on cylinders — :func:`build_log_mass_sequence`
-    scans for violations up front.  For Markov-structured oracles the
-    periodic pressure sums collapse to matrix powers of Q, exposed through
-    ``periodic_log_sums`` which :func:`~thermoshift.pressure.pressure_limit`
-    picks up automatically.
+    scans for violations up front.  For an oracle whose block chain has
+    width 1 the periodic pressure sums collapse to matrix powers of Q in
+    ``periodic_log_sums``.
     """
 
     def __init__(self, oracle: CylinderMeasureOracle):
@@ -75,40 +74,23 @@ class LogMassSequence(PotentialSequence):
         return self.oracle.log_mass_words(words[:, :n])
 
     def family_member(self, k: int) -> Optional[LocallyConstantPotential]:
-        """Natural additive approximation, independent of the accuracy index.
-
-        Markov oracle: the depth-2 edge potential log Q (the stationary
-        head log pi is a bounded correction, so the normalized defect decays
-        like 1/n).  RPF oracle: the generating potential shifted by −P, by
-        the Gibbs sandwich.  Table oracles declare no family.
-        """
-        if isinstance(self.oracle, MarkovMeasure):
-            return self.oracle.transition_log_potential()
-        if isinstance(self.oracle, RpfGibbsData):
-            return self.oracle.potential.shifted(-self.oracle.pressure)
-        return None
+        """The oracle's reference potential, at every accuracy index."""
+        return self.oracle.reference_potential()
 
     def periodic_log_sums(self, n_min: int, n_max: int) -> list[float]:
-        """log Σ_{n-cyclic words} μ(C_w) for n in [n_min, n_max].
-
-        Markov structure turns the sum into pi·(Q^{n−1} ∘ return-mask)·1;
-        oracles without that structure fall back to exact enumeration.
-        """
-        chain: Optional[MarkovMeasure] = None
-        if isinstance(self.oracle, MarkovMeasure):
-            chain = self.oracle
-        elif isinstance(self.oracle, RpfGibbsData) and self.oracle.block_length == 1:
-            chain = self.oracle.chain
-        if chain is None:
-            return [n * pressure_periodic(self, n) for n in range(n_min, n_max + 1)]
-        pi = np.asarray(chain.stationary)
-        q = np.asarray(chain.rows)
-        return_mask = chain.ts.as_array.T.astype(float)
+        """A block chain of width 1 turns the sum into
+        pi·(Q^{n−1} ∘ return-mask)·1; other oracles enumerate."""
+        view = self.oracle.block_chain()
+        if view is None or view[0].width != 1:
+            return super().periodic_log_sums(n_min, n_max)
+        pi, q = view[1]._arrays
+        ts = self.system
+        return_mask = ts.as_array.T.astype(float)
         out = []
-        power = np.eye(chain.ts.k)
+        power = np.eye(ts.k)
         for n in range(1, n_max + 1):
             if n >= n_min:
-                z = float(pi @ ((power * return_mask) @ np.ones(chain.ts.k)))
+                z = float(pi @ ((power * return_mask) @ np.ones(ts.k)))
                 out.append(math.log(z) if z > 0 else -math.inf)
             power = power @ q
         return out
@@ -302,6 +284,10 @@ def check_asymptotic_additivity(
     ρ_k is the target's k-th approximating family member; subtracting the
     pressure per symbol (ρ_k − P) recenters the Birkhoff sums on the scale
     of log-masses.  Exhaustive over words of length max(n, n + depth(ρ_k) − 1).
+    When ρ_k is the oracle's reference potential, as in psi-verify, the
+    defect is log K*(n)/n up to rounding (both are the sup of
+    |log μ(C_w) − S_n ρ_k(w) + nP|/n), so the check compares log K*(n)/n
+    with 1/k + log K*(n)/n.
     """
     rho = target.family_member(k)
     if rho is None:

@@ -4,13 +4,14 @@ An oracle answers μ(C_w) for admissible words w.  Concrete oracles: exact
 Markov chains (:class:`MarkovMeasure`), the RPF construction giving the
 exact Gibbs measure of a locally constant potential (:class:`RpfGibbsData`),
 and document-backed mass tables (:class:`TableMeasure`) for externally
-supplied data.  Certification measures, for each n, the exact optimal
-two-sided constant K*(n) relating cylinder masses to exp(φ_n − nP), and
-classifies the growth of K*(n).  For a Markov or RPF oracle against an
-additive target, K*(n) is a path extremum on the block graph of
-:mod:`~thermoshift.sft`, found for every n by one (max,+) recursion, as is
-sup S_n φ in :func:`atomfree_check`; other oracles and targets enumerate
-the admissible words at each n.
+supplied data.  Markov and RPF oracles answer one view, ``block_chain`` (a
+stationary chain on a block graph of width b, 1 for Markov) and
+``reference_potential`` (the pressure-0 potential μ is Gibbs for).
+Certification finds, for each n, the exact optimal two-sided constant K*(n)
+relating cylinder masses to exp(φ_n − nP), and classifies its growth: with a
+block chain and an additive target, by one (max,+) recursion on the block
+graph of :mod:`~thermoshift.sft` (as :func:`atomfree_check` finds sup S_n φ),
+else by enumerating the admissible words at each n.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .sft import (
     BlockGraph,
     TransitionSystem,
     Word,
-    _window_codes,
     _window_ranks,
     block_graph,
     enumerate_words,
@@ -66,14 +66,39 @@ class CylinderMeasureOracle(abc.ABC):
     @abc.abstractmethod
     def mass(self, word: Word) -> float: ...
 
+    def block_chain(self) -> Optional[tuple[BlockGraph, "MarkovMeasure"]]:
+        """(G, chain): μ as a stationary chain on the states of the block
+        graph G, so that a word's mass is that of its block path."""
+        return None
+
+    def reference_potential(self) -> Optional[LocallyConstantPotential]:
+        """A potential of pressure 0 for which μ is a Gibbs measure."""
+        return None
+
     def mass_words(self, words: np.ndarray) -> np.ndarray:
-        """μ(C_w) for each row of a word array of admissible words; array
-        forms multiply in the order ``mass`` does (fallback: ``mass()`` loop)."""
-        return np.array([self.mass(tuple(int(s) for s in row)) for row in words], dtype=float)
+        """μ(C_w) for each row of a word array of admissible words, with the
+        bits of ``mass``: a row at least one block long is the block chain's
+        fold along its path, a shorter one the stationary weights of the
+        blocks it begins, added in block order from 0.0 (no chain: ``mass``)."""
+        view = self.block_chain()
+        if view is None:
+            return np.array([self.mass(tuple(int(s) for s in row)) for row in words], dtype=float)
+        graph, chain = view
+        n = words.shape[1]
+        if n >= graph.width:
+            return _chain_fold(*chain._arrays, graph.path(words), np.multiply)
+        sums = [0.0] * self.system.count_words(n)
+        prefixes = next(_window_ranks(self.system, graph.states[:, :n], n))
+        for r, p in zip(prefixes.tolist(), chain.stationary):
+            sums[r] += p
+        return np.array(sums)[next(_window_ranks(self.system, words, n))]
 
     def log_mass_words(self, words: np.ndarray) -> np.ndarray:
-        """log mass for each row of a word array (fallback: ``math.log`` of
-        each value of ``mass_words``, log 0 = −inf)."""
+        """log mass for each row of a word array: the block chain's fold of
+        logs, or ``math.log`` of each ``mass_words`` value (log 0 = −inf)."""
+        view = self.block_chain()
+        if view is not None and words.shape[1] >= view[0].width:
+            return _chain_fold(*view[1]._log_arrays, view[0].path(words), np.add)
         return np.array(
             [math.log(m) if m > 0 else -math.inf for m in self.mass_words(words).tolist()]
         )
@@ -157,11 +182,13 @@ class MarkovMeasure(CylinderMeasureOracle):
             m *= self.rows[a - 1][b - 1]
         return m
 
-    def mass_words(self, words: np.ndarray) -> np.ndarray:
-        return _chain_fold(*self._arrays, _window_codes(words, self.ts.k, 1), np.multiply)
+    def block_chain(self) -> tuple[BlockGraph, "MarkovMeasure"]:
+        """The chain itself, on the block graph of width 1."""
+        return block_graph(self.ts, 1), self
 
-    def log_mass_words(self, words: np.ndarray) -> np.ndarray:
-        return _chain_fold(*self._log_arrays, _window_codes(words, self.ts.k, 1), np.add)
+    def reference_potential(self) -> LocallyConstantPotential:
+        """log Q, by :meth:`transition_log_potential`."""
+        return self.transition_log_potential()
 
     def transition_log_potential(self) -> LocallyConstantPotential:
         """Depth-2 potential w ↦ log Q_{w1 w2}; the chain is its exact Gibbs
@@ -377,10 +404,6 @@ class RpfGibbsData(CylinderMeasureOracle):
     def blocks(self) -> tuple[Word, ...]:
         return tuple(map(tuple, self.graph.states.tolist()))
 
-    @property
-    def block_length(self) -> int:
-        return self.graph.width
-
     def mass(self, word: Word) -> float:
         if len(word) == 0:
             return 1.0
@@ -388,23 +411,13 @@ class RpfGibbsData(CylinderMeasureOracle):
             raise ValueError(f"word {tuple(word)} is not admissible")
         return float(self.mass_words(np.array([word], dtype=np.int64))[0])
 
-    def mass_words(self, words: np.ndarray) -> np.ndarray:
-        """A row at least one block long is folded along its path of
-        overlapping blocks; a shorter row adds the stationary weights of the
-        blocks it begins, in block order from 0.0."""
-        n = words.shape[1]
-        if n >= self.block_length:
-            return _chain_fold(*self.chain._arrays, self.graph.path(words), np.multiply)
-        sums = [0.0] * self.system.count_words(n)
-        prefixes = next(_window_ranks(self.system, self.graph.states[:, :n], n))
-        for r, p in zip(prefixes.tolist(), self.chain.stationary):
-            sums[r] += p
-        return np.array(sums)[next(_window_ranks(self.system, words, n))]
+    def block_chain(self) -> tuple[BlockGraph, MarkovMeasure]:
+        """The induced chain on φ's block graph, of width max(depth − 1, 1)."""
+        return self.graph, self.chain
 
-    def log_mass_words(self, words: np.ndarray) -> np.ndarray:
-        if words.shape[1] < self.block_length:
-            return super().log_mass_words(words)  # math.log of each mass
-        return _chain_fold(*self.chain._log_arrays, self.graph.path(words), np.add)
+    def reference_potential(self) -> LocallyConstantPotential:
+        """φ − P(φ), by the Gibbs sandwich."""
+        return self.potential.shifted(-self.pressure)
 
 
 def _perron_chain(
@@ -526,19 +539,14 @@ class _BlockGraphFold:
 def _block_graph_fold(
     oracle: CylinderMeasureOracle, seq: PotentialSequence
 ) -> Optional[_BlockGraphFold]:
-    """The block-graph fold of a Markov or RPF oracle against an additive
-    target on its own system; None for every other pair."""
-    if isinstance(oracle, MarkovMeasure):
-        chain, b = oracle, 1
-    elif isinstance(oracle, RpfGibbsData):
-        chain, b = oracle.chain, oracle.block_length
-    else:
+    """The block-graph fold of an oracle with a block chain against an
+    additive target on its own system; None for every other pair."""
+    view = oracle.block_chain()
+    if view is None or not isinstance(seq, AdditiveSequence) or seq.system != oracle.system:
         return None
-    if not isinstance(seq, AdditiveSequence) or seq.system.matrix != oracle.system.matrix:
-        return None
-    ts, phi = oracle.system, seq.potential
-    d = phi.depth
-    graph, blocks = block_graph(ts, max(b, d - 1)), block_graph(ts, b)
+    blocks, chain = view
+    phi, b, d = seq.potential, blocks.width, seq.potential.depth
+    graph = block_graph(oracle.system, max(b, d - 1))
     log_pi, log_q = chain._log_arrays
 
     def term(y: np.ndarray, t: int, mass: bool) -> np.ndarray:

@@ -32,11 +32,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .interval_maps import ExpandingMarkovMap
-from .log_mass import LogMassSequence
 from .measures import (
     CylinderMeasureOracle,
     MarkovMeasure,
-    RpfGibbsData,
     _chain_entropies,
     _chain_fault,
     _chain_fold,
@@ -321,7 +319,7 @@ def _hypothesis_checklist(
     items = []
     for i, (mu, g) in enumerate(zip(measures, refs)):
         tag = f"mu_{i + 1}"
-        if isinstance(mu, MarkovMeasure) or isinstance(mu, RpfGibbsData):
+        if mu.block_chain() is not None:
             items.append(
                 ChecklistItem(
                     f"{tag} invariant",
@@ -405,7 +403,7 @@ def spectrum_search(
             family = bernoulli_candidate_family(ts, step)
         else:
             family = markov_candidate_family(ts, step)
-    refs = [LogMassSequence(mu).family_member(1) for mu in mus]
+    refs = [mu.reference_potential() for mu in mus]
     routes = tuple("closed-form" if g is not None else "quadrature" for g in refs)
     comparison_tol = max(0.05, 3.0 / quadrature_depth)
 

@@ -215,6 +215,12 @@ class PotentialSequence(abc.ABC):
         """k-th member of an approximating additive family, if declared."""
         return None
 
+    def periodic_log_sums(self, n_min: int, n_max: int) -> list[float]:
+        """log Σ over Fix(σⁿ) of exp(phi_n) for n in [n_min, n_max], enumerated."""
+        from .pressure import pressure_periodic  # pressure imports this module
+
+        return [n * pressure_periodic(self, n) for n in range(n_min, n_max + 1)]
+
     def value_word(self, n: int, word: Word) -> float:
         """phi_n on the cylinder of ``word``; len(word) must cover dep(n)."""
         L = self.dep(n)

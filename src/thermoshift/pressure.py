@@ -438,9 +438,8 @@ def pressure_limit(
 
     method "spectral" (additive targets only) returns the eigenvalue route
     directly.  For "cylinder" and "periodic", additive targets use the
-    transfer-matrix fast path; sequences exposing ``periodic_log_sums``
-    (measure-derived ones with Markov structure) use it; anything else is
-    enumerated per n via the exact ops.
+    transfer-matrix fast path; other sequences give their own
+    ``periodic_log_sums`` (an exact enumeration per n unless they override it).
     """
     if n_min < 1 or n_max < n_min:
         raise ValueError("need 1 <= n_min <= n_max")
@@ -457,21 +456,16 @@ def pressure_limit(
     if phi is not None:
         ns, log_z = _additive_log_sums(phi, method, n_min, n_max)
         return _estimate_from_log_sums(method, ns, log_z)
-    seq = target
-    ns = list(range(n_min, n_max + 1))
-    if method == "periodic" and hasattr(seq, "periodic_log_sums"):
-        log_z = seq.periodic_log_sums(n_min, n_max)
-    elif method == "periodic":
-        log_z = [n * pressure_periodic(seq, n) for n in ns]
-    elif method == "cylinder":
+    if method == "cylinder":
         raise ValueError(
             "cylinder pressure needs exact cylinder suprema and is defined "
             "here for additive targets only; use the periodic route for "
             "general sequences"
         )
-    else:
+    if method != "periodic":
         raise ValueError(f"unknown method {method!r}")
-    return _estimate_from_log_sums(method, ns, list(log_z))
+    ns = list(range(n_min, n_max + 1))
+    return _estimate_from_log_sums(method, ns, target.periodic_log_sums(n_min, n_max))
 
 
 # ---------------------------------------------------------------------------

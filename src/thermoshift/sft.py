@@ -240,8 +240,11 @@ def _rank_table(ts: TransitionSystem, n: int) -> np.ndarray:
 def _window_ranks(ts: TransitionSystem, words: np.ndarray, width: int) -> Iterator[np.ndarray]:
     """Row index in ``word_array(ts, width)`` of each length-``width`` window of
     the rows, from the left, one int64 column at a time (−1: not admissible)."""
+    codes = _window_codes(words, ts.k, width)
+    if width == 1 or ts.is_full:  # every window is admissible: rank = code
+        return codes
     table = _rank_table(ts, width)
-    return (table[code] for code in _window_codes(words, ts.k, width))
+    return (table[code] for code in codes)
 
 
 class BlockGraph:

@@ -531,6 +531,19 @@ def test_spectrum_alpha_grid_arity_must_match_measures(tmp_path, capsys):
     assert "one level per measure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", [["x"], [["x"]], [{"a": 1}], [math.nan], [True], [[10**400]]])
+def test_spectrum_alpha_grid_entries_must_be_finite_numbers(tmp_path, capsys, grid):
+    # these used to end in a bare ValueError, a TypeError or OverflowError
+    # (exit 3), or a run that read NaN as a level and true as the level 1.0
+    map_name, mu_name = spectrum_workspace(tmp_path)
+    cfg = write_config(tmp_path, {"map": map_name, "measures": [mu_name], "alpha_grid": grid})
+    out = tmp_path / "o"
+    assert run(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: config field 'alpha_grid' must be")
+    assert not out.exists()
+
+
 def test_spectrum_needs_alpha_information(tmp_path, capsys):
     map_name, _ = spectrum_workspace(tmp_path)
     mu_name = write(

@@ -69,7 +69,7 @@ def table_of(mu, depth):
 
 def reference_rpf_mass(data, word):
     """μ(C_w) of an RPF oracle by the block path of ``blocks.index``."""
-    bl = data.block_length
+    bl = data.graph.width
     if len(word) < bl:
         return ordered_sum(
             p for b, p in zip(data.blocks, data.chain.stationary) if b[: len(word)] == word
@@ -182,7 +182,7 @@ def test_rpf_mass_words_follow_the_block_path(ts, depth):
         want = [reference_rpf_mass(data, w) for w in rows(ts, n)]
         assert bits(data.mass_words(word_array(ts, n))) == bits(want)
         assert bits(data.mass(w) for w in rows(ts, n)) == bits(want)
-        if n < data.block_length:  # longer words add logs, which differs in the last bits
+        if n < data.graph.width:  # longer words add logs, which differs in the last bits
             assert bits(data.log_mass_words(word_array(ts, n))) == bits(math.log(m) for m in want)
 
 
