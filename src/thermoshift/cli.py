@@ -4,7 +4,8 @@ Seven subcommands (sft-check, pressure, gibbs-build, weakgibbs-certify,
 psi-verify, map-check, spectrum) share one shape: a JSON config names the
 input documents and parameters, every run writes a ``result.json`` (sorted
 keys, input hashes, every verdict and witness; the certifying commands add
-a ``diagnostics`` entry naming the route that found K*(n)) plus CSV tables
+a ``diagnostics`` entry naming the route that found K*(n), and psi-verify
+the route of each structured check) plus CSV tables
 carrying all numeric series, and the exit status is 0 for pass/complete, 1
 when a check fails (reports still written), 2 for input errors, 3 for an
 internal error (one ``internal error: <Type>: <message>`` line on stderr, no
@@ -32,6 +33,7 @@ import numpy as np
 
 from . import __version__
 from .documents import (
+    CONFIG_INT_MINIMUMS,
     DocumentError,
     format_float,
     load_config,
@@ -375,7 +377,14 @@ def _cmd_psi_verify(cfg, out, inputs, args) -> int:
         out,
         "psi-verify",
         inputs,
-        diagnostics=_diagnostics(cert),
+        diagnostics={
+            **_diagnostics(cert),
+            "check_routes": {
+                "pressure_zero": r_zero.route,
+                "asymptotic_additivity": r_asym.route,
+                "almost_additivity": r_almost.route,
+            },
+        },
         parameters={
             "n_max": n_max,
             "tau": tau,
@@ -553,8 +562,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if args.threads is not None and args.threads < 1:
         print("input error: --threads must be at least 1", file=sys.stderr)
         return 2
-    if args.n_max is not None and args.n_max < 1:
-        print("input error: --n-max must be at least 1", file=sys.stderr)
+    least_n_max = CONFIG_INT_MINIMUMS.get(args.command, {}).get("n_max", 1)
+    if args.n_max is not None and args.n_max < least_n_max:
+        print(f"input error: --n-max must be at least {least_n_max}", file=sys.stderr)
         return 2
     if args.tol is not None and args.tol <= 0:
         print("input error: --tol must be positive", file=sys.stderr)

@@ -351,6 +351,14 @@ _POSITIVE_INT_KEYS = (
     "n_max", "n_min", "sample_size", "quadrature_depth", "alpha_count", "certify_n_max",
     "validate_n_max", "pressure_n_max", "family_index", "almost_additive_bound",
 )
+#: Integer fields whose command needs more than 1: certification fits a tail
+#: of K*(n) up to n_max ≥ 4, and a split of a word needs two parts.  The CLI
+#: holds ``--n-max`` to the same least ``n_max``.
+CONFIG_INT_MINIMUMS: dict[str, dict[str, int]] = {
+    "gibbs-build": {"certify_n_max": 4},
+    "weakgibbs-certify": {"n_max": 4},
+    "psi-verify": {"n_max": 4, "almost_additive_bound": 2},
+}
 ALLOWED_CONFIG_KEYS: dict[str, set[str]] = {
     "sft-check": {"system", "n_max"},
     "pressure": {"system", "potential", "method", "n_min", "n_max", "tol"},
@@ -435,6 +443,9 @@ def load_config(path: str, command: str) -> dict[str, Any]:
     for key in _POSITIVE_INT_KEYS:
         if key in raw and not (_is_int(raw[key]) and raw[key] >= 1):
             raise DocumentError(f"config field {key!r} must be a positive integer")
+    for key, least in CONFIG_INT_MINIMUMS.get(command, {}).items():
+        if key in raw and raw[key] < least:
+            raise DocumentError(f"config field {key!r} must be at least {least}")
     for key in ("system", "potential", "measure", "map", "out"):
         if key in raw and not isinstance(raw[key], str):
             raise DocumentError(f"config field {key!r} must be a string")

@@ -5,14 +5,16 @@ member is ω ↦ log μ(C_{ω₁…ω_n}).  That sequence makes μ a Gibbs measu
 the strongest possible sense — ratio exactly 1, constant exactly 1, pressure
 exactly 0 — and inherits quantitative regularity (asymptotic additivity,
 almost additivity) from any Gibbs/weak-Gibbs certificate μ carries.  Its
-additive approximant ρ is the oracle's ``reference_potential`` and its
-periodic sums read the oracle's ``block_chain``.  The checks here verify
-each of those claims on every admissible word up to a finite depth, as
-arrays: the rows of :func:`~thermoshift.sft.word_array` and the oracle's
-``mass_words``/``log_mass_words`` over them.  They share float-for-float
-the ratio computations used by
-:func:`~thermoshift.measures.certify_weak_gibbs` so that "exact" assertions
-survive roundoff.
+additive approximant ρ is the oracle's ``reference_potential``.  The
+checks here verify each of those claims up to a finite depth, exactly over
+all admissible words.  Where the oracle has a ``block_chain`` of width b,
+three of them read it in place of the kⁿ words: the periodic sums are
+matrix powers of its transition matrix, the asymptotic defects are the
+(max,+) path extrema of :func:`~thermoshift.measures.certify_weak_gibbs`,
+and a split defect is read off the at most 2b symbols around the cut.
+The Gibbs-one check, and every check on an oracle without a chain, runs on
+the rows of :func:`~thermoshift.sft.word_array` and the oracle's
+``mass_words``/``log_mass_words`` over them.
 """
 
 from __future__ import annotations
@@ -33,10 +35,10 @@ from .measures import (
     _log_kstar_series,
 )
 from .potentials import (
+    AdditiveSequence,
     LocallyConstantPotential,
     PotentialSequence,
     almost_additivity_defect,
-    asymptotic_defect,
 )
 from .pressure import PressureEstimate, pressure_limit
 from .sft import TransitionSystem, Word, word_array
@@ -47,8 +49,8 @@ class LogMassSequence(PotentialSequence):
 
     Values are ≤ 0 (masses are probabilities) and finite on admissible
     words whenever μ is positive on cylinders — :func:`build_log_mass_sequence`
-    scans for violations up front.  For an oracle whose block chain has
-    width 1 the periodic pressure sums collapse to matrix powers of Q in
+    scans for violations up front.  For an oracle with a block chain the
+    periodic pressure sums collapse to matrix powers of its Q in
     ``periodic_log_sums``.
     """
 
@@ -78,19 +80,22 @@ class LogMassSequence(PotentialSequence):
         return self.oracle.reference_potential()
 
     def periodic_log_sums(self, n_min: int, n_max: int) -> list[float]:
-        """A block chain of width 1 turns the sum into
-        pi·(Q^{n−1} ∘ return-mask)·1; other oracles enumerate."""
+        """A block chain of width b turns the sum at n ≥ b into
+        Σ_{s,t} π_s (Q^{n−b})_{st} A[last(t), first(s)], that is
+        pi·(Q^{n−b} ∘ return-mask)·1 over block states; n < b, and oracles
+        without a chain, enumerate."""
         view = self.oracle.block_chain()
-        if view is None or view[0].width != 1:
+        if view is None:
             return super().periodic_log_sums(n_min, n_max)
-        pi, q = view[1]._arrays
-        ts = self.system
-        return_mask = ts.as_array.T.astype(float)
-        out = []
-        power = np.eye(ts.k)
-        for n in range(1, n_max + 1):
+        graph, chain = view
+        out = super().periodic_log_sums(n_min, min(n_max, graph.width - 1))
+        pi, q = chain._arrays
+        states = graph.states - 1
+        return_mask = self.system.as_array[np.ix_(states[:, -1], states[:, 0])].T.astype(float)
+        power = np.eye(graph.order)
+        for n in range(graph.width, n_max + 1):
             if n >= n_min:
-                z = float(pi @ ((power * return_mask) @ np.ones(ts.k)))
+                z = float(pi @ ((power * return_mask) @ np.ones(graph.order)))
                 out.append(math.log(z) if z > 0 else -math.inf)
             power = power @ q
         return out
@@ -166,11 +171,13 @@ def check_gibbs_one(seq: LogMassSequence, n_max: int) -> GibbsOneReport:
 
 @dataclass(frozen=True)
 class PressureZeroReport:
-    """Extrapolated periodic-route pressure of the log-mass sequence vs 0."""
+    """Extrapolated periodic-route pressure of the log-mass sequence vs 0;
+    ``route`` is "block-chain" or "enumeration" (see ``periodic_log_sums``)."""
 
     estimate: PressureEstimate
     tolerance: float
     passed: bool
+    route: str
 
 
 def check_pressure_zero(
@@ -178,12 +185,13 @@ def check_pressure_zero(
 ) -> PressureZeroReport:
     """Periodic-route pressure of the log-mass sequence must vanish.
 
-    Each finite-n sum Σ_{cyclic w} μ(C_w) is at most 1, so the raw values
-    approach 0 from below; the report passes when |extrapolated| falls
-    within the estimate's own error bar plus ``tol``.
+    Each finite-n sum Σ_{cyclic w} μ(C_w), a matrix power on a block chain,
+    is at most 1, so the raw values approach 0 from below; the report passes
+    when |extrapolated| is within the estimate's error bar plus ``tol``.
     """
     est = pressure_limit("periodic", seq, 1, n_max)
-    return PressureZeroReport(est, tol, abs(est.extrapolated) <= est.error_bar + tol)
+    route = "enumeration" if seq.oracle.block_chain() is None else "block-chain"
+    return PressureZeroReport(est, tol, abs(est.extrapolated) <= est.error_bar + tol, route)
 
 
 @dataclass(frozen=True)
@@ -260,6 +268,7 @@ class AsymptoticAdditivityReport:
     bound(n) = 1/k + log K*(n)/n is the triangle-inequality budget: 1/k from
     the family's own accuracy, the certificate term from the Gibbs sandwich.
     The verdict looks at the tail half, where transients have died out.
+    ``route`` says how the defects were found: "max-plus" or "enumeration".
     """
 
     family_index: int
@@ -269,6 +278,7 @@ class AsymptoticAdditivityReport:
     tail_from: int
     worst_tail_excess: float
     passed: bool
+    route: str
 
 
 def check_asymptotic_additivity(
@@ -281,27 +291,21 @@ def check_asymptotic_additivity(
 ) -> AsymptoticAdditivityReport:
     """(1/n)·sup|log μ(C) − S_n ρ_k + nP| ≤ 1/k + log K*(n)/n on the tail.
 
-    ρ_k is the target's k-th approximating family member; subtracting the
-    pressure per symbol (ρ_k − P) recenters the Birkhoff sums on the scale
-    of log-masses.  Exhaustive over words of length max(n, n + depth(ρ_k) − 1).
-    When ρ_k is the oracle's reference potential, as in psi-verify, the
-    defect is log K*(n)/n up to rounding (both are the sup of
-    |log μ(C_w) − S_n ρ_k(w) + nP|/n), so the check compares log K*(n)/n
-    with 1/k + log K*(n)/n.
+    ρ_k is the target's k-th family member, recentred by P.  n·defect(n) is
+    log K*(n) against ρ_k by certification's own routine, so against the
+    certificate's target (as in psi-verify) it equals its log K*(n) exactly.
     """
     rho = target.family_member(k)
     if rho is None:
         raise ValueError("target sequence declares no approximating family")
     if certificate.n_max < n_max:
         raise ValueError("certificate does not cover the requested range")
-    recentred = rho.shifted(-p)
+    log_sups, fold = _log_kstar_series(seq.oracle, AdditiveSequence(rho), p, n_max)
     ns = range(1, n_max + 1)
-    defects = [asymptotic_defect(seq, recentred, n) for n in ns]
+    defects = [s / n for n, s in zip(ns, log_sups)]
     bounds = [1.0 / k + certificate.log_k(n) / n for n in ns]
     tail_from = (n_max + 1) // 2
-    excess = max(
-        d - b for n, d, b in zip(ns, defects, bounds) if n >= tail_from
-    )
+    excess = max(d - b for n, d, b in zip(ns, defects, bounds) if n >= tail_from)
     return AsymptoticAdditivityReport(
         family_index=k,
         n_values=tuple(ns),
@@ -310,12 +314,18 @@ def check_asymptotic_additivity(
         tail_from=tail_from,
         worst_tail_excess=excess,
         passed=excess <= 0.0,
+        route="enumeration" if fold is None else "max-plus",
     )
 
 
 @dataclass(frozen=True)
 class AlmostAdditivityReport:
-    """Worst |phi_{n+m} − phi_n − phi_m∘shiftⁿ| against the 3·log C budget."""
+    """Worst |phi_{n+m} − phi_n − phi_m∘shiftⁿ| against the 3·log C budget.
+
+    On a block chain of width b ("cut-window" ``route``) the defect of (n, m)
+    is that of (min(n, b), min(m, b)) on the symbols around the cut, so the
+    worst split has n, m ≤ b and its witness is n + m symbols long.
+    """
 
     total_length: int
     log_constant: float
@@ -323,6 +333,7 @@ class AlmostAdditivityReport:
     worst_split: Optional[tuple[int, int]]
     worst_witness: Optional[Word]
     passed: bool
+    route: str
 
 
 def check_almost_additivity(
@@ -332,21 +343,23 @@ def check_almost_additivity(
 ) -> AlmostAdditivityReport:
     """Split defects of the log-mass sequence stay within 3·log C, exactly.
 
-    Enumerates every (n, m) with n + m ≤ ``total_length`` and every
-    (n+m)-word.  An absolute 1e-12 absorbs float dust only: product measures have
-    mathematical defect 0 and constant C = 1, where a literal comparison
-    would fail on a ~1e−16 rounding residue.
+    The worst over every (n, m) with n + m ≤ ``total_length``, which on a
+    block chain of width b is the worst over n, m ≤ b.  An absolute 1e-12
+    absorbs float dust only: product measures have defect 0 and C = 1,
+    where a literal comparison would fail on a ~1e−16 rounding residue.
     """
     if gibbs_constant < 1.0:
         raise ValueError("a Gibbs constant is >= 1")
     if total_length < 2:
         raise ValueError("need total_length >= 2")
     budget = 3.0 * math.log(gibbs_constant)
+    view = seq.oracle.block_chain()
+    b = total_length if view is None else view[0].width
     worst = -1.0
     split: Optional[tuple[int, int]] = None
     witness: Optional[Word] = None
-    for n in range(1, total_length):
-        for m in range(1, total_length - n + 1):
+    for n in range(1, min(b, total_length - 1) + 1):
+        for m in range(1, min(b, total_length - n) + 1):
             defect, word = almost_additivity_defect(seq, n, m)
             if defect > worst:
                 worst, split, witness = defect, (n, m), word
@@ -357,4 +370,5 @@ def check_almost_additivity(
         worst_split=split,
         worst_witness=witness,
         passed=worst <= budget + 1e-12,
+        route="enumeration" if view is None else "cut-window",
     )

@@ -10,13 +10,16 @@ written), exit 2 = bad inputs of any kind, exit 3 = an internal error.
 import json
 import math
 import os
+import sys
 
+import numpy as np
 import pytest
 
 from thermoshift import (
     MarkovMeasure,
     TableMeasure,
     TransitionSystem,
+    build_rpf,
     doubling_map,
     dump_map,
     full_branch_linear,
@@ -27,6 +30,7 @@ from thermoshift import (
     golden_mean_linear,
     load_measure,
     perturbed_doubling,
+    sft,
 )
 from thermoshift.cli import run
 from thermoshift.potentials import LocallyConstantPotential
@@ -258,7 +262,16 @@ def test_certifying_commands_record_the_kstar_route(tmp_path):
     assert diagnostics == {
         # the golden-mean Parry chain: one state per symbol
         "weakgibbs-certify": {"kstar_route": "max-plus", "block_graph_order": 2},
-        "psi-verify": {"kstar_route": "max-plus", "block_graph_order": 2},
+        # and psi-verify's three structured checks read its block chain
+        "psi-verify": {
+            "kstar_route": "max-plus",
+            "block_graph_order": 2,
+            "check_routes": {
+                "pressure_zero": "block-chain",
+                "asymptotic_additivity": "max-plus",
+                "almost_additivity": "cut-window",
+            },
+        },
         # a depth-3 potential: its RPF chain runs on the four 2-blocks
         "gibbs-build": {"kstar_route": "max-plus", "block_graph_order": 4},
     }
@@ -367,6 +380,41 @@ def test_psi_verify_rpf_measure(tmp_path):
     out = str(tmp_path / "out")
     assert run(["psi-verify", "--config", cfg, "--out", out]) == 0
     assert result_of(out)["passed"] is True
+
+
+def test_psi_verify_of_a_block_chain_enumerates_no_word_beyond_n_max(tmp_path, monkeypatch):
+    # a depth-3 potential: its RPF chain has block width 2.  At
+    # pressure_n_max 40 the enumerated periodic sums would visit 2⁴⁰ words
+    # and the enumerated splits 2³⁰, so the wrapper fails such a run at once
+    # instead of letting it hang
+    n_max, depth = 16, 3
+    limit = n_max + depth - 1
+    rng = np.random.default_rng(12)
+    phi = LocallyConstantPotential(
+        FULL2, depth, {w: float(rng.uniform(-1, 1)) for w in enumerate_words(FULL2, depth)}
+    )
+    mu_name = write(tmp_path / "mu.txt", dump_measure(build_rpf(phi)))
+    lengths = []
+    word_array = sft.word_array
+
+    def guarded(ts, n):
+        lengths.append(n)
+        if n > limit:
+            raise AssertionError(f"word_array asked for {n}-words")
+        return word_array(ts, n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("thermoshift") and getattr(module, "word_array", None) is word_array:
+            monkeypatch.setattr(module, "word_array", guarded)
+    cfg = write_config(
+        tmp_path,
+        {"measure": mu_name, "n_max": n_max, "pressure_n_max": 40, "almost_additive_bound": 30},
+    )
+    out = str(tmp_path / "out")
+    assert run(["psi-verify", "--config", cfg, "--out", out]) == 0
+    res = result_of(out)
+    assert list(res["summary"]["checks"].values()) == [True] * 5
+    assert lengths and max(lengths) <= limit
 
 
 def test_psi_verify_needs_a_structured_measure(tmp_path, capsys):
@@ -589,6 +637,10 @@ def test_flag_validation(tmp_path, capsys, flag, value, fragment):
         ("spectrum", "measures", ["m.txt", 3], "must be a nonempty list of documents"),
         ("weakgibbs-certify", "pressure", True, 'must be a number or "spectral"'),
         ("weakgibbs-certify", "pressure", math.nan, 'must be a number or "spectral"'),
+        ("psi-verify", "almost_additive_bound", 1, "must be at least 2"),
+        ("psi-verify", "n_max", 2, "must be at least 4"),
+        ("weakgibbs-certify", "n_max", 3, "must be at least 4"),
+        ("gibbs-build", "certify_n_max", 2, "must be at least 4"),
     ],
 )
 def test_config_fields_of_the_wrong_type_are_input_errors(
@@ -599,6 +651,16 @@ def test_config_fields_of_the_wrong_type_are_input_errors(
     assert run([command, "--config", cfg]) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"input error: config field {field!r} {message}"]
+    assert not (tmp_path / "thermoshift-out").exists()
+
+
+@pytest.mark.parametrize("command", ["psi-verify", "weakgibbs-certify"])
+def test_n_max_flag_below_the_certification_minimum_is_an_input_error(
+    tmp_path, capsys, command
+):
+    cfg = write_config(tmp_path, {})
+    assert run([command, "--config", cfg, "--n-max", "2"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["input error: --n-max must be at least 4"]
     assert not (tmp_path / "thermoshift-out").exists()
 
 

@@ -16,10 +16,14 @@ from hypothesis import strategies as st
 from thermoshift import (
     AdditiveSequence,
     LocallyConstantPotential,
+    LogMassSequence,
     MarkovMeasure,
+    PotentialSequence,
     TableMeasure,
     TransitionSystem,
     ZeroCylinderMassError,
+    almost_additivity_defect,
+    asymptotic_defect,
     build_log_mass_sequence,
     build_rpf,
     certify_weak_gibbs,
@@ -223,3 +227,105 @@ def test_rpf_log_mass_pipeline_end_to_end(full2):
     assert zero.passed
     sandwich = check_sandwich(seq, AdditiveSequence(phi), data.pressure, cert, 12)
     assert sandwich.passed
+
+
+# ---------------------------------------------------------------------------
+# the block-chain closed forms against the enumerations they replace
+
+# absolute: the closed forms add the same logs in another order
+CLOSED_FORM_TOL = 1e-13
+
+block_chain_systems = st.sampled_from(
+    (TransitionSystem.full_shift(2), TransitionSystem.full_shift(3), TransitionSystem.golden_mean())
+)
+
+
+@st.composite
+def block_chain_oracles(draw, max_depth=4):
+    """A Markov chain (block width 1) or the RPF measure of a potential of
+    depth 1–``max_depth`` (width max(depth − 1, 1): 1–3)."""
+    ts = draw(block_chain_systems)
+    depth = draw(st.integers(min_value=0, max_value=max_depth))
+    if depth == 0:
+        return MarkovMeasure.from_stochastic(ts, draw(markov_rows(ts)))
+    values = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
+    return build_rpf(
+        LocallyConstantPotential(ts, depth, {w: draw(values) for w in enumerate_words(ts, depth)})
+    )
+
+
+def enumerable_length(oracle):
+    """A word length whose enumeration stays small on the oracle's system."""
+    return 8 if oracle.system.k == 2 else 6
+
+
+@given(oracle=block_chain_oracles(), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_periodic_sums_of_a_block_chain_are_the_enumerated_sums(oracle, data):
+    seq = LogMassSequence(oracle)
+    n_max = enumerable_length(oracle)
+    n_min = data.draw(st.integers(min_value=1, max_value=n_max))
+    closed = seq.periodic_log_sums(n_min, n_max)
+    enumerated = PotentialSequence.periodic_log_sums(seq, n_min, n_max)
+    assert len(closed) == len(enumerated) == n_max - n_min + 1
+    assert np.allclose(closed, enumerated, rtol=0.0, atol=CLOSED_FORM_TOL)
+
+
+@given(oracle=block_chain_oracles(max_depth=2))
+@settings(max_examples=15, deadline=None)
+def test_periodic_sums_of_a_width_one_chain_keep_their_bits(oracle):
+    # the matrix-power loop as it read when it served width 1 alone
+    pi, q = oracle.block_chain()[1]._arrays
+    k = oracle.system.k
+    mask = oracle.system.as_array.T.astype(float)
+    power, expected = np.eye(k), []
+    for _ in range(20):
+        expected.append(math.log(float(pi @ ((power * mask) @ np.ones(k)))))
+        power = power @ q
+    assert LogMassSequence(oracle).periodic_log_sums(1, 20) == expected
+
+
+@given(oracle=block_chain_oracles(), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_cut_window_split_defect_is_the_max_over_every_split(oracle, data):
+    seq = LogMassSequence(oracle)
+    total = data.draw(st.integers(min_value=2, max_value=enumerable_length(oracle)))
+    report = check_almost_additivity(seq, math.e, total)
+    splits = [(n, m) for n in range(1, total) for m in range(1, total - n + 1)]
+    enumerated = max(almost_additivity_defect(seq, n, m)[0] for n, m in splits)
+    assert abs(report.worst_defect - enumerated) <= CLOSED_FORM_TOL
+    assert report.route == "cut-window"
+    b = oracle.block_chain()[0].width
+    a, c = report.worst_split
+    assert a <= b and c <= b and len(report.worst_witness) == a + c
+    assert almost_additivity_defect(seq, a, c) == (report.worst_defect, report.worst_witness)
+
+
+@given(
+    oracle=block_chain_oracles(),
+    p=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False),
+)
+@settings(max_examples=25, deadline=None)
+def test_max_plus_asymptotic_defects_are_the_enumerated_defects(oracle, p):
+    seq = LogMassSequence(oracle)
+    # ρ + p at pressure p: the defects recentre it back onto ρ
+    rho = oracle.reference_potential()
+    target = AdditiveSequence(rho.shifted(p))
+    n_max = 6 if oracle.system.k == 2 else 4
+    cert = certify_weak_gibbs(oracle, target, p, n_max)
+    report = check_asymptotic_additivity(seq, target, p, 3, n_max, cert)
+    enumerated = [asymptotic_defect(seq, rho, n) for n in report.n_values]
+    assert np.allclose(report.defects, enumerated, rtol=0.0, atol=CLOSED_FORM_TOL)
+    assert report.route == "max-plus"
+    # against the certificate's own target the defects are its log K*(n)/n
+    assert report.defects == tuple(cert.log_k(n) / n for n in report.n_values)
+
+
+def test_an_oracle_without_a_chain_takes_the_enumeration_routes(bern, full2):
+    masses = {w: bern.oracle.mass(w) for n in range(1, 7) for w in enumerate_words(full2, n)}
+    seq = build_log_mass_sequence(TableMeasure(full2, 6, masses))
+    cert = certify_weak_gibbs(seq.oracle, bern, 0.0, 5)
+    assert check_pressure_zero(seq, 5).route == "enumeration"
+    assert check_asymptotic_additivity(seq, bern, 0.0, 3, 5, cert).route == "enumeration"
+    report = check_almost_additivity(seq, 1.0, 6)
+    assert report.route == "enumeration" and report.passed
