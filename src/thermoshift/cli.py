@@ -417,6 +417,7 @@ def _cmd_map_check(cfg, out, inputs, args) -> int:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     sample_size = cfg.get("sample_size", 40)
     report = check_ujr(emap, n_max, sample_size=sample_size, seed=seed)
+    closed_form = report.kind == "piecewise_linear"
     header, cols = ("n", "m_value"), [report.n_values, report.m_values]
     if report.sampling_spread is not None:
         header, cols = header + ("sampling_spread",), cols + [report.sampling_spread]
@@ -426,6 +427,10 @@ def _cmd_map_check(cfg, out, inputs, args) -> int:
         "map-check",
         inputs,
         parameters={"n_max": n_max, "sample_size": sample_size, "seed": seed},
+        diagnostics={
+            "route": "closed-form" if closed_form else "sampled",
+            "prefixes_scored": 0 if closed_form else sample_size * n_max,
+        },
         summary={
             "kind": report.kind,
             "certified": report.certified,

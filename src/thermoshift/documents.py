@@ -352,12 +352,14 @@ _POSITIVE_INT_KEYS = (
     "validate_n_max", "pressure_n_max", "family_index", "almost_additive_bound",
 )
 #: Integer fields whose command needs more than 1: certification fits a tail
-#: of K*(n) up to n_max ≥ 4, and a split of a word needs two parts.  The CLI
-#: holds ``--n-max`` to the same least ``n_max``.
+#: of K*(n) up to n_max ≥ 4, a split of a word needs two parts, and a pressure
+#: window needs two values.  The CLI holds ``--n-max`` to the same least
+#: ``n_max``.
 CONFIG_INT_MINIMUMS: dict[str, dict[str, int]] = {
+    "pressure": {"n_max": 2},
     "gibbs-build": {"certify_n_max": 4},
     "weakgibbs-certify": {"n_max": 4},
-    "psi-verify": {"n_max": 4, "almost_additive_bound": 2},
+    "psi-verify": {"n_max": 4, "almost_additive_bound": 2, "pressure_n_max": 2},
 }
 ALLOWED_CONFIG_KEYS: dict[str, set[str]] = {
     "sft-check": {"system", "n_max"},
@@ -467,6 +469,8 @@ def load_config(path: str, command: str) -> dict[str, Any]:
         )
     if "seed" in raw and not (_is_int(raw["seed"]) and raw["seed"] >= 0):
         raise DocumentError("config field 'seed' must be a nonnegative integer")
-    if "n_min" in raw and "n_max" in raw and raw["n_min"] > raw["n_max"]:
-        raise DocumentError("config n range is empty (n_min > n_max)")
+    if "n_min" in raw and "n_max" in raw and raw["n_min"] >= raw["n_max"]:
+        raise DocumentError(
+            "config field 'n_max' must exceed 'n_min' (the n window is empty or holds one value)"
+        )
     return raw

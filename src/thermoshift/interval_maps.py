@@ -9,7 +9,8 @@ covers exactly the branch domains allowed by row i.  Two subclasses:
   diameters, slopes) is closed-form, and the diameter obeys the product law
   D_n(w) = |I_{w_n}| · Π_{j<n} 1/s_{w_j} exactly.
 * ``general`` — branches given as array callables with derivative callables.
-  Inverse branches are bisected to 1e−13 and the expansion condition is
+  Inverse branches are solved by a bracket-safeguarded Newton iteration
+  until the root is bracketed within 1 ulp, and the expansion condition is
   checked on a sample grid only, so these maps are flagged non-certified.
 
 Real coordinates appear only through interval endpoints; all dynamics runs
@@ -32,6 +33,9 @@ from .sft import SymbolicPoint, TransitionSystem, Word
 _GEOMETRY_TOL = 1e-9
 # endpoint pairs (rows × n_max²) one chunk of the sampled diameter sweep holds
 _SWEEP_CELLS = 1 << 18
+# iterations of the safeguarded Newton inverse: bisection alone needs ≤ ~60,
+# and a badly wrong derivative can interleave as many Newton steps
+_NEWTON_CAP = 200
 
 
 class InverseBranchError(RuntimeError):
@@ -187,13 +191,19 @@ class ExpandingMarkovMap:
     def inverse(self, symbols: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Preimages of the points y under the branches ``symbols``, elementwise.
 
-        Linear branches invert affinely.  General branches are bisected to a
-        bracket ≤ 1e−13 (monotonicity brackets the root in either
-        orientation), each element frozen once its own bracket is, then take
-        three Newton steps clipped to the domain: a depth-30 cylinder is ~1e−9
-        wide, so the bracket alone would leave a 1e−4 relative diameter error,
-        and Newton reaches ~1 ulp.  Each element runs the float operations of
-        a lone solve, so no result depends on the batch it came in.
+        Linear branches invert affinely.  General branches run a safeguarded
+        Newton solve (``rtsafe``): start from the branch's chord, keep a sign
+        bracket (monotonicity brackets the root in either orientation), and
+        take the Newton step only when it lands inside the bracket and at
+        most halves the previous step, else bisect.  Every step is at least
+        1 ulp, so a solve that nears the root from one side probes past it.
+        The solve stops when f(x) = y or the root is bracketed within 1 ulp
+        of x, never on step size alone (a wrong ``dfn`` makes steps small far
+        from the root), and raises ``InverseBranchError`` when neither
+        happens within ``_NEWTON_CAP`` iterations; one last Newton step,
+        clipped to the bracket, then gives the answer.  Each element is
+        frozen once it converges and runs the float operations of a lone
+        solve, so no result depends on the batch it came in.
         """
         s = np.asarray(symbols, dtype=np.intp).ravel() - 1
         y = np.asarray(y, dtype=float).ravel()
@@ -212,22 +222,27 @@ class ExpandingMarkovMap:
         cut = np.searchsorted(s, np.arange(self.coding.k + 1))
         groups = [(i, slice(cut[i], cut[i + 1])) for i in range(self.coding.k)]
         fns, dfns = self.branch_fns, self.branch_dfns
-        rising = _branch_values(fns, groups, r) >= _branch_values(fns, groups, l)
-        a, b = l, r
-        for _ in range(200):
-            live = b - a > 1e-13
+        fl, fr = _branch_values(fns, groups, l), _branch_values(fns, groups, r)
+        x = np.minimum(np.maximum(l + (y - fl) / (fr - fl) * (r - l), l), r)
+        a, b, last, rising = l, r, r - l, fr >= fl
+        for _ in range(_NEWTON_CAP):
+            g = _branch_values(fns, groups, x) - y
+            up = (g < 0) == rising  # the root lies above x
+            a, b, ulp = np.where(up, x, a), np.where(up, b, x), np.spacing(np.abs(x))
+            live = (g != 0) & (b - a > ulp)
             if not live.any():
                 break
-            mid = 0.5 * (a + b)
-            up = (_branch_values(fns, groups, mid) < y) == rising
-            a = np.where(live & up, mid, a)
-            b = np.where(live & ~up, mid, b)
+            dx = g / _branch_values(dfns, groups, x)
+            dx = np.copysign(np.maximum(np.abs(dx), ulp), dx)  # ≥ 1 ulp: probes past the root
+            # steps of 2 ulp always pass the halving test: rounding in f decides them
+            newton = (a < x - dx) & (x - dx < b) & (np.abs(dx) <= np.maximum(0.5 * last, 2 * ulp))
+            nxt = np.where(newton, x - dx, 0.5 * (a + b))
+            last, x = np.abs(nxt - x), np.where(live, nxt, x)
         else:
-            raise InverseBranchError(f"bisection stalled inverting branch {int(s[live][0]) + 1}")
-        x = 0.5 * (a + b)
-        for _ in range(3):
-            step = (_branch_values(fns, groups, x) - y) / _branch_values(dfns, groups, x)
-            x = np.minimum(np.maximum(x - step, l), r)
+            raise InverseBranchError(f"Newton solve stalled inverting branch {int(s[live][0]) + 1}")
+        # x is a bracket end, biased to the side the solve last stepped to; a
+        # last Newton step kept inside the bracket rounds to the root instead
+        x = np.minimum(np.maximum(x - g / _branch_values(dfns, groups, x), a), b)
         out = np.empty(x.shape)
         out[order] = x
         return out.reshape(np.shape(symbols))

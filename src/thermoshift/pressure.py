@@ -441,8 +441,8 @@ def pressure_limit(
     transfer-matrix fast path; other sequences give their own
     ``periodic_log_sums`` (an exact enumeration per n unless they override it).
     """
-    if n_min < 1 or n_max < n_min:
-        raise ValueError("need 1 <= n_min <= n_max")
+    if n_min < 1 or n_max <= n_min:
+        raise ValueError("need 1 <= n_min < n_max: a window of one value has no error bar")
     if isinstance(target, AdditiveSequence):
         phi: Optional[LocallyConstantPotential] = target.potential
     elif isinstance(target, LocallyConstantPotential):

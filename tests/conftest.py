@@ -154,22 +154,35 @@ def brute_spectral_pressure(matrix, table, depth):
 
 
 def brute_branch_inverse(emap, symbol, y):
-    """Scalar bisection to a 1e-13 bracket, then three clipped Newton steps,
-    on the raw branch callables of a general map."""
+    """The safeguarded Newton solve on one point, in Python floats, on the raw
+    branch callables of a general map: start from the chord, keep a sign
+    bracket, take the Newton step (at least 1 ulp) only when it lands inside
+    the bracket and at most halves the previous step (or is at most 2 ulp),
+    else bisect; stop when f(x) = y or the bracket is within 1 ulp of x,
+    and answer with one more Newton step clipped to the bracket."""
     fn, dfn = emap.branch_fns[symbol - 1], emap.branch_dfns[symbol - 1]
     l, r = emap.domains[symbol - 1]
-    rising = fn(r) >= fn(l)
-    a, b = l, r
-    while b - a > 1e-13:
-        mid = 0.5 * (a + b)
-        if (fn(mid) < y) == rising:
-            a = mid
+    fl, fr = fn(l), fn(r)
+    rising = fr >= fl
+    x = min(max(l + (y - fl) / (fr - fl) * (r - l), l), r)
+    a, b, last = l, r, r - l
+    for _ in range(200):
+        g = fn(x) - y
+        if (g < 0) == rising:
+            a = x
         else:
-            b = mid
-    x = 0.5 * (a + b)
-    for _ in range(3):
-        x = min(max(x - (fn(x) - y) / dfn(x), l), r)
-    return x
+            b = x
+        ulp = math.ulp(abs(x))
+        if g == 0 or b - a <= ulp:
+            return min(max(x - g / dfn(x), a), b)
+        dx = g / dfn(x)
+        dx = math.copysign(max(abs(dx), ulp), dx)
+        nxt = x - dx
+        if not (a < nxt < b and abs(dx) <= max(0.5 * last, 2 * ulp)):
+            nxt = 0.5 * (a + b)
+        last = abs(nxt - x)
+        x = nxt
+    raise AssertionError(f"scalar solve stalled at y = {y!r}")
 
 
 def brute_endpoint_defects(emap, word):

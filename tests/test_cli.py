@@ -442,6 +442,7 @@ def test_map_check_linear_map_is_certified(tmp_path, capsys):
     res = result_of(out)
     assert res["summary"]["kind"] == "piecewise_linear"
     assert res["summary"]["certified"] is True
+    assert res["diagnostics"] == {"route": "closed-form", "prefixes_scored": 0}
     with open(os.path.join(out, "ujr.csv"), encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert lines[0] == "n,m_value"
@@ -463,6 +464,7 @@ def test_map_check_general_map_samples_with_seed(tmp_path):
     assert res["summary"]["kind"] == "general"
     assert res["summary"]["certified"] is False
     assert res["summary"]["last_m"] > 0.0
+    assert res["diagnostics"] == {"route": "sampled", "prefixes_scored": 20 * 12}
     with open(os.path.join(out1, "ujr.csv"), encoding="utf-8") as fh:
         header = fh.readline().rstrip()
     assert header == "n,m_value,sampling_spread"
@@ -641,6 +643,8 @@ def test_flag_validation(tmp_path, capsys, flag, value, fragment):
         ("psi-verify", "n_max", 2, "must be at least 4"),
         ("weakgibbs-certify", "n_max", 3, "must be at least 4"),
         ("gibbs-build", "certify_n_max", 2, "must be at least 4"),
+        ("pressure", "n_max", 1, "must be at least 2"),
+        ("psi-verify", "pressure_n_max", 1, "must be at least 2"),
     ],
 )
 def test_config_fields_of_the_wrong_type_are_input_errors(
@@ -661,6 +665,27 @@ def test_n_max_flag_below_the_certification_minimum_is_an_input_error(
     cfg = write_config(tmp_path, {})
     assert run([command, "--config", cfg, "--n-max", "2"]) == 2
     assert capsys.readouterr().err.splitlines() == ["input error: --n-max must be at least 4"]
+    assert not (tmp_path / "thermoshift-out").exists()
+
+
+ONE_VALUE_WINDOW = (
+    "config field 'n_max' must exceed 'n_min' (the n window is empty or holds one value)"
+)
+
+
+@pytest.mark.parametrize(
+    "payload,argv,message",
+    [
+        ({"n_min": 5, "n_max": 5}, [], ONE_VALUE_WINDOW),
+        ({"n_min": 3, "n_max": 2}, [], ONE_VALUE_WINDOW),
+        ({}, ["--n-max", "1"], "--n-max must be at least 2"),
+    ],
+)
+def test_a_pressure_window_of_one_value_is_an_input_error(tmp_path, capsys, payload, argv, message):
+    # one finite-n value has no spread to bound its error: refused up front
+    cfg = write_config(tmp_path, payload)
+    assert run(["pressure", "--config", cfg, *argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"input error: {message}"]
     assert not (tmp_path / "thermoshift-out").exists()
 
 

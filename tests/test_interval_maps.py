@@ -1,6 +1,7 @@
 """Expanding interval maps: branches, cylinders, and the comparison defect."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from thermoshift import (
     pointwise_dimension_estimates,
     word_array,
 )
+from thermoshift.interval_maps import _prefix_windows
 
 from conftest import (
     brute_branch_inverse,
@@ -108,6 +110,68 @@ def test_batched_inverse_is_the_scalar_solve_elementwise(c, ys):
         assert m.branch_inverse(int(s), y) == x
 
 
+def exact_perturbed_inverse(c, symbol, y):
+    """The root of branch ``symbol`` of perturbed_doubling(c) at y, from the
+    closed form in 40 digits, rounded once to a float: branch 1 is the
+    quadratic 2x + c·x(1/2 − x), whose root in [0, 1/2] is
+    2y / (B + sqrt(B² − 4cy)) with B = 2 + c/2; branch 2 is (y + 1)/2.
+    Evaluated in floats the quadratic form is itself a few ulp off near
+    c = 2, y = 1, where B² − 4cy cancels."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        c, y = Decimal(c), Decimal(y)
+        if symbol == 2:
+            return float((y + 1) / 2)
+        b = 2 + c / 2
+        return float(2 * y / (b + (b * b - 4 * c * y).sqrt()))
+
+
+def assert_within_3_ulp(emap, c, ys):
+    ys = list(ys) + [0.0, 1.0]
+    for symbol in (1, 2):
+        xs = emap.inverse(np.full(len(ys), symbol), np.array(ys))
+        for y, x in zip(ys, xs):
+            exact = exact_perturbed_inverse(c, symbol, y)
+            assert abs(x - exact) <= 3 * math.ulp(exact), (symbol, y)
+
+
+@given(
+    c=st.floats(min_value=0.01, max_value=1.99),
+    ys=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
+)
+@settings(max_examples=60, deadline=None)
+def test_inverse_is_within_3_ulp_of_the_closed_form_root(c, ys):
+    assert_within_3_ulp(perturbed_doubling(c), c, ys)
+
+
+@pytest.mark.parametrize("wrong", [1.0, 20.0])
+@given(
+    c=st.floats(min_value=0.01, max_value=1.99),
+    ys=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=12),
+)
+@settings(max_examples=30, deadline=None)
+def test_inverse_stays_accurate_with_a_wrong_derivative(wrong, c, ys):
+    # |T'| on branch 1 lies in (1, 3); a constant 1 or 20 still passes the
+    # constructor's expansion check, but sends Newton long or short, so the
+    # solve must converge through its bracket, not on step size
+    m = perturbed_doubling(c)
+    bad = ExpandingMarkovMap(
+        m.coding, m.domains, m.branch_fns, (lambda x: wrong, m.branch_dfns[1])
+    )
+    assert_within_3_ulp(bad, c, ys)
+
+
+def test_a_stalled_inverse_raises_instead_of_returning():
+    # a derivative 1e30 too large makes every step the 1-ulp minimum: the
+    # solve crawls and must give up rather than return an unconverged point
+    m = perturbed_doubling(0.8)
+    crawl = ExpandingMarkovMap(
+        m.coding, m.domains, m.branch_fns, (lambda x: 1e30, m.branch_dfns[1])
+    )
+    with pytest.raises(InverseBranchError, match="stalled inverting branch 1"):
+        crawl.inverse(np.array([2, 1]), np.array([0.5, 0.5]))
+
+
 def test_branch_callables_must_take_arrays():
     scalar_only = (lambda x: math.fsum((2.0 * x, -1.0)) + 1.0, lambda x: 2.0 * x - 1.0)
     with pytest.raises(ValueError, match="elementwise on arrays"):
@@ -159,6 +223,18 @@ def test_vectorised_log_diameters_match_the_cylinder_product_loop():
                 )
     with pytest.raises(ValueError):
         perturbed_doubling().log_diameters(np.array([[1, 2]]))
+
+
+def test_deep_cylinder_interval_is_the_sweep_window():
+    # cylinder_interval pulls back one word with 2-point inverse calls; the
+    # batched sweep pulls back every prefix at once: same bits at depth 30
+    m = perturbed_doubling(0.8)
+    word = tuple(1 + (i * i + i // 3) % 2 for i in range(30))
+    c = m.cylinder_interval(word)
+    _, ends = _prefix_windows(m, np.array([word]))
+    assert (c.left, c.right) == tuple(ends[0, 0])
+    assert c.diameter == c.right - c.left
+    assert 0.0 < c.diameter < 1e-8
 
 
 def test_cylinder_interval_input_validation():
@@ -215,13 +291,14 @@ def linear_maps(draw):
         span = 0.6 + 0.4 * draw(unit)
         widths = [span / (k + (4.0 - k) * draw(unit)) for _ in range(k)]
         gaps = [draw(unit) + 1e-3 for _ in range(k - 1)]
-        slack = span - sum(widths)
+        # equal widths can round their sum past the span: clamp the slack
+        slack = max(span - sum(widths), 0.0)
         gaps = [slack * g / sum(gaps) for g in gaps] + [0.0]
         left = (1.0 - span) * draw(unit)
         domains = []
         for w, g in zip(widths, gaps):
             domains.append((left, left + w))
-            left += w + g
+            left = domains[-1][1] + g  # the next domain starts at this one's rounded end
         matrix = TransitionSystem.full_shift(k).matrix
     else:
         # one branch maps onto the other domain only, which is >= 0.6 wide

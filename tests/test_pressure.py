@@ -241,6 +241,8 @@ def test_pressure_limit_validates_window(example_potential):
         pressure_limit("cylinder", example_potential, 0, 5)
     with pytest.raises(ValueError):
         pressure_limit("cylinder", example_potential, 6, 5)
+    with pytest.raises(ValueError, match="no error bar"):
+        pressure_limit("periodic", example_potential, 5, 5)
     with pytest.raises(ValueError):
         pressure_limit("simplex", example_potential, 1, 5)
 
