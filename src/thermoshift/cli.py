@@ -55,7 +55,6 @@ from .log_mass import (
 )
 from .measures import (
     MarkovMeasure,
-    TableMeasure,
     WeakGibbsCertificate,
     build_rpf,
     certify_weak_gibbs,
@@ -184,6 +183,8 @@ def _cmd_pressure(cfg, out, inputs, args) -> int:
         raise _InputError(f"unknown pressure method {method!r}")
     n_min = cfg.get("n_min", 1)
     n_max = args.n_max or cfg.get("n_max", 20)
+    if n_min >= n_max:
+        raise _InputError(f"config field 'n_min' ({n_min}) must be below the n_max used ({n_max})")
     tol = args.tol or cfg.get("tol", 1e-6)
     methods = ("cylinder", "periodic", "spectral") if method == "all" else (method,)
     finite_rows, summary_rows, estimates = [], [], {}
@@ -255,17 +256,18 @@ def _cmd_gibbs_build(cfg, out, inputs, args) -> int:
 
 
 def _certification_depth_cap(oracle, phi, requested: int) -> int:
-    """Table oracles only answer up to their depth; cap n so every ratio
-    (word length max(n, n + depth(φ) − 1)) stays answerable."""
-    if isinstance(oracle, TableMeasure):
-        cap = oracle.depth - (phi.depth - 1)
-        if cap < 4:
-            raise _InputError(
-                f"mass table of depth {oracle.depth} is too shallow to certify "
-                f"a depth-{phi.depth} potential (needs at least {phi.depth + 3})"
-            )
-        return min(requested, cap)
-    return requested
+    """The oracle's ``longest_word`` (a table's depth) caps n so that every
+    ratio (word length max(n, n + depth(φ) − 1)) stays answerable."""
+    longest = oracle.longest_word()
+    if longest is None:
+        return requested
+    cap = longest - (phi.depth - 1)
+    if cap < 4:
+        raise _InputError(
+            f"mass table of depth {longest} is too shallow to certify "
+            f"a depth-{phi.depth} potential (needs at least {phi.depth + 3})"
+        )
+    return min(requested, cap)
 
 
 def _cmd_weakgibbs_certify(cfg, out, inputs, args) -> int:
@@ -273,9 +275,7 @@ def _cmd_weakgibbs_certify(cfg, out, inputs, args) -> int:
     phi = _load_doc(cfg, "potential", load_potential, args.base, inputs)
     if oracle.system.matrix != phi.system.matrix:
         raise _InputError("measure and potential documents use different systems")
-    validate_n = cfg.get("validate_n_max", 8)
-    if isinstance(oracle, TableMeasure):
-        validate_n = min(validate_n, oracle.depth)
+    validate_n = min(cfg.get("validate_n_max", 8), oracle.longest_word() or math.inf)
     check = validate_oracle(oracle, n_max=validate_n)
     if not check.passed:
         detail = {

@@ -13,6 +13,10 @@ covers exactly the branch domains allowed by row i.  Two subclasses:
   until the root is bracketed within 1 ulp, and the expansion condition is
   checked on a sample grid only, so these maps are flagged non-certified.
 
+Every reader of log D_n goes through one law, ``log_diameters`` (every
+prefix of every row: product law if linear, else the log width of the window
+pulled back by :func:`_prefix_windows`, the module's only pull-back).
+
 Real coordinates appear only through interval endpoints; all dynamics runs
 on words.  At touching branch endpoints the code resolves to the smaller
 symbol (the lexicographically smaller itinerary).
@@ -141,9 +145,9 @@ class ExpandingMarkovMap:
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"branch {i + 1} is not elementwise on arrays: {exc}") from exc
                 worst = float(np.min(np.abs(dfn)))
-                if worst < 1.0 - 1e-12:
+                if not worst >= 1.0 - 1e-12:  # NaN fails too
                     raise ValueError(
-                        f"branch {i + 1} contracts: |T'| = {worst} on the sample grid"
+                        f"branch {i + 1} does not expand: min |T'| = {worst} on the sample grid"
                     )
             self.images = tuple(images)
         self._check_markov_geometry()
@@ -154,7 +158,7 @@ class ExpandingMarkovMap:
             targets = [j for j in range(self.coding.k) if self.coding.matrix[i][j]]
             lo = self.domains[targets[0]][0]
             hi = self.domains[targets[-1]][1]
-            if abs(a - lo) > _GEOMETRY_TOL or abs(b - hi) > _GEOMETRY_TOL:
+            if not (abs(a - lo) <= _GEOMETRY_TOL and abs(b - hi) <= _GEOMETRY_TOL):  # NaN fails
                 raise ValueError(
                     f"branch {i + 1} image ({a}, {b}) does not span its allowed "
                     f"domains ({lo}, {hi})"
@@ -250,16 +254,13 @@ class ExpandingMarkovMap:
     # -- cylinders ---------------------------------------------------------
 
     def cylinder_interval(self, word: Word) -> CylinderInterval:
-        """I(w) by pulling the last branch domain back through the word."""
+        """I(w): the last branch domain pulled back by :func:`_prefix_windows`."""
         word = tuple(word)
         if len(word) == 0:
             raise ValueError("cylinder of the empty word is the whole space")
         if not self.coding.is_admissible(word):
             raise ValueError(f"word {word} is not admissible for the coding")
-        lo, hi = self.domains[word[-1] - 1]
-        for symbol in reversed(word[:-1]):
-            a, b = self.inverse(np.array([symbol, symbol]), np.array([lo, hi])).tolist()
-            lo, hi = min(a, b), max(a, b)
+        lo, hi = _prefix_windows(self, np.array([word]))[1][0, 0].tolist()
         if self.kind == "piecewise_linear":
             diam = self.domains[word[-1] - 1][1] - self.domains[word[-1] - 1][0]
             for symbol in word[:-1]:
@@ -268,20 +269,19 @@ class ExpandingMarkovMap:
             diam = hi - lo
         return CylinderInterval(word, lo, hi, diam)
 
-    def log_diameter(self, word: Word) -> float:
-        """log D_n(w); product law for linear maps, endpoint gap otherwise."""
-        if self.kind == "piecewise_linear":
-            return float(self.log_diameters(np.asarray([word]))[0])
-        return math.log(self.cylinder_interval(word).diameter)
-
     def log_diameters(self, words: np.ndarray) -> np.ndarray:
-        """log D_n(w) for each row of a word array, linear maps only.
+        """log D_n of every prefix of every row: entry [i, n − 1] is log D_n(words[i, :n]).
 
-        The product law log|I_{w_n}| − S_{n−1}γ(w) with γ the slope potential.
+        Linear maps: the product law log|I_{w_n}| − S_{n−1}γ(w), γ = log slope,
+        summed left to right (no underflow or cancellation at any n).  General
+        maps: log(hi − lo) of the windows that :func:`_prefix_sweep` pulls back.
         """
-        gamma = self.slope_potential()
-        log_w = np.array([math.log(r - l) for l, r in self.domains])
-        return log_w[words[:, -1] - 1] - gamma.values_on_windows(words, words.shape[1] - 1)
+        if self.kind == "general":
+            return _prefix_sweep(self, words, lambda words, ends, log_d: log_d)
+        s = words - 1
+        log_slopes = _log(np.array(self.slopes))[s[:, :-1]]
+        prior = np.cumsum(np.hstack([np.zeros((len(s), 1)), log_slopes]), axis=1)
+        return _log(np.array([r - l for l, r in self.domains]))[s] - prior
 
     def slope_potential(self) -> LocallyConstantPotential:
         """γ(ω) = log slope(ω₁), the depth-1 expansion potential (linear maps)."""
@@ -390,7 +390,7 @@ def check_ujr(
 ) -> UjrReport:
     """Exact (linear) or sampled (general) comparison defect per n ≤ n_max.
 
-    For linear maps the product law gives log D_n(w) + S_nγ(w) = log|I_{w_n}|
+    For linear maps the product law gives log D_n(w) + S_nγ(w) = log D_1(w_n)
     + log s_{w_n}: M(n) is the largest |entry| of that k-vector over the
     symbols that can end an admissible n-word, tracked by one boolean step
     of the transition matrix per n (O(k²) per n, not kⁿ words).  Full-image
@@ -403,9 +403,8 @@ def check_ujr(
     ns = tuple(range(1, n_max + 1))
     spread: Optional[tuple[float, ...]] = None
     if emap.kind == "piecewise_linear":
-        defect = np.array(
-            [abs(math.log(r - l) + math.log(s)) for (l, r), s in zip(emap.domains, emap.slopes)]
-        )
+        log_d1 = emap.log_diameters(np.arange(1, emap.coding.k + 1)[:, None])[:, 0]
+        defect = np.abs(log_d1 + _log(np.array(emap.slopes)))
         step = emap.coding.as_array > 0
         ends = np.ones(emap.coding.k, dtype=bool)
         m_values = []
@@ -415,10 +414,7 @@ def check_ujr(
     else:
         rng = np.random.default_rng(seed)
         paths = np.array([_sample_itinerary(emap.coding, n_max, rng) for _ in range(sample_size)])
-        rows = max(1, _SWEEP_CELLS // n_max**2)
-        per_path = np.vstack(
-            [_endpoint_defects(emap, paths[i : i + rows]) for i in range(0, sample_size, rows)]
-        )
+        per_path = _prefix_sweep(emap, paths, lambda *item: _endpoint_defects(emap, *item))
         top, bottom = per_path.max(axis=0), per_path.min(axis=0)
         m_values = [float(top[i]) / n for i, n in enumerate(ns)]
         spread = tuple(float(top[i] - bottom[i]) / n for i, n in enumerate(ns))
@@ -444,11 +440,25 @@ def _sample_itinerary(ts: TransitionSystem, n: int, rng: np.random.Generator) ->
     return tuple(word)
 
 
-def _endpoint_defects(emap: ExpandingMarkovMap, words: np.ndarray) -> np.ndarray:
-    """max endpoint-orbit |log D_n + S_n γ|; entry [i, n − 1] for words[i, :n].
+def _prefix_sweep(emap: ExpandingMarkovMap, words: np.ndarray, score) -> np.ndarray:
+    """score(item words, ends, log D_n) of the :func:`_prefix_windows` items,
+    as entry [i, n − 1] for words[i, :n]; rows go in chunks of at most
+    ``_SWEEP_CELLS`` endpoint pairs, so memory grows with n_max², not rows."""
+    count, n_max = words.shape
+    rows = max(1, _SWEEP_CELLS // n_max**2)
+    out = []
+    for i in range(0, count, rows):
+        item_words, ends = _prefix_windows(emap, words[i : i + rows])
+        log_d = _log(ends[:, 0, 1] - ends[:, 0, 0])
+        out.append(score(item_words, ends, log_d).reshape(n_max, -1)[::-1].T)
+    return np.vstack(out)
 
-    For each prefix, pulling the last branch domain back through the word
-    yields every suffix window I(w_j..w_n) and, at the end, D_n itself.
+
+def _endpoint_defects(
+    emap: ExpandingMarkovMap, words: np.ndarray, ends: np.ndarray, log_d: np.ndarray
+) -> np.ndarray:
+    """max endpoint-orbit |log D_n + S_n γ| of each :func:`_prefix_windows` item.
+
     The two representatives are the cylinder's endpoints: their orbits are
     exactly the suffix-window endpoints (an endpoint maps to an endpoint,
     with orientation tracked through decreasing branches), so no forward
@@ -458,17 +468,13 @@ def _endpoint_defects(emap: ExpandingMarkovMap, words: np.ndarray) -> np.ndarray
     envelope, which is the quantity with the clean ~V/n decay; a single
     interior representative sits at an uncontrolled depth inside that
     envelope and wobbles across n by more than the 1/n² decrements tested.
-
-    The windows come from :func:`_prefix_windows`; the log-derivative sums
-    then run left to right as vector adds.
+    The log-derivative sums run left to right as vector adds.
     """
-    count, n_max = words.shape
-    words, ends = _prefix_windows(emap, words)
-    log_d = _log(ends[:, 0, 1] - ends[:, 0, 0])
-    sums = np.zeros((len(words), 2))
-    rising = np.ones(len(words), dtype=bool)
+    items, n_max = words.shape
+    sums = np.zeros((items, 2))
+    rising = np.ones(items, dtype=bool)
     for j in range(n_max):
-        live = count * (n_max - j)
+        live = items // n_max * (n_max - j)
         s = np.repeat(words[:live, j, None] - 1, 2, axis=1)
         groups = [(i, s == i) for i in range(emap.coding.k)]
         pair = ends[:live, j]
@@ -476,8 +482,7 @@ def _endpoint_defects(emap: ExpandingMarkovMap, words: np.ndarray) -> np.ndarray
         sums[:live] += _log(np.abs(_branch_values(emap.branch_dfns, groups, x)))
         image = _branch_values(emap.branch_fns, groups, pair)
         rising[:live] ^= image[:, 0] > image[:, 1]
-    defects = np.abs(log_d[:, None] + sums).max(axis=1)
-    return defects.reshape(n_max, count)[::-1].T
+    return np.abs(log_d[:, None] + sums).max(axis=1)
 
 
 def _prefix_windows(emap: ExpandingMarkovMap, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -533,21 +538,17 @@ def pointwise_dimension_estimates(
 ) -> PointwiseDimensionReport:
     """Quotients for n = 1..n_max at the given point, exact for linear maps.
 
-    Diameters use the log product law, so n in the hundreds is fine for
-    linear maps (no underflow, no cancellation).  Raises on the D_n = 1
-    division hazard (possible only for general maps at small n) and on
-    zero-mass cylinders.
+    Diameters are one row of :meth:`ExpandingMarkovMap.log_diameters`, so n
+    in the hundreds is fine for linear maps (no underflow, no
+    cancellation).  Raises on the D_n = 1 division hazard (possible only
+    for general maps at small n) and on zero-mass cylinders.
     """
     if mu.system.matrix != emap.coding.matrix:
         raise ValueError("measure and map are coded by different systems")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     word = point.word(n_max)
-    if emap.kind == "general":
-        windows = _prefix_windows(emap, np.array([word]))[1][::-1, 0]
-        log_ds = _log(windows[:, 1] - windows[:, 0]).tolist()
-    else:
-        log_ds = [emap.log_diameter(word[:n]) for n in range(1, n_max + 1)]
+    log_ds = emap.log_diameters(np.array([word]))[0].tolist()
     values = []
     for n, log_d in enumerate(log_ds, 1):
         if log_d == 0.0:

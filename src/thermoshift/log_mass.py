@@ -27,7 +27,6 @@ import numpy as np
 
 from .measures import (
     CylinderMeasureOracle,
-    TableMeasure,
     WeakGibbsCertificate,
     ZeroCylinderMassError,
     _first_max,
@@ -105,14 +104,11 @@ def build_log_mass_sequence(oracle: CylinderMeasureOracle) -> LogMassSequence:
     """Wrap an oracle as its log-mass sequence, scanning for zero masses.
 
     Positivity on admissible cylinders is a standing assumption of every
-    downstream check; violations up to length 6 (capped at a table
-    oracle's depth) raise :class:`ZeroCylinderMassError` immediately rather
+    downstream check; violations up to length 6 (capped at the oracle's
+    ``longest_word``) raise :class:`ZeroCylinderMassError` immediately rather
     than surfacing later as −inf values.
     """
-    depth = 6
-    if isinstance(oracle, TableMeasure):
-        depth = min(depth, oracle.depth)
-    for n in range(1, depth + 1):
+    for n in range(1, min(6, oracle.longest_word() or 6) + 1):
         _positive_masses(oracle, n)
     return LogMassSequence(oracle)
 

@@ -75,6 +75,10 @@ class CylinderMeasureOracle(abc.ABC):
         """A potential of pressure 0 for which μ is a Gibbs measure."""
         return None
 
+    def longest_word(self) -> Optional[int]:
+        """The longest word length ``mass`` answers; None for every length."""
+        return None
+
     def mass_words(self, words: np.ndarray) -> np.ndarray:
         """μ(C_w) for each row of a word array of admissible words, with the
         bits of ``mass``: a row at least one block long is the block chain's
@@ -346,6 +350,9 @@ class TableMeasure(CylinderMeasureOracle):
     @property
     def system(self) -> TransitionSystem:
         return self._ts
+
+    def longest_word(self) -> int:
+        return self.depth
 
     def mass(self, word: Word) -> float:
         if len(word) == 0:

@@ -411,8 +411,8 @@ def spectrum_search(
     objective = family.entropies() / lyap
     words_q = word_array(ts, quadrature_depth)
     words_prev = word_array(ts, quadrature_depth - 1)
-    log_d_q = emap.log_diameters(words_q)
-    log_d_prev = emap.log_diameters(words_prev)
+    log_d_q = emap.log_diameters(words_q)[:, -1]
+    log_d_prev = emap.log_diameters(words_prev)[:, -1]
     ratio_q = [mu.log_mass_words(words_q) / log_d_q for mu in mus]
     ratio_prev = [mu.log_mass_words(words_prev) / log_d_prev for mu in mus]
     cons = np.empty((len(family.parameters), len(mus)))

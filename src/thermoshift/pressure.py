@@ -32,7 +32,7 @@ from .potentials import (
     _prefix_group_starts,
     asymptotic_defect,
 )
-from .sft import BlockGraph, Word, block_graph, cyclic_mask, word_array
+from .sft import BlockGraph, block_graph, cyclic_mask, word_array
 
 
 class EigensolverError(RuntimeError):
@@ -108,15 +108,9 @@ class BlockTransfer:
     lexicographic block order, fixed for reproducibility.
     """
 
-    potential: LocallyConstantPotential
     graph: BlockGraph
     weights: np.ndarray  # φ on each edge, in the graph's edge order
-    log_edges: np.ndarray  # weights at [src, dst], -inf where no edge
-    matrix: np.ndarray  # exp(log_edges), 0 where no edge
-
-    @property
-    def blocks(self) -> tuple[Word, ...]:
-        return tuple(map(tuple, self.graph.states.tolist()))
+    matrix: np.ndarray  # exp(weights) at [src, dst], 0 where no edge
 
     @property
     def order(self) -> int:
@@ -126,15 +120,14 @@ class BlockTransfer:
 def block_transfer(phi: LocallyConstantPotential) -> BlockTransfer:
     graph = block_graph(phi.system, max(phi.depth - 1, 1))
     weights = phi.dense[tuple(graph.edges[:, : phi.depth].T - 1)]
-    log_edges = np.full((graph.order, graph.order), -math.inf)
-    log_edges[graph.src, graph.dst] = weights
+    matrix = np.zeros((graph.order, graph.order))
     with np.errstate(over="raise"):
-        matrix = np.where(np.isfinite(log_edges), np.exp(log_edges), 0.0)
-    return BlockTransfer(phi, graph, weights, log_edges, matrix)
+        matrix[graph.src, graph.dst] = np.exp(weights)
+    return BlockTransfer(graph, weights, matrix)
 
 
 def _row_weight_split(bt: BlockTransfer) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(a, A) with matrix = diag(a)·A when every row's finite entries agree.
+    """(a, A) with matrix = diag(a)·A when every row's edge weights agree.
 
     True for depth-1 potentials (the edge weight reads only the source
     symbol).  The factored product a ∘ (A v) sums the iterate *before* the
@@ -142,12 +135,14 @@ def _row_weight_split(bt: BlockTransfer) -> Optional[tuple[np.ndarray, np.ndarra
     iterates bit-exact — the per-entry products of diag(a)·A @ v would
     scatter 1-ulp dust into every step.
     """
-    finite = np.isfinite(bt.log_edges)
-    top = bt.log_edges.max(axis=1)
-    if np.any(top != np.where(finite, bt.log_edges, math.inf).min(axis=1)):
+    starts = bt.graph._src_starts  # one edge group per source state
+    top = np.maximum.reduceat(bt.weights, starts)
+    if np.any(top != np.minimum.reduceat(bt.weights, starts)):
         return None
+    adjacency = np.zeros((bt.order, bt.order))
+    adjacency[bt.graph.src, bt.graph.dst] = 1.0
     # math.exp, not np.exp: the two can differ in the last bit
-    return np.array([math.exp(x) for x in top.tolist()]), finite.astype(float)
+    return np.array([math.exp(x) for x in top.tolist()]), adjacency
 
 
 def _step(w: np.ndarray, split: Optional[tuple[np.ndarray, np.ndarray]], v: np.ndarray) -> np.ndarray:

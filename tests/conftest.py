@@ -185,6 +185,16 @@ def brute_branch_inverse(emap, symbol, y):
     raise AssertionError(f"scalar solve stalled at y = {y!r}")
 
 
+def brute_log_diameter(emap, word):
+    """log D_n(w) of a linear map by the product law, the log-slopes summed
+    left to right: log|I_{w_n}| − (log s_{w_1} + … + log s_{w_{n−1}})."""
+    total = 0.0
+    for s in word[:-1]:
+        total += math.log(emap.slopes[s - 1])
+    l, r = emap.domains[word[-1] - 1]
+    return math.log(r - l) - total
+
+
 def brute_endpoint_defects(emap, word):
     """max endpoint-orbit |log D_n + S_n log|T'|| for every prefix of one
     itinerary: one scalar backward pull per prefix, then the two endpoint

@@ -689,6 +689,21 @@ def test_a_pressure_window_of_one_value_is_an_input_error(tmp_path, capsys, payl
     assert not (tmp_path / "thermoshift-out").exists()
 
 
+@pytest.mark.parametrize(
+    "payload,argv,used",
+    [({"n_min": 20}, [], 20), ({"n_min": 8, "n_max": 30}, ["--n-max", "6"], 6)],
+)
+def test_n_min_at_or_above_the_n_max_used_names_the_field(tmp_path, capsys, payload, argv, used):
+    # the default n_max and --n-max are resolved by the command, after load_config
+    pot_name = write(tmp_path / "phi.txt", dump_potential(zero_potential(FULL2)))
+    cfg = write_config(tmp_path, {"potential": pot_name, **payload})
+    assert run(["pressure", "--config", cfg, *argv]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"input error: config field 'n_min' ({payload['n_min']}) must be below "
+        f"the n_max used ({used})"
+    ]
+
+
 def test_threads_flag_is_accepted(tmp_path):
     sys_name = write(tmp_path / "sys.txt", dump_system(FULL2))
     cfg = write_config(tmp_path, {"system": sys_name})

@@ -27,6 +27,7 @@ from thermoshift.interval_maps import _prefix_windows
 from conftest import (
     brute_branch_inverse,
     brute_linear_ujr,
+    brute_log_diameter,
     brute_sampled_ujr,
     brute_words,
 )
@@ -191,6 +192,23 @@ def test_branch_callables_must_take_arrays():
         )
 
 
+def test_a_nan_derivative_is_refused():
+    # NaN compares false with everything, so a "< 1" expansion test let it by
+    m = perturbed_doubling(0.8)
+    with pytest.raises(ValueError, match="branch 1 does not expand"):
+        ExpandingMarkovMap(
+            m.coding, m.domains, m.branch_fns, (lambda x: x * math.nan, m.branch_dfns[1])
+        )
+
+
+@pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+def test_non_finite_branch_values_at_the_domain_ends_are_refused(end):
+    m = perturbed_doubling(0.8)
+    fns = (m.branch_fns[0], lambda x: np.where(x < 1.0, 2.0 * x - 1.0, end))
+    with pytest.raises(ValueError, match="branch 2 image"):
+        ExpandingMarkovMap(m.coding, m.domains, fns, m.branch_dfns)
+
+
 def test_branch_inverse_rejects_points_outside_the_image():
     m = golden_mean_linear()
     a = (math.sqrt(5.0) - 1.0) / 2.0
@@ -207,27 +225,38 @@ def test_cylinder_intervals_nest_and_follow_the_product_law():
             assert parent.left - 1e-15 <= c.left and c.right <= parent.right + 1e-15
         # width 1/2 shrinking by 1/2 per symbol, exactly in floats
         assert c.diameter == 0.5 ** len(word)
-        assert m.log_diameter(word) == pytest.approx(len(word) * math.log(0.5), rel=1e-15)
+        log_d = m.log_diameters(np.array([word]))[0, -1]
+        assert log_d == brute_log_diameter(m, word)
+        assert log_d == pytest.approx(len(word) * math.log(0.5), rel=1e-15)
 
 
 def test_vectorised_log_diameters_match_the_cylinder_product_loop():
+    # entry [i, n − 1] is log D_n of row i's n-prefix, for every prefix
     for m in (golden_mean_linear(), full_branch_linear((3.0, 2.5, 7.0))):
         for n in range(1, 7):
             words = word_array(m.coding, n)
             logs = m.log_diameters(words)
-            for row, value in zip(words, logs):
+            assert logs.shape == words.shape
+            for row, values in zip(words, logs):
                 word = tuple(int(s) for s in row)
-                assert value == m.log_diameter(word)
-                assert value == pytest.approx(
+                for p, value in enumerate(values, 1):
+                    assert value == brute_log_diameter(m, word[:p])
+                assert values[-1] == pytest.approx(
                     math.log(m.cylinder_interval(word).diameter), rel=1e-14, abs=1e-14
                 )
-    with pytest.raises(ValueError):
-        perturbed_doubling().log_diameters(np.array([[1, 2]]))
+    m = perturbed_doubling(0.8)
+    words = word_array(m.coding, 6)
+    logs = m.log_diameters(words)
+    for row, values in zip(words, logs):
+        word = tuple(int(s) for s in row)
+        for p, value in enumerate(values, 1):
+            c = m.cylinder_interval(word[:p])
+            assert value == math.log(c.right - c.left)
 
 
 def test_deep_cylinder_interval_is_the_sweep_window():
-    # cylinder_interval pulls back one word with 2-point inverse calls; the
-    # batched sweep pulls back every prefix at once: same bits at depth 30
+    # cylinder_interval reads the whole word's window off the batched sweep,
+    # which pulls back every prefix at once: same bits at depth 30
     m = perturbed_doubling(0.8)
     word = tuple(1 + (i * i + i // 3) % 2 for i in range(30))
     c = m.cylinder_interval(word)
@@ -399,6 +428,24 @@ def test_pointwise_dimension_at_periodic_points_of_the_doubling_map():
     # even-length prefixes hit the limit exactly; odd ones oscillate O(1/n)
     assert report.last == pytest.approx(limit, rel=1e-2)
     assert report.values[-1][0] == 48
+
+
+def test_pointwise_dimension_of_a_general_map_reads_the_pulled_back_window():
+    # each quotient is log μ(C_n) over log(hi − lo) of the window pulled
+    # back one symbol at a time by the scalar reference solve
+    m = perturbed_doubling(0.8)
+    mu = MarkovMeasure.bernoulli(m.coding, (0.3, 0.7))
+    point = periodic_point(m.coding, (1, 2, 2))
+    report = pointwise_dimension_estimates(m, mu, point, 24)
+    word = point.word(24)
+    for n, quotient in report.values:
+        lo, hi = m.domains[word[n - 1] - 1]
+        for s in reversed(word[: n - 1]):
+            a, b = brute_branch_inverse(m, s, lo), brute_branch_inverse(m, s, hi)
+            lo, hi = min(a, b), max(a, b)
+        log_m = float(mu.log_mass_words(np.array([word[:n]]))[0])
+        assert quotient == log_m / math.log(hi - lo)
+    assert [n for n, _ in report.values] == list(range(1, 25))
 
 
 def test_pointwise_dimension_input_validation(full2):

@@ -30,6 +30,8 @@ from thermoshift import (
     word_array,
 )
 
+from conftest import brute_log_diameter
+
 LOG2 = math.log(2.0)
 
 
@@ -216,7 +218,8 @@ def reference_search(emap, mus, levels, family, delta, depth=10):
             g = mu.transition_log_potential()
             cons[:, i] = [-integrate(g, nu) / d for nu, d in zip(family.measures, lyap)]
         else:
-            ratio = mu.log_mass_words(words) / emap.log_diameters(words)
+            log_d = [brute_log_diameter(emap, tuple(int(s) for s in w)) for w in words]
+            ratio = mu.log_mass_words(words) / np.array(log_d)
             for c, nu in enumerate(family.measures):
                 cons[c, i] = float(np.exp(nu.log_mass_words(words)) @ ratio)
     out = []

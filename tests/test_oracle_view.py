@@ -126,6 +126,13 @@ def test_an_oracle_without_structure_has_no_view_and_is_enumerated(oracle):
     assert cert.block_order is None
 
 
+def test_only_a_table_limits_the_word_length():
+    table, delegate = (case.values[0] for case in unstructured_oracles())
+    assert table.longest_word() == 6
+    assert delegate.longest_word() is None
+    assert all(case.values[0].longest_word() is None for case in structured_oracles())
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("width", [1, 2, 3])
 def test_window_ranks_on_a_full_shift_are_the_rank_table_indices(k, width):
