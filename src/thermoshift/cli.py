@@ -33,7 +33,6 @@ import numpy as np
 
 from . import __version__
 from .documents import (
-    CONFIG_INT_MINIMUMS,
     DocumentError,
     format_float,
     load_config,
@@ -69,17 +68,6 @@ from .multifractal import (
     markov_candidate_family,
     spectrum_search,
 )
-
-_COMMANDS = (
-    "sft-check",
-    "pressure",
-    "gibbs-build",
-    "weakgibbs-certify",
-    "psi-verify",
-    "map-check",
-    "spectrum",
-)
-
 
 class _InputError(Exception):
     """Anything that should terminate with exit status 2."""
@@ -119,8 +107,6 @@ def _write_kstar(out: str, cert: WeakGibbsCertificate) -> None:
 
 
 def _load_doc(cfg: dict, key: str, loader, base: str, inputs: dict) -> Any:
-    if key not in cfg:
-        raise _InputError(f"config is missing the {key!r} document reference")
     path = os.path.join(base, cfg[key])
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -134,9 +120,19 @@ def _load_doc(cfg: dict, key: str, loader, base: str, inputs: dict) -> Any:
         raise _InputError(f"{key} document {path}: {exc}") from exc
 
 
+def _checked_potential(cfg: dict, base: str, inputs: dict):
+    """The potential document, checked against the optional system document."""
+    phi = _load_doc(cfg, "potential", load_potential, base, inputs)
+    if cfg["system"] is not None:
+        ts = _load_doc(cfg, "system", load_system, base, inputs)
+        if ts.matrix != phi.system.matrix:
+            raise _InputError("system document disagrees with the potential's system")
+    return phi
+
+
 def _resolved_pressure(cfg: dict, phi) -> float:
     """The pressure constant to certify against: explicit or spectral."""
-    p = cfg.get("pressure", "spectral")
+    p = cfg["pressure"]
     return pressure_spectral(phi) if p == "spectral" else float(p)
 
 
@@ -151,7 +147,7 @@ def _diagnostics(cert: WeakGibbsCertificate) -> dict:
 
 def _cmd_sft_check(cfg, out, inputs, args) -> int:
     ts = _load_doc(cfg, "system", load_system, args.base, inputs)
-    n_max = args.n_max or cfg.get("n_max", 10)
+    n_max = cfg["n_max"]
     exponent = ts.mixing_exponent()
     rows = [(n, ts.count_words(n), ts.count_periodic(n)) for n in range(1, n_max + 1)]
     _write_csv(out, "counts.csv", ("n", "admissible_words", "periodic_points"), rows)
@@ -173,19 +169,8 @@ def _cmd_sft_check(cfg, out, inputs, args) -> int:
 
 
 def _cmd_pressure(cfg, out, inputs, args) -> int:
-    phi = _load_doc(cfg, "potential", load_potential, args.base, inputs)
-    if "system" in cfg:
-        ts = _load_doc(cfg, "system", load_system, args.base, inputs)
-        if ts.matrix != phi.system.matrix:
-            raise _InputError("system document disagrees with the potential's system")
-    method = cfg.get("method", "all")
-    if method not in ("all", "cylinder", "periodic", "spectral"):
-        raise _InputError(f"unknown pressure method {method!r}")
-    n_min = cfg.get("n_min", 1)
-    n_max = args.n_max or cfg.get("n_max", 20)
-    if n_min >= n_max:
-        raise _InputError(f"config field 'n_min' ({n_min}) must be below the n_max used ({n_max})")
-    tol = args.tol or cfg.get("tol", 1e-6)
+    phi = _checked_potential(cfg, args.base, inputs)
+    method, n_min, n_max, tol = cfg["method"], cfg["n_min"], cfg["n_max"], cfg["tol"]
     methods = ("cylinder", "periodic", "spectral") if method == "all" else (method,)
     finite_rows, summary_rows, estimates = [], [], {}
     for m in methods:
@@ -225,13 +210,9 @@ def _cmd_pressure(cfg, out, inputs, args) -> int:
 
 
 def _cmd_gibbs_build(cfg, out, inputs, args) -> int:
-    phi = _load_doc(cfg, "potential", load_potential, args.base, inputs)
-    if "system" in cfg:
-        ts = _load_doc(cfg, "system", load_system, args.base, inputs)
-        if ts.matrix != phi.system.matrix:
-            raise _InputError("system document disagrees with the potential's system")
+    phi = _checked_potential(cfg, args.base, inputs)
     data = build_rpf(phi)
-    n_max = cfg.get("certify_n_max", 12)
+    n_max = cfg["certify_n_max"]
     cert = certify_weak_gibbs(data, AdditiveSequence(phi), data.pressure, n_max)
     with open(os.path.join(out, "rpf_measure.txt"), "w", encoding="utf-8") as fh:
         fh.write(dump_measure(data))
@@ -275,7 +256,7 @@ def _cmd_weakgibbs_certify(cfg, out, inputs, args) -> int:
     phi = _load_doc(cfg, "potential", load_potential, args.base, inputs)
     if oracle.system.matrix != phi.system.matrix:
         raise _InputError("measure and potential documents use different systems")
-    validate_n = min(cfg.get("validate_n_max", 8), oracle.longest_word() or math.inf)
+    validate_n = min(cfg["validate_n_max"], oracle.longest_word() or math.inf)
     check = validate_oracle(oracle, n_max=validate_n)
     if not check.passed:
         detail = {
@@ -302,8 +283,8 @@ def _cmd_weakgibbs_certify(cfg, out, inputs, args) -> int:
             print("input error: measure oracle failed validation", file=sys.stderr)
         return 2
     p = _resolved_pressure(cfg, phi)
-    n_max = _certification_depth_cap(oracle, phi, args.n_max or cfg.get("n_max", 12))
-    tau = cfg.get("tau", 1e-3)
+    n_max = _certification_depth_cap(oracle, phi, cfg["n_max"])
+    tau = cfg["tau"]
     cert = certify_weak_gibbs(oracle, AdditiveSequence(phi), p, n_max, tau)
     _write_kstar(out, cert)
     _write_result(
@@ -334,17 +315,17 @@ def _cmd_psi_verify(cfg, out, inputs, args) -> int:
             "(markov or rpf kind)"
         )
     p = _resolved_pressure(cfg, ref)
-    n_max = _certification_depth_cap(oracle, ref, args.n_max or cfg.get("n_max", 12))
-    tau = cfg.get("tau", 1e-3)
+    n_max = _certification_depth_cap(oracle, ref, cfg["n_max"])
+    tau = cfg["tau"]
     target = AdditiveSequence(ref)
     cert = certify_weak_gibbs(oracle, target, p, n_max, tau)
     constant = cert.gibbs_constant or max(k for _, k in cert.kstar)
-    family_index = cfg.get("family_index", 3)
+    family_index = cfg["family_index"]
     r_gibbs = check_gibbs_one(seq, n_max)
-    r_zero = check_pressure_zero(seq, cfg.get("pressure_n_max", 20), tau)
+    r_zero = check_pressure_zero(seq, cfg["pressure_n_max"], tau)
     r_sandwich = check_sandwich(seq, target, p, cert, n_max)
     r_asym = check_asymptotic_additivity(seq, target, p, family_index, n_max, cert)
-    r_almost = check_almost_additivity(seq, constant, cfg.get("almost_additive_bound", 10))
+    r_almost = check_almost_additivity(seq, constant, cfg["almost_additive_bound"])
     checks = {
         "gibbs_one": r_gibbs.passed,
         "pressure_zero": r_zero.passed,
@@ -412,10 +393,8 @@ def _cmd_psi_verify(cfg, out, inputs, args) -> int:
 
 def _cmd_map_check(cfg, out, inputs, args) -> int:
     emap = _load_doc(cfg, "map", load_map, args.base, inputs)
-    default_n = 14 if emap.kind == "piecewise_linear" else 30
-    n_max = args.n_max or cfg.get("n_max", default_n)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    sample_size = cfg.get("sample_size", 40)
+    n_max = cfg["n_max"] or (14 if emap.kind == "piecewise_linear" else 30)
+    seed, sample_size = cfg["seed"], cfg["sample_size"]
     report = check_ujr(emap, n_max, sample_size=sample_size, seed=seed)
     closed_form = report.kind == "piecewise_linear"
     header, cols = ("n", "m_value"), [report.n_values, report.m_values]
@@ -455,21 +434,19 @@ def _is_product_measure(mu) -> bool:
 
 def _cmd_spectrum(cfg, out, inputs, args) -> int:
     emap = _load_doc(cfg, "map", load_map, args.base, inputs)
-    if "measures" not in cfg:
-        raise _InputError("config field 'measures' must be a nonempty list of documents")
+    if emap.kind != "piecewise_linear":  # before the Legendre cross-check reads its slopes
+        raise _InputError("the variational search is defined for linear maps only")
     mus = [_load_doc({"m": rel}, "m", load_measure, args.base, inputs) for rel in cfg["measures"]]
-    step = cfg.get("step", 1e-3)
-    delta = cfg.get("delta", 1e-3)
-    qdepth = cfg.get("quadrature_depth", 10)
+    step, delta, qdepth = cfg["step"], cfg["delta"], cfg["quadrature_depth"]
     ts = emap.coding
     full = ts.is_full
     family = bernoulli_candidate_family(ts, step) if full else markov_candidate_family(ts, step)
     legendre_p: Optional[float] = None
     if len(mus) == 1 and full and ts.k == 2 and _is_product_measure(mus[0]):
         legendre_p = mus[0].stationary[0]
-    if "alpha_grid" in cfg:
+    if cfg["alpha_grid"] is not None:
         alphas = [tuple(a) if isinstance(a, list) else (a,) for a in cfg["alpha_grid"]]
-    elif "alpha_count" in cfg and legendre_p is not None:
+    elif cfg["alpha_count"] is not None and legendre_p is not None:
         lo, hi = legendre_alpha_range(legendre_p, emap.slopes)
         alphas = [(float(a),) for a in np.linspace(lo, hi, cfg["alpha_count"] + 2)[1:-1]]
     else:
@@ -556,7 +533,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         prog="thermoshift",
         description="Non-additive thermodynamic formalism at desk scale",
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", help="output directory (overrides config)")
     parser.add_argument("--n-max", type=int, dest="n_max")
@@ -567,25 +544,13 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     if args.threads is not None and args.threads < 1:
         print("input error: --threads must be at least 1", file=sys.stderr)
         return 2
-    least_n_max = CONFIG_INT_MINIMUMS.get(args.command, {}).get("n_max", 1)
-    if args.n_max is not None and args.n_max < least_n_max:
-        print(f"input error: --n-max must be at least {least_n_max}", file=sys.stderr)
-        return 2
-    if args.tol is not None and args.tol <= 0:
-        print("input error: --tol must be positive", file=sys.stderr)
-        return 2
-    if args.seed is not None and args.seed < 0:
-        print("input error: --seed must be a nonnegative integer", file=sys.stderr)
-        return 2
     try:
-        cfg = load_config(args.config, args.command)
+        cfg = load_config(args.config, args.command, vars(args))
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     args.base = os.path.dirname(os.path.abspath(args.config))
-    out = args.out or cfg.get("out", "thermoshift-out")
-    if not os.path.isabs(out):
-        out = os.path.join(args.base, out)
+    out = os.path.join(args.base, args.out or cfg["out"])  # an absolute out stays as it is
     try:
         os.makedirs(out, exist_ok=True)
     except OSError as exc:

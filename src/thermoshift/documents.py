@@ -5,7 +5,9 @@ header, so stale files fail loudly instead of parsing into something subtly
 different.  Floats are written with 17 significant digits ('%.17g'), which
 round-trips IEEE doubles bit-exactly; loaders therefore reproduce the exact
 objects that were dumped.  Configs are JSON with a version field and a
-closed key set per command — unknown keys are errors, by design.
+closed key set per command — unknown keys are errors, by design — read
+against one table, ``CONFIG_FIELDS``, of each field's kind, default and
+least value; ``load_config`` returns them complete, flags applied.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .interval_maps import ExpandingMarkovMap, perturbed_doubling
 from .measures import (
@@ -346,54 +348,6 @@ def load_map(text: str) -> ExpandingMarkovMap:
 
 CONFIG_VERSION = 1
 
-_COMMON_KEYS = {"version", "out"}
-_POSITIVE_INT_KEYS = (
-    "n_max", "n_min", "sample_size", "quadrature_depth", "alpha_count", "certify_n_max",
-    "validate_n_max", "pressure_n_max", "family_index", "almost_additive_bound",
-)
-#: Integer fields whose command needs more than 1: certification fits a tail
-#: of K*(n) up to n_max ≥ 4, a split of a word needs two parts, and a pressure
-#: window needs two values.  The CLI holds ``--n-max`` to the same least
-#: ``n_max``.
-CONFIG_INT_MINIMUMS: dict[str, dict[str, int]] = {
-    "pressure": {"n_max": 2},
-    "gibbs-build": {"certify_n_max": 4},
-    "weakgibbs-certify": {"n_max": 4},
-    "psi-verify": {"n_max": 4, "almost_additive_bound": 2, "pressure_n_max": 2},
-}
-ALLOWED_CONFIG_KEYS: dict[str, set[str]] = {
-    "sft-check": {"system", "n_max"},
-    "pressure": {"system", "potential", "method", "n_min", "n_max", "tol"},
-    "gibbs-build": {"system", "potential", "certify_n_max"},
-    "weakgibbs-certify": {
-        "measure",
-        "potential",
-        "pressure",
-        "n_max",
-        "tau",
-        "validate_n_max",
-    },
-    "psi-verify": {
-        "measure",
-        "pressure",
-        "n_max",
-        "pressure_n_max",
-        "tau",
-        "family_index",
-        "almost_additive_bound",
-    },
-    "map-check": {"map", "n_max", "sample_size", "seed"},
-    "spectrum": {
-        "map",
-        "measures",
-        "alpha_grid",
-        "alpha_count",
-        "step",
-        "delta",
-        "quadrature_depth",
-    },
-}
-
 
 def _is_int(x: Any) -> bool:
     # JSON true/false arrive as bool, which Python counts as the integers 1/0
@@ -405,19 +359,109 @@ def _is_number(x: Any) -> bool:
     return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
-def _is_level(x: Any) -> bool:
-    # an alpha_grid entry: a number, or a nonempty list of numbers
-    return _is_number(x) or (isinstance(x, list) and bool(x) and all(map(_is_number, x)))
+def _is_list_of(test: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda x: isinstance(x, list) and bool(x) and all(map(test, x))
 
 
-def load_config(path: str, command: str) -> dict[str, Any]:
-    """Parse and validate a JSON config for the given command.
+_PRESSURE_METHODS = ("all", "cylinder", "periodic", "spectral")
+#: kind -> (test, what a value of the kind must be); a ``number`` must also be positive
+_KINDS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "count": (lambda x: _is_int(x) and x >= 1, "a positive integer"),
+    "number": (_is_number, "a positive number"),
+    "document": (lambda x: isinstance(x, str), "a string"),
+    "documents": (_is_list_of(lambda d: isinstance(d, str)), "a nonempty list of documents"),
+    # alpha_grid: each level a number, or a nonempty list of numbers (one per measure)
+    "levels": (
+        _is_list_of(lambda a: _is_number(a) or _is_list_of(_is_number)(a)),
+        "a nonempty list of numbers or of lists of numbers",
+    ),
+    "pressure": (lambda x: x == "spectral" or _is_number(x), 'a number or "spectral"'),
+    "method": (lambda x: x in _PRESSURE_METHODS, "one of " + ", ".join(_PRESSURE_METHODS)),
+    "seed": (lambda x: _is_int(x) and x >= 0, "a nonnegative integer"),
+}
+REQUIRED: Any = object()  # the default of a field that a config must give
 
-    Enforces the version, rejects unknown keys, and checks the elementary
-    invariants (field types, positive tolerances, nonempty n ranges).  Referenced
+
+class ConfigField(NamedTuple):
+    """A kind, the value when omitted (``REQUIRED``: none) and a least value."""
+
+    kind: str
+    default: Any = None
+    least: Optional[int] = None
+
+
+_DOC, _SYSTEM = ConfigField("document", REQUIRED), ConfigField("document")
+_PRESSURE, _TAU = ConfigField("pressure", "spectral"), ConfigField("number", 1e-3)
+#: Each command's fields: the one source of config keys, defaults and least
+#: values.  Certification fits a tail of K*(n) up to n_max ≥ 4, a split of a
+#: word needs two parts, and a pressure window, a tail of M(n) or a quadrature
+#: two values.  The command sets map-check's default n_max from its map (14
+#: for linear maps, 30 for general ones).
+CONFIG_FIELDS: dict[str, dict[str, ConfigField]] = {
+    "sft-check": {"system": _DOC, "n_max": ConfigField("count", 10)},
+    "pressure": {
+        "potential": _DOC, "system": _SYSTEM, "method": ConfigField("method", "all"),
+        "n_min": ConfigField("count", 1), "n_max": ConfigField("count", 20, 2),
+        "tol": ConfigField("number", 1e-6),
+    },
+    "gibbs-build": {
+        "potential": _DOC, "system": _SYSTEM, "certify_n_max": ConfigField("count", 12, 4)
+    },
+    "weakgibbs-certify": {
+        "measure": _DOC, "potential": _DOC, "pressure": _PRESSURE,
+        "n_max": ConfigField("count", 12, 4), "tau": _TAU,
+        "validate_n_max": ConfigField("count", 8),
+    },
+    "psi-verify": {
+        "measure": _DOC, "pressure": _PRESSURE, "n_max": ConfigField("count", 12, 4),
+        "pressure_n_max": ConfigField("count", 20, 2), "tau": _TAU,
+        "family_index": ConfigField("count", 3),
+        "almost_additive_bound": ConfigField("count", 10, 2),
+    },
+    "map-check": {
+        "map": _DOC, "n_max": ConfigField("count", None, 2),
+        "sample_size": ConfigField("count", 40), "seed": ConfigField("seed", 0),
+    },
+    "spectrum": {
+        "map": _DOC, "measures": ConfigField("documents", REQUIRED),
+        "alpha_grid": ConfigField("levels"), "alpha_count": ConfigField("count"),
+        "step": ConfigField("number", 1e-3), "delta": ConfigField("number", 1e-3),
+        "quadrature_depth": ConfigField("count", 10, 2),
+    },
+}
+_OUT = ConfigField("document", "thermoshift-out")  # a field of every command
+#: the flags that override a field, checked as this where the command has no such field
+_FLAGS = {"n_max": ConfigField("count"), "tol": ConfigField("number"), "seed": ConfigField("seed")}
+
+
+def _check(name: str, value: Any, field: ConfigField) -> None:
+    """Refuse ``value``, called ``name``, unless it is a value of ``field``."""
+    test, what = _KINDS[field.kind]
+    if not test(value):
+        raise DocumentError(f"{name} must be {what}")
+    if field.kind == "number" and value <= 0:
+        raise DocumentError(f"{name} must be positive")
+    if field.least is not None and value < field.least:
+        raise DocumentError(f"{name} must be at least {field.least}")
+
+
+def load_config(path: str, command: str, flags: Optional[dict] = None) -> dict[str, Any]:
+    """Parse, validate and complete a JSON config for the given command.
+
+    Checks the version, the closed key set and each field's kind and least
+    value from ``CONFIG_FIELDS``, fills in the defaults, and applies the
+    ``n_max``, ``tol`` and ``seed`` entries of ``flags`` (the command-line
+    options by name; None: not given), each checked first as its field is.
+    A missing required document reference is refused last.  Referenced
     documents are *not* loaded here — the CLI does that next, still inside
     its input-error phase.
     """
+    if command not in CONFIG_FIELDS:
+        raise DocumentError(f"unknown command {command!r}")
+    fields = {**CONFIG_FIELDS[command], "out": _OUT}
+    flags = {k: v for k, v in (flags or {}).items() if k in _FLAGS and v is not None}
+    for key, value in flags.items():
+        _check(f"--{key.replace('_', '-')}", value, fields.get(key, _FLAGS[key]))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -431,46 +475,25 @@ def load_config(path: str, command: str) -> dict[str, Any]:
         raise DocumentError(
             f"config field 'version' must be {CONFIG_VERSION}, got {raw.get('version')!r}"
         )
-    if command not in ALLOWED_CONFIG_KEYS:
-        raise DocumentError(f"unknown command {command!r}")
-    allowed = ALLOWED_CONFIG_KEYS[command] | _COMMON_KEYS
-    unknown = sorted(set(raw) - allowed)
+    unknown = sorted(set(raw) - set(fields) - {"version"})
     if unknown:
         raise DocumentError(
             f"config field(s) {', '.join(unknown)} not recognized for {command}"
         )
-    for key in ("tol", "tau", "step", "delta"):
-        if key in raw and not (_is_number(raw[key]) and raw[key] > 0):
-            raise DocumentError(f"config field {key!r} must be a positive number")
-    for key in _POSITIVE_INT_KEYS:
-        if key in raw and not (_is_int(raw[key]) and raw[key] >= 1):
-            raise DocumentError(f"config field {key!r} must be a positive integer")
-    for key, least in CONFIG_INT_MINIMUMS.get(command, {}).items():
-        if key in raw and raw[key] < least:
-            raise DocumentError(f"config field {key!r} must be at least {least}")
-    for key in ("system", "potential", "measure", "map", "out"):
-        if key in raw and not isinstance(raw[key], str):
-            raise DocumentError(f"config field {key!r} must be a string")
-    if "measures" in raw and not (
-        isinstance(raw["measures"], list)
-        and raw["measures"]
-        and all(isinstance(x, str) for x in raw["measures"])
-    ):
-        raise DocumentError("config field 'measures' must be a nonempty list of documents")
-    if "pressure" in raw and not (raw["pressure"] == "spectral" or _is_number(raw["pressure"])):
-        raise DocumentError("config field 'pressure' must be a number or \"spectral\"")
-    if "alpha_grid" in raw and not (
-        isinstance(raw["alpha_grid"], list)
-        and raw["alpha_grid"]
-        and all(_is_level(a) for a in raw["alpha_grid"])
-    ):
+    for key, field in fields.items():
+        if key in raw:
+            _check(f"config field {key!r}", raw[key], field)
+    cfg = {key: field.default for key, field in fields.items()} | raw
+    cfg |= {key: value for key, value in flags.items() if key in fields}
+    if "n_min" in cfg and cfg["n_min"] >= cfg["n_max"]:
+        if "n_max" in raw and "n_max" not in flags:
+            raise DocumentError(
+                "config field 'n_max' must exceed 'n_min' (the n window is empty or holds one value)"
+            )
         raise DocumentError(
-            "config field 'alpha_grid' must be a nonempty list of numbers or of lists of numbers"
+            f"config field 'n_min' ({cfg['n_min']}) must be below the n_max used ({cfg['n_max']})"
         )
-    if "seed" in raw and not (_is_int(raw["seed"]) and raw["seed"] >= 0):
-        raise DocumentError("config field 'seed' must be a nonnegative integer")
-    if "n_min" in raw and "n_max" in raw and raw["n_min"] >= raw["n_max"]:
-        raise DocumentError(
-            "config field 'n_max' must exceed 'n_min' (the n window is empty or holds one value)"
-        )
-    return raw
+    for key in fields:
+        if cfg[key] is REQUIRED:
+            raise DocumentError(f"config is missing the {key!r} document reference")
+    return cfg

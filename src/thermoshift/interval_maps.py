@@ -260,7 +260,7 @@ class ExpandingMarkovMap:
             raise ValueError("cylinder of the empty word is the whole space")
         if not self.coding.is_admissible(word):
             raise ValueError(f"word {word} is not admissible for the coding")
-        lo, hi = _prefix_windows(self, np.array([word]))[1][0, 0].tolist()
+        lo, hi = _prefix_windows(self, np.array([word]), shortest=len(word))[1][0, 0].tolist()
         if self.kind == "piecewise_linear":
             diam = self.domains[word[-1] - 1][1] - self.domains[word[-1] - 1][0]
             for symbol in word[:-1]:
@@ -485,21 +485,24 @@ def _endpoint_defects(
     return np.abs(log_d[:, None] + sums).max(axis=1)
 
 
-def _prefix_windows(emap: ExpandingMarkovMap, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix windows I(w_j..w_n), as (lo, hi), of every prefix of every row.
+def _prefix_windows(
+    emap: ExpandingMarkovMap, words: np.ndarray, shortest: int = 1
+) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix windows I(w_j..w_n), as (lo, hi), of every prefix of every row
+    at least ``shortest`` long (``shortest`` = n_max: the whole rows only).
 
     Item (n_max − n)·count + i is row i's prefix of length n.  Longest go
     first, so the items still being pulled back at step t are a leading
     slice, moved by one ``inverse`` call.  Returns item words, ends[item, j].
     """
     count, n_max = words.shape
-    lengths = np.repeat(np.arange(n_max, 0, -1), count)
-    words = np.tile(words, (n_max, 1))
+    lengths = np.repeat(np.arange(n_max, shortest - 1, -1), count)
+    words = np.tile(words, (n_max - shortest + 1, 1))
     items = np.arange(len(lengths))
     ends = np.empty((len(lengths), n_max, 2))
     ends[items, lengths - 1] = cur = np.array(emap.domains)[words[items, lengths - 1] - 1]
     for t in range(1, n_max):
-        live = items[: count * (n_max - t)]
+        live = items[: count * (n_max - max(t, shortest - 1))]
         j = lengths[live] - 1 - t
         cur = np.sort(emap.inverse(np.repeat(words[live, j, None], 2, axis=1), cur[live]), axis=1)
         ends[live, j] = cur

@@ -286,7 +286,12 @@ class ExplicitSequence(PotentialSequence):
 
     def values_on_words(self, n: int, words: np.ndarray) -> np.ndarray:
         L = self.dep(n)
-        return np.array([float(self._fn(n, tuple(int(s) for s in row[:L]))) for row in words])
+        values = np.array([float(self._fn(n, tuple(int(s) for s in row[:L]))) for row in words])
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            word = tuple(int(s) for s in words[bad[0], :L])
+            raise ValueError(f"rule value {values[bad[0]]} at n = {n}, word {word} is not finite")
+        return values
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from thermoshift import (
     MarkovMeasure,
@@ -33,6 +35,7 @@ from thermoshift import (
     sft,
 )
 from thermoshift.cli import run
+from thermoshift.documents import CONFIG_FIELDS, REQUIRED
 from thermoshift.potentials import LocallyConstantPotential
 
 GOLDEN = TransitionSystem(((1, 1), (1, 0)))
@@ -594,6 +597,21 @@ def test_spectrum_alpha_grid_entries_must_be_finite_numbers(tmp_path, capsys, gr
     assert not out.exists()
 
 
+@pytest.mark.parametrize("levels", [{"alpha_count": 3}, {"alpha_grid": [1.0]}])
+def test_spectrum_of_a_general_map_is_an_input_error(tmp_path, capsys, levels):
+    # alpha_count with a Bernoulli reference read the general map's slopes (None): exit 3
+    _, mu_name = spectrum_workspace(tmp_path)
+    map_name = write(
+        tmp_path / "pmap.txt",
+        dump_map(perturbed_doubling(0.8), builtin="perturbed-doubling", params={"c": 0.8}),
+    )
+    cfg = write_config(tmp_path, {"map": map_name, "measures": [mu_name], **levels})
+    assert run(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: the variational search is defined for linear maps only"
+    ]
+
+
 def test_spectrum_needs_alpha_information(tmp_path, capsys):
     map_name, _ = spectrum_workspace(tmp_path)
     mu_name = write(
@@ -612,18 +630,31 @@ def test_spectrum_needs_alpha_information(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag,value,fragment",
+    "command,flag,value,fragment",
     [
-        ("--threads", "0", "--threads"),
-        ("--n-max", "0", "--n-max"),
-        ("--tol", "0.0", "--tol"),
+        # stable ids for the original sft-check cases
+        pytest.param("sft-check", "--threads", "0", "--threads", id="--threads-0---threads"),
+        pytest.param("sft-check", "--n-max", "0", "--n-max", id="--n-max-0---n-max"),
+        pytest.param("sft-check", "--tol", "0.0", "--tol", id="--tol-0.0---tol"),
+        # a NaN tolerance made the pressure agreement check pass on any input
+        ("pressure", "--tol", "nan", "input error: --tol must be a positive number"),
+        ("pressure", "--tol", "inf", "input error: --tol must be a positive number"),
+        ("sft-check", "--tol", "nan", "input error: --tol must be a positive number"),
+        ("pressure", "--tol", "-1", "input error: --tol must be positive"),
+        # check_ujr needs two levels of M(n)
+        ("map-check", "--n-max", "1", "input error: --n-max must be at least 2"),
     ],
 )
-def test_flag_validation(tmp_path, capsys, flag, value, fragment):
-    sys_name = write(tmp_path / "sys.txt", dump_system(FULL2))
-    cfg = write_config(tmp_path, {"system": sys_name})
-    assert run(["sft-check", "--config", cfg, flag, value]) == 2
+def test_flag_validation(tmp_path, capsys, command, flag, value, fragment):
+    payload = {
+        "sft-check": {"system": write(tmp_path / "sys.txt", dump_system(FULL2))},
+        "pressure": {"potential": write(tmp_path / "phi.txt", dump_potential(zero_potential(FULL2)))},
+        "map-check": {"map": write(tmp_path / "map.txt", dump_map(doubling_map()))},
+    }
+    cfg = write_config(tmp_path, payload[command])
+    assert run([command, "--config", cfg, flag, value]) == 2
     assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "thermoshift-out").exists()
 
 
 @pytest.mark.parametrize(
@@ -645,6 +676,8 @@ def test_flag_validation(tmp_path, capsys, flag, value, fragment):
         ("gibbs-build", "certify_n_max", 2, "must be at least 4"),
         ("pressure", "n_max", 1, "must be at least 2"),
         ("psi-verify", "pressure_n_max", 1, "must be at least 2"),
+        ("map-check", "n_max", 1, "must be at least 2"),
+        ("spectrum", "quadrature_depth", 1, "must be at least 2"),
     ],
 )
 def test_config_fields_of_the_wrong_type_are_input_errors(
@@ -691,10 +724,14 @@ def test_a_pressure_window_of_one_value_is_an_input_error(tmp_path, capsys, payl
 
 @pytest.mark.parametrize(
     "payload,argv,used",
-    [({"n_min": 20}, [], 20), ({"n_min": 8, "n_max": 30}, ["--n-max", "6"], 6)],
+    [
+        ({"n_min": 20}, [], 20),
+        ({"n_min": 8, "n_max": 30}, ["--n-max", "6"], 6),
+        ({"n_min": 5, "n_max": 5}, ["--n-max", "3"], 3),
+    ],
 )
 def test_n_min_at_or_above_the_n_max_used_names_the_field(tmp_path, capsys, payload, argv, used):
-    # the default n_max and --n-max are resolved by the command, after load_config
+    # the window is checked on the n_max used: the default, the config's or --n-max
     pot_name = write(tmp_path / "phi.txt", dump_potential(zero_potential(FULL2)))
     cfg = write_config(tmp_path, {"potential": pot_name, **payload})
     assert run(["pressure", "--config", cfg, *argv]) == 2
@@ -801,3 +838,108 @@ def test_value_missing_from_the_last_table_line_is_an_input_error(tmp_path, caps
     assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert f"line {len(lines)}:" in err and "internal error" not in err
+
+
+# ---------------------------------------------------------------------------
+# configs drawn from the field table
+
+FUZZ_DOCS = {
+    "sys.txt": "thermoshift-system v1\nalphabet 2\nrow 1 1\nrow 1 1\n",
+    "phi.txt": (
+        "thermoshift-potential v1\nalphabet 2\nrow 1 1\nrow 1 1\ndepth 1\nprecision 17\n"
+        "word 1 value -0.25\nword 2 value 0.5\n"
+    ),
+    "mu.txt": (
+        "thermoshift-measure v1\nkind markov\nalphabet 2\nrow 1 1\nrow 1 1\n"
+        "q 0.25 0.75\nq 0.25 0.75\npi 0.25 0.75\n"
+    ),
+    "mu2.txt": (
+        "thermoshift-measure v1\nkind markov\nalphabet 2\nrow 1 1\nrow 1 1\n"
+        "q 0.5 0.5\nq 0.25 0.75\npi 0.33333333333333337 0.66666666666666663\n"
+    ),
+    "map.txt": (
+        "thermoshift-map v1\nkind piecewise_linear\nalphabet 2\nrow 1 1\nrow 1 1\n"
+        "domain 0 0.5\ndomain 0.5 1\n"
+    ),
+    "pmap.txt": (
+        "thermoshift-map v1\nkind general\nalphabet 2\nrow 1 1\nrow 1 1\n"
+        "domain 0 0.5\ndomain 0.5 1\nbuiltin perturbed-doubling\nparam c 0.80000000000000004\n"
+    ),
+}
+FUZZ_DOCUMENTS = {
+    "system": ["sys.txt"], "potential": ["phi.txt"], "measure": ["mu.txt", "mu2.txt"],
+    "map": ["map.txt", "pmap.txt"],
+}
+_LEVEL = st.floats(0.5, 1.5)
+#: small values of each kind: no run enumerates more than 2^12 words
+FUZZ_KINDS = {
+    "count": lambda f: st.integers(f.least or 1, (f.least or 1) + 3),
+    "number": lambda f: st.sampled_from([0.01, 0.05, 0.25, 0.5]),  # a spectrum step divides 1
+    "documents": lambda f: st.lists(st.sampled_from(["mu.txt", "mu2.txt"]), min_size=1, max_size=2),
+    "levels": lambda f: st.lists(_LEVEL | st.lists(_LEVEL, min_size=1, max_size=2), min_size=1, max_size=3),
+    "pressure": lambda f: st.just("spectral") | st.floats(-1.0, 1.0),
+    "method": lambda f: st.sampled_from(["all", "cylinder", "periodic", "spectral"]),
+    "seed": lambda f: st.integers(0, 3),
+}
+FUZZ_JUNK = st.sampled_from(["x", "", -1, 0, 2.5, True, None, [], {}, ["x"], math.nan])
+_OMIT = object()
+
+
+def _fuzz_value(name, field, broken):
+    """A field's value drawn from its kind (or left out, where it has a default)
+    or, if ``broken``, from a wrong kind or from below its least value."""
+    if field.kind == "document":
+        valid = st.sampled_from(FUZZ_DOCUMENTS[name])
+        wrong = st.sampled_from([*sorted(FUZZ_DOCS), "absent.txt"]) | FUZZ_JUNK
+    else:
+        valid = FUZZ_KINDS[field.kind](field)
+        wrong = FUZZ_JUNK | st.sampled_from(sorted(FUZZ_DOCS))
+    if not broken:
+        # an omitted count's default can be large
+        return valid if field.kind == "count" or field.default is REQUIRED else valid | st.just(_OMIT)
+    if field.kind in ("count", "seed"):
+        wrong |= st.integers(-2, (field.least or 1) - 1)
+    elif field.kind == "number":
+        wrong |= st.sampled_from([0.0, -0.5, math.inf])
+    return wrong | st.just(_OMIT) if field.default is REQUIRED else wrong
+
+
+@st.composite
+def fuzz_cases(draw):
+    """(command, config payload, flags): at most one field or flag is broken."""
+    command = draw(st.sampled_from(sorted(CONFIG_FIELDS)))
+    fields = CONFIG_FIELDS[command]
+    broken = draw(st.sampled_from([None, None, "flags", *fields]))
+    payload = {}
+    for name, field in fields.items():
+        value = draw(_fuzz_value(name, field, name == broken))
+        if value is not _OMIT:
+            payload[name] = value
+    bad = broken == "flags"
+    flags = {
+        "--n-max": st.integers(-1, 3) if bad else st.integers(4, 6),
+        "--tol": st.sampled_from(["0", "-1", "nan", "inf"]) if bad else st.sampled_from(["1e-6", "0.5"]),
+        "--seed": st.integers(-2, -1) if bad else st.integers(0, 3),
+    }
+    drawn = draw(st.fixed_dictionaries({}, optional={k: v.map(str) for k, v in flags.items()}))
+    return command, payload, [token for item in drawn.items() for token in item]
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(case=fuzz_cases())
+def test_configs_drawn_from_the_field_table_end_in_0_1_or_2_without_a_traceback(
+    tmp_path, capsys, case
+):
+    command, payload, flags = case
+    for name, text in FUZZ_DOCS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    cfg = write_config(tmp_path, payload)
+    code = run([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err

@@ -266,6 +266,21 @@ def test_deep_cylinder_interval_is_the_sweep_window():
     assert 0.0 < c.diameter < 1e-8
 
 
+@pytest.mark.parametrize("n", [1, 2, 12])
+def test_cylinder_interval_pulls_back_the_whole_word_only(monkeypatch, n):
+    # one inverse row per pull-back step, not one per prefix still in flight
+    m = perturbed_doubling(0.8)
+    rows, inverse = [], type(m).inverse
+
+    def counting(self, symbols, y):
+        rows.append(len(symbols))
+        return inverse(self, symbols, y)
+
+    monkeypatch.setattr(type(m), "inverse", counting)
+    m.cylinder_interval(tuple(1 + i % 2 for i in range(n)))
+    assert sum(rows) == n - 1
+
+
 def test_cylinder_interval_input_validation():
     m = golden_mean_linear()
     with pytest.raises(ValueError):

@@ -179,6 +179,14 @@ def test_explicit_sequence_with_known_defect(full2):
     assert defect == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_explicit_sequence_refuses_a_non_finite_rule_value(full2, bad):
+    seq = ExplicitSequence(full2, lambda n, w: bad if w == (2, 1) else 0.0, lambda n: n)
+    assert seq.value_word(2, (1, 2)) == 0.0
+    with pytest.raises(ValueError, match=r"n = 2, word \(2, 1\) is not finite"):
+        almost_additivity_defect(seq, 1, 1)
+
+
 @given(phi=potentials(max_depth=2), n=st.integers(min_value=1, max_value=6))
 def test_asymptotic_defect_against_own_potential_vanishes(phi, n):
     assert asymptotic_defect(AdditiveSequence(phi), phi, n) == 0.0
