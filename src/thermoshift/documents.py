@@ -26,6 +26,7 @@ from .measures import (
     TableMeasure,
     build_rpf,
 )
+from .multifractal import grid_size
 from .potentials import LocallyConstantPotential
 from .sft import TransitionSystem, Word, enumerate_words
 
@@ -368,6 +369,7 @@ _PRESSURE_METHODS = ("all", "cylinder", "periodic", "spectral")
 _KINDS: dict[str, tuple[Callable[[Any], bool], str]] = {
     "count": (lambda x: _is_int(x) and x >= 1, "a positive integer"),
     "number": (_is_number, "a positive number"),
+    "step": (lambda x: _is_number(x) and grid_size(x) > 0, "1/m for some integer m >= 2"),
     "document": (lambda x: isinstance(x, str), "a string"),
     "documents": (_is_list_of(lambda d: isinstance(d, str)), "a nonempty list of documents"),
     # alpha_grid: each level a number, or a nonempty list of numbers (one per measure)
@@ -425,7 +427,7 @@ CONFIG_FIELDS: dict[str, dict[str, ConfigField]] = {
     "spectrum": {
         "map": _DOC, "measures": ConfigField("documents", REQUIRED),
         "alpha_grid": ConfigField("levels"), "alpha_count": ConfigField("count"),
-        "step": ConfigField("number", 1e-3), "delta": ConfigField("number", 1e-3),
+        "step": ConfigField("step", 1e-3), "delta": ConfigField("number", 1e-3),
         "quadrature_depth": ConfigField("count", 10, 2),
     },
 }

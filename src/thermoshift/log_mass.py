@@ -39,7 +39,7 @@ from .potentials import (
     PotentialSequence,
     almost_additivity_defect,
 )
-from .pressure import PressureEstimate, pressure_limit
+from .pressure import PressureEstimate, pressure_limit, transfer_log_sums
 from .sft import TransitionSystem, Word, word_array
 
 
@@ -81,8 +81,9 @@ class LogMassSequence(PotentialSequence):
     def periodic_log_sums(self, n_min: int, n_max: int) -> list[float]:
         """A block chain of width b turns the sum at n ≥ b into
         Σ_{s,t} π_s (Q^{n−b})_{st} A[last(t), first(s)], that is
-        pi·(Q^{n−b} ∘ return-mask)·1 over block states; n < b, and oracles
-        without a chain, enumerate."""
+        pi·(Q^{n−b} ∘ return-mask)·1 over block states, read off the powers
+        of Q by :func:`~thermoshift.pressure.transfer_log_sums` as absolute
+        logs; n < b, and oracles without a chain, enumerate."""
         view = self.oracle.block_chain()
         if view is None:
             return super().periodic_log_sums(n_min, n_max)
@@ -91,13 +92,12 @@ class LogMassSequence(PotentialSequence):
         pi, q = chain._arrays
         states = graph.states - 1
         return_mask = self.system.as_array[np.ix_(states[:, -1], states[:, 0])].T.astype(float)
-        power = np.eye(graph.order)
-        for n in range(graph.width, n_max + 1):
-            if n >= n_min:
-                z = float(pi @ ((power * return_mask) @ np.ones(graph.order)))
-                out.append(math.log(z) if z > 0 else -math.inf)
-            power = power @ q
-        return out
+        sums = transfer_log_sums(
+            lambda power: power @ q, np.eye(graph.order),
+            lambda power: pi @ ((power * return_mask) @ np.ones(graph.order)),
+            n_max - graph.width + 1, telescope=False,
+        )
+        return out + sums[max(0, n_min - graph.width) :]
 
 
 def build_log_mass_sequence(oracle: CylinderMeasureOracle) -> LogMassSequence:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import abc
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Iterator, Optional, Sequence
@@ -31,7 +32,7 @@ from .potentials import (
     PotentialSequence,
     eta,
 )
-from .pressure import block_transfer, power_iteration, pressure_spectral
+from .pressure import EigensolverError, block_transfer, power_iteration, pressure_spectral
 from .sft import (
     BlockGraph,
     TransitionSystem,
@@ -438,6 +439,8 @@ def _perron_chain(
     """
     lam, h = power_iteration(m)
     _, nu = power_iteration(m.T)
+    if not (np.all(h > 0) and np.all(nu > 0)):  # weights that underflowed to 0
+        raise EigensolverError("Perron vector has a zero entry (matrix reducible in floats)")
     nu = nu / float(nu @ h)
     q = m * h[None, :] / (lam * h[:, None])
     # rows sum to 1 only in exact arithmetic; the eigenvector dust must not
@@ -459,6 +462,11 @@ def build_rpf(phi: LocallyConstantPotential) -> RpfGibbsData:
     phi.system.require_mixing()
     bt = block_transfer(phi)
     lam, h, nu, chain = _perron_chain(bt.graph.system, bt.matrix)
+    if bt.shift:  # λ = e^c·λ' for the matrix shifted by c
+        log_lam = math.log(lam) + bt.shift
+        if not math.log(sys.float_info.min) <= log_lam < math.log(sys.float_info.max):
+            raise ValueError(f"the Perron root exp({log_lam!r}) is outside the range of a double")
+        lam = math.exp(log_lam)
     return RpfGibbsData(phi, lam, bt.graph, h, nu, chain)
 
 

@@ -207,10 +207,16 @@ class CandidateFamily:
         return _chain_entropies(self.q, self.pi)
 
 
+def grid_size(step: float) -> int:
+    """The m ≥ 2 with m·step = 1 to 1e−6 (1/step parts of [0, 1]), else 0."""
+    m = round(1.0 / step) if step > 1e-300 else 0  # 1/step stays finite
+    return m if m >= 2 and abs(m * step - 1.0) <= 1e-6 else 0
+
+
 def _simplex_grid(parts: int, step: float) -> np.ndarray:
     """Interior grid points of the simplex as rows (b − a)/m of cut points."""
-    m = round(1.0 / step)
-    if m < 2 or abs(m * step - 1.0) > 1e-6:
+    m = grid_size(step)
+    if not m:
         raise ValueError("step must evenly divide 1")
     count = math.comb(m - 1, parts - 1)
     if count > 1_000_000:

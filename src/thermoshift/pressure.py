@@ -6,6 +6,12 @@ Perron root of the weighted transfer matrix on φ's block graph, which lives
 in :mod:`~thermoshift.sft`.  The first two are exact finite-n enumerations;
 `pressure_limit` produces the n→∞ extrapolation with an error bar.
 
+On additive targets both finite-n routes, and the log-mass chain powers of
+:mod:`~thermoshift.log_mass`, run one rescaled sum-product loop,
+:func:`transfer_log_sums`, on the dense block transfer matrix.  When
+|max φ| > 300 that matrix is exp(φ − max φ), which can neither overflow nor
+vanish, and every route adds max φ back once per step.
+
 Extrapolation detail that matters: the raw values (1/n) log Z_n carry a
 β/n error term from the log-prefactor of Z_n ≈ c·λ^n, so accelerating them
 directly stalls at that term.  The increments log Z_{n+1} − log Z_n have the
@@ -20,7 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -104,121 +111,101 @@ class BlockTransfer:
     """Weighted transfer matrix of a potential on its block graph.
 
     The graph has width max(depth − 1, 1); the edge u→v carries weight
-    exp(φ(first depth symbols of the edge word)).  Row/column order is the
-    lexicographic block order, fixed for reproducibility.
+    exp(φ(first depth symbols of the edge word) − shift).  Row/column order
+    is the lexicographic block order, fixed for reproducibility.  ``shift``
+    is c = max φ when |c| > 300 and 0.0 otherwise, so that exp can neither
+    overflow nor flush a whole matrix to 0; every reader of ``matrix`` adds
+    c back once per step, by P(φ) = P(φ − c) + c.  ``weights`` stay φ.
     """
 
     graph: BlockGraph
     weights: np.ndarray  # φ on each edge, in the graph's edge order
-    matrix: np.ndarray  # exp(weights) at [src, dst], 0 where no edge
+    matrix: np.ndarray  # exp(weights − shift) at [src, dst], 0 where no edge
+    shift: float
 
     @property
     def order(self) -> int:
         return self.graph.order
 
+    @cached_property
+    def _row_split(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """(a, A) with matrix = diag(a)·A when every row's edge weights agree.
+
+        True for depth-1 potentials (the edge weight reads only the source
+        symbol).  The factored product a ∘ (A x) sums the iterate *before*
+        the single multiply, so weight systems with Σa exactly 1.0 keep their
+        iterates bit-exact — the per-entry products of diag(a)·A @ x would
+        scatter 1-ulp dust into every step.
+        """
+        starts = self.graph._src_starts  # one edge group per source state
+        top = np.maximum.reduceat(self.weights, starts)
+        if np.any(top != np.minimum.reduceat(self.weights, starts)):
+            return None
+        adjacency = np.zeros((self.order, self.order))
+        adjacency[self.graph.src, self.graph.dst] = 1.0
+        # math.exp, not np.exp: the two can differ in the last bit
+        return np.array([math.exp(x - self.shift) for x in top.tolist()]), adjacency
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """``matrix`` times a vector, or times each column of a matrix."""
+        split = self._row_split
+        if split is None:
+            return self.matrix @ x
+        a, adjacency = split
+        return a * (adjacency @ x) if x.ndim == 1 else a[:, None] * (adjacency @ x)
+
 
 def block_transfer(phi: LocallyConstantPotential) -> BlockTransfer:
     graph = block_graph(phi.system, max(phi.depth - 1, 1))
     weights = phi.dense[tuple(graph.edges[:, : phi.depth].T - 1)]
+    top = float(np.max(weights))
+    shift = top if abs(top) > 300.0 else 0.0
     matrix = np.zeros((graph.order, graph.order))
-    with np.errstate(over="raise"):
-        matrix[graph.src, graph.dst] = np.exp(weights)
-    return BlockTransfer(graph, weights, matrix)
-
-
-def _row_weight_split(bt: BlockTransfer) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """(a, A) with matrix = diag(a)·A when every row's edge weights agree.
-
-    True for depth-1 potentials (the edge weight reads only the source
-    symbol).  The factored product a ∘ (A v) sums the iterate *before* the
-    single multiply, so weight systems with Σa exactly 1.0 keep their
-    iterates bit-exact — the per-entry products of diag(a)·A @ v would
-    scatter 1-ulp dust into every step.
-    """
-    starts = bt.graph._src_starts  # one edge group per source state
-    top = np.maximum.reduceat(bt.weights, starts)
-    if np.any(top != np.minimum.reduceat(bt.weights, starts)):
-        return None
-    adjacency = np.zeros((bt.order, bt.order))
-    adjacency[bt.graph.src, bt.graph.dst] = 1.0
-    # math.exp, not np.exp: the two can differ in the last bit
-    return np.array([math.exp(x) for x in top.tolist()]), adjacency
-
-
-def _step(w: np.ndarray, split: Optional[tuple[np.ndarray, np.ndarray]], v: np.ndarray) -> np.ndarray:
-    if split is None:
-        return w @ v
-    a, adj = split
-    return a * (adj @ v) if v.ndim == 1 else a[:, None] * (adj @ v)
+    matrix[graph.src, graph.dst] = np.exp(weights - shift)
+    return BlockTransfer(graph, weights, matrix, shift)
 
 
 _RESCALE = 2.0**512
 
 
-def _ratio_vector_logs(
-    w: np.ndarray, split, v0: np.ndarray, base: float, steps: int
+def transfer_log_sums(
+    apply: Callable[[np.ndarray], np.ndarray], x: np.ndarray, read: Callable[[np.ndarray], float],
+    count: int, base: float = 0.0, growth: float = 0.0, telescope: bool = True,
 ) -> list[float]:
-    """[log(1ᵀ wʳ v₀)]_{r=0..steps} via telescoped per-step growth ratios.
+    """[base + r·growth + log read(x_r)] for r < count, where x_{r+1} = apply(x_r).
 
-    Each log Z is assembled by fsum over [base, log c₁, …], so windows whose
-    ratios are exact constants (φ = 0, Bernoulli log-weights) yield log Z_n
-    that divide back to the constant bit-exactly.  Rescaling, when the
-    iterate leaves the comfortable range, is by powers of two — exact, and
-    invisible to the ratios since numerator and denominator share the scale.
+    The iterate is rescaled by a power of two (exact) whenever its peak
+    leaves [2⁻⁵¹², 2⁵¹²], and a vanishing iterate raises ValueError.  When
+    every read is positive (and ``telescope`` is on) the log sums are fsums
+    of [base + log read(x₀), log(read(x₁)/read(x₀)) + Δe·log 2 + growth, …]:
+    exact constant ratios (φ = 0, Bernoulli log-weights) divide back to the
+    constant bit-exactly.  Otherwise each is base + r·growth + log read +
+    e·log 2, with e the exponent taken out so far, and −inf for a zero read.
     """
-    v = v0.copy()
-    terms = [base + math.log(float(v.sum()))]
-    out = [math.fsum(terms)]
-    for _ in range(steps):
-        prev = float(v.sum())
-        v = _step(w, split, v)
-        cur = float(v.sum())
-        if cur <= 0:
-            raise ValueError("transfer iterate vanished (disconnected block graph?)")
-        terms.append(math.log(cur / prev))
-        out.append(math.fsum(terms))
-        peak = float(np.max(v))
-        if peak > _RESCALE or peak < 1.0 / _RESCALE:
-            v = v * math.ldexp(1.0, -math.frexp(peak)[1])
-    return out
-
-
-def _power_trace_logs(w: np.ndarray, split, n_max: int) -> list[float]:
-    """[log trace(wⁿ)]_{n=1..n_max}, ratio-telescoped when no trace vanishes.
-
-    Vanishing traces (mixing systems without low-period points) force the
-    absolute form log(trace) + exponent·log 2 for every n; otherwise the
-    fsum-of-ratios form is used for the same exactness reason as the
-    cylinder path.
-    """
-    traces: list[float] = []
+    reads: list[float] = []
     exponents: list[int] = []
-    a = w.copy()
-    shift = 0
-    for _ in range(n_max):
-        traces.append(float(np.trace(a)))
-        exponents.append(shift)
-        a = _step(w, split, a)
-        peak = float(np.max(a))
-        if peak <= 0:
-            raise ValueError("transfer power vanished")
-        if peak > _RESCALE or peak < 1.0 / _RESCALE:
-            exponent = math.frexp(peak)[1]
-            a *= math.ldexp(1.0, -exponent)
-            shift += exponent
-    if all(t > 0 for t in traces):
-        terms = [math.log(traces[0]) + exponents[0] * math.log(2)]
-        out = [math.fsum(terms)]
-        for i in range(1, n_max):
-            terms.append(
-                math.log(traces[i] / traces[i - 1])
-                + (exponents[i] - exponents[i - 1]) * math.log(2)
-            )
-            out.append(math.fsum(terms))
-        return out
+    exponent = 0
+    for r in range(count):
+        if r:
+            x = apply(x)
+            peak = float(np.max(x))
+            if peak <= 0:
+                raise ValueError("transfer iterate vanished (disconnected block graph?)")
+            if peak > _RESCALE or peak < 1.0 / _RESCALE:
+                e = math.frexp(peak)[1]
+                x, exponent = x * math.ldexp(1.0, -e), exponent + e
+        reads.append(float(read(x)))
+        exponents.append(exponent)
+    log2 = math.log(2)
+    if telescope and reads and all(t > 0 for t in reads):
+        terms = [base + math.log(reads[0])] + [
+            math.log(b / a) + (f - e) * log2 + growth
+            for a, b, e, f in zip(reads, reads[1:], exponents, exponents[1:])
+        ]
+        return [math.fsum(terms[: r + 1]) for r in range(count)]
     return [
-        math.log(t) + e * math.log(2) if t > 0 else -math.inf
-        for t, e in zip(traces, exponents)
+        base + r * growth + math.log(t) + e * log2 if t > 0 else -math.inf
+        for r, (t, e) in enumerate(zip(reads, exponents))
     ]
 
 
@@ -279,8 +266,9 @@ def pressure_spectral(phi: LocallyConstantPotential) -> float:
     its residual or spectral-gap test fails.
     """
     phi.system.require_mixing()
-    lam, _ = power_iteration(block_transfer(phi).matrix)
-    return math.log(lam)
+    bt = block_transfer(phi)
+    lam, _ = power_iteration(bt.matrix)
+    return math.log(lam) + bt.shift
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +342,15 @@ class PressureEstimate:
             raise ValueError("error_bar must be >= 0")
 
 
-def _estimate_from_log_sums(method: str, ns: list[int], log_z: list[float]) -> PressureEstimate:
-    """Assemble a PressureEstimate from log Z_n values.
+def _estimate_from_log_sums(method: str, n_min: int, log_z: list[float]) -> PressureEstimate:
+    """Assemble a PressureEstimate from log Z_n values, n = n_min, n_min + 1, ….
 
-    Extrapolates the increments of the longest finite, consecutive-n suffix;
-    with a single usable value the estimate falls back to that raw value.
+    Extrapolates the increments of the longest finite suffix; with a single
+    usable value the estimate falls back to that raw value.
     """
-    raw = tuple((n, lz / n) for n, lz in zip(ns, log_z))
-    start = len(ns) - 1
-    while (
-        start > 0
-        and math.isfinite(log_z[start - 1])
-        and ns[start] - ns[start - 1] == 1
-    ):
+    raw = tuple((n, lz / n) for n, lz in enumerate(log_z, n_min))
+    start = len(log_z) - 1
+    while start > 0 and math.isfinite(log_z[start - 1]):
         start -= 1
     usable = log_z[start:]
     if not math.isfinite(usable[-1]):
@@ -389,15 +373,13 @@ def _estimate_from_log_sums(method: str, ns: list[int], log_z: list[float]) -> P
 
 def _additive_log_sums(
     phi: LocallyConstantPotential, method: str, n_min: int, n_max: int
-) -> tuple[list[int], list[float]]:
+) -> list[float]:
     """log Z_n for n in [n_min, n_max] via scaled transfer-matrix products.
 
     Exact-equivalent to the enumeration ops (tested against them), but
     O(n·k^{2(d−1)}) instead of O(kⁿ).
     """
     bt = block_transfer(phi)
-    split = _row_weight_split(bt)
-    ns = list(range(n_min, n_max + 1))
     if method == "cylinder":
         # g(u) = max over D further edges out of u of their φ sum: the sup
         # over cylinder extensions of the trailing windows of S_n φ
@@ -406,20 +388,17 @@ def _additive_log_sums(
         for _ in range(lead):
             g = bt.graph.step(g, bt.weights, backward=True)
         scale = float(np.max(g)) if abs(float(np.max(g))) > 300.0 else 0.0
-        v0 = np.exp(g - scale)
-        sums = _ratio_vector_logs(bt.matrix, split, v0, scale, max(0, n_max - lead))
+        sums = transfer_log_sums(
+            bt.apply, np.exp(g - scale), np.ndarray.sum, max(0, n_max - lead) + 1, scale, bt.shift
+        )
         # sums[r] = log Z_{lead + r}; for n < lead fall back to enumeration
-        out = []
-        for n in ns:
-            if n < lead:
-                out.append(n * pressure_cylinder(phi, n))
-            else:
-                out.append(sums[n - lead])
-        return ns, out
+        ns = range(n_min, n_max + 1)
+        return [n * pressure_cylinder(phi, n) if n < lead else sums[n - lead] for n in ns]
     if method == "periodic":
         phi.system.require_mixing()
-        traces = _power_trace_logs(bt.matrix, split, n_max)
-        return ns, [traces[n - 1] for n in ns]
+        # trace(Mⁿ) from the iterate Mⁿ, started at M itself
+        traces = transfer_log_sums(bt.apply, bt.matrix, np.ndarray.trace, n_max, bt.shift, bt.shift)
+        return traces[n_min - 1 :]
     raise ValueError(f"unknown finite-n method {method!r}")
 
 
@@ -439,18 +418,14 @@ def pressure_limit(
     if n_min < 1 or n_max <= n_min:
         raise ValueError("need 1 <= n_min < n_max: a window of one value has no error bar")
     if isinstance(target, AdditiveSequence):
-        phi: Optional[LocallyConstantPotential] = target.potential
-    elif isinstance(target, LocallyConstantPotential):
-        phi = target
-    else:
-        phi = None
+        target = target.potential
+    phi = target if isinstance(target, LocallyConstantPotential) else None
     if method == "spectral":
         if phi is None:
             raise ValueError("spectral pressure requires an additive target")
         return PressureEstimate("spectral", (), pressure_spectral(phi), 0.0)
     if phi is not None:
-        ns, log_z = _additive_log_sums(phi, method, n_min, n_max)
-        return _estimate_from_log_sums(method, ns, log_z)
+        return _estimate_from_log_sums(method, n_min, _additive_log_sums(phi, method, n_min, n_max))
     if method == "cylinder":
         raise ValueError(
             "cylinder pressure needs exact cylinder suprema and is defined "
@@ -459,8 +434,7 @@ def pressure_limit(
         )
     if method != "periodic":
         raise ValueError(f"unknown method {method!r}")
-    ns = list(range(n_min, n_max + 1))
-    return _estimate_from_log_sums(method, ns, target.periodic_log_sums(n_min, n_max))
+    return _estimate_from_log_sums(method, n_min, target.periodic_log_sums(n_min, n_max))
 
 
 # ---------------------------------------------------------------------------

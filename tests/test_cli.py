@@ -34,6 +34,7 @@ from thermoshift import (
     perturbed_doubling,
     sft,
 )
+import thermoshift.cli as cli
 from thermoshift.cli import run
 from thermoshift.documents import CONFIG_FIELDS, REQUIRED
 from thermoshift.potentials import LocallyConstantPotential
@@ -164,17 +165,55 @@ def test_pressure_rejects_mismatched_system(tmp_path, capsys):
     assert "disagrees" in capsys.readouterr().err
 
 
-def test_internal_errors_exit_3_with_one_line_and_no_traceback(tmp_path, capsys):
-    # exp(800) overflows in the block transfer matrix: a defect of the
-    # program, not of the input, so it must not read as "a check failed"
-    phi = LocallyConstantPotential(FULL2, 1, {(1,): 800.0, (2,): 0.0})
-    pot_name = write(tmp_path / "phi.txt", dump_potential(phi))
+def test_internal_errors_exit_3_with_one_line_and_no_traceback(tmp_path, capsys, monkeypatch):
+    # a defect of the program, not of the input, must not read as "a check
+    # failed": a pressure route that breaks stands in for one
+    def broken(*args):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "pressure_limit", broken)
+    pot_name = write(tmp_path / "phi.txt", dump_potential(zero_potential(FULL2)))
     cfg = write_config(tmp_path, {"potential": pot_name})
     assert run(["pressure", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert err.splitlines() == [
-        "internal error: FloatingPointError: overflow encountered in exp"
-    ]
+    assert err.splitlines() == ["internal error: ZeroDivisionError: float division by zero"]
+
+
+LARGE_POTENTIALS = [
+    pytest.param({(1,): 800.0, (2,): 800.0}, 800.0 + math.log(2.0), id="800"),
+    pytest.param({(1,): 800.0, (2,): 0.0}, 800.0, id="800-0"),  # 800 + log(1 + e^-800)
+    pytest.param({(1,): -800.0, (2,): -800.0}, -800.0 + math.log(2.0), id="-800"),
+]
+
+
+def _refuse_non_finite(token):
+    raise ValueError(f"non-finite JSON number {token}")
+
+
+@pytest.mark.parametrize("table,pressure", LARGE_POTENTIALS)
+def test_potentials_past_the_range_of_exp_give_their_pressure(tmp_path, table, pressure):
+    # the transfer matrix is built as exp(φ − max φ), and every route adds max φ back
+    pot_name = write(tmp_path / "phi.txt", dump_potential(LocallyConstantPotential(FULL2, 1, table)))
+    cfg = write_config(tmp_path, {"potential": pot_name})
+    out = str(tmp_path / "out")
+    assert run(["pressure", "--config", cfg, "--out", out]) == 0
+    for method, summary in result_of(out)["summary"].items():
+        assert summary["extrapolated"] == pytest.approx(pressure, rel=1e-15), method
+
+
+@pytest.mark.parametrize("table,pressure", LARGE_POTENTIALS)
+def test_gibbs_build_on_potentials_past_the_range_of_exp_writes_only_finite_numbers(
+    tmp_path, capsys, table, pressure
+):
+    pot_name = write(tmp_path / "phi.txt", dump_potential(LocallyConstantPotential(FULL2, 1, table)))
+    cfg = write_config(tmp_path, {"potential": pot_name})
+    out = tmp_path / "out"
+    code = run(["gibbs-build", "--config", cfg, "--out", str(out)])
+    assert code in (0, 2), capsys.readouterr().err
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_non_finite)
+    if code == 0:
+        assert result_of(out)["summary"]["pressure"] == pytest.approx(pressure, rel=1e-15)
 
 
 def test_pressure_runs_are_byte_identical(tmp_path):
@@ -678,6 +717,8 @@ def test_flag_validation(tmp_path, capsys, command, flag, value, fragment):
         ("psi-verify", "pressure_n_max", 1, "must be at least 2"),
         ("map-check", "n_max", 1, "must be at least 2"),
         ("spectrum", "quadrature_depth", 1, "must be at least 2"),
+        # the candidate grids cut [0, 1] into 1/step parts
+        ("spectrum", "step", 0.3, "must be 1/m for some integer m >= 2"),
     ],
 )
 def test_config_fields_of_the_wrong_type_are_input_errors(
@@ -874,7 +915,8 @@ _LEVEL = st.floats(0.5, 1.5)
 #: small values of each kind: no run enumerates more than 2^12 words
 FUZZ_KINDS = {
     "count": lambda f: st.integers(f.least or 1, (f.least or 1) + 3),
-    "number": lambda f: st.sampled_from([0.01, 0.05, 0.25, 0.5]),  # a spectrum step divides 1
+    "number": lambda f: st.sampled_from([0.01, 0.05, 0.25, 0.5]),
+    "step": lambda f: st.sampled_from([0.01, 0.05, 0.25, 0.5]),
     "documents": lambda f: st.lists(st.sampled_from(["mu.txt", "mu2.txt"]), min_size=1, max_size=2),
     "levels": lambda f: st.lists(_LEVEL | st.lists(_LEVEL, min_size=1, max_size=2), min_size=1, max_size=3),
     "pressure": lambda f: st.just("spectral") | st.floats(-1.0, 1.0),
@@ -901,6 +943,8 @@ def _fuzz_value(name, field, broken):
         wrong |= st.integers(-2, (field.least or 1) - 1)
     elif field.kind == "number":
         wrong |= st.sampled_from([0.0, -0.5, math.inf])
+    elif field.kind == "step":
+        wrong |= st.sampled_from([0.0, 0.3, 2.0, math.inf])
     return wrong | st.just(_OMIT) if field.default is REQUIRED else wrong
 
 

@@ -194,6 +194,39 @@ def test_zero_potential_gives_log_k_exactly_at_every_n():
             assert est.extrapolated == math.log(k)
 
 
+@pytest.mark.parametrize("ts", [TransitionSystem.full_shift(2), TransitionSystem.golden_mean()])
+@pytest.mark.parametrize("c", [20.0, -20.0])
+def test_rescaled_transfer_iterates_keep_the_constant_potential_exact(ts, c):
+    # exp(±20·40) is past 2^(±512): the iterate is rescaled by powers of two
+    # on the way to n = 40, and the log sums must not notice
+    phi = LocallyConstantPotential.constant(ts, c)
+    assert 40 * abs(c) > 512 * math.log(2)
+    for method, count in (("cylinder", ts.count_words), ("periodic", ts.count_periodic)):
+        est = pressure_limit(method, phi, 1, 40)
+        for n, v in est.finite_n_values:
+            exact = c + math.log(count(n)) / n
+            assert abs(v - exact) <= 2 * math.ulp(exact), (method, n)
+            if n <= 12:
+                direct = (pressure_cylinder if method == "cylinder" else pressure_periodic)(phi, n)
+                assert abs(v - direct) <= 2 * math.ulp(exact), (method, n)
+
+
+@given(phi=potentials(max_depth=2), c=st.floats(min_value=-1e3, max_value=1e3))
+@example(phi=LocallyConstantPotential.constant(TransitionSystem.full_shift(2), 0.0), c=800.0)
+@example(phi=LocallyConstantPotential.constant(TransitionSystem.golden_mean(), 0.5), c=-800.0)
+@settings(max_examples=40, deadline=None)
+def test_adding_a_constant_shifts_every_pressure_by_it(phi, c):
+    # P(φ + c) = P(φ) + c, past the range of exp too (max φ is shifted out)
+    moved = phi.shifted(c)
+    tol = 1e-14 * (1.0 + abs(c))
+    assert abs(pressure_spectral(moved) - (pressure_spectral(phi) + c)) <= tol
+    for method in ("cylinder", "periodic"):
+        base = pressure_limit(method, phi, 1, 8).finite_n_values
+        for (n, a), (m, b) in zip(base, pressure_limit(method, moved, 1, 8).finite_n_values):
+            assert n == m
+            assert a == b == -math.inf or abs(b - (a + c)) <= tol, (method, n)
+
+
 def test_golden_mean_zero_potential_extrapolates_to_log_phi():
     golden_ratio = (1.0 + math.sqrt(5.0)) / 2.0
     zero = LocallyConstantPotential.constant(TransitionSystem.golden_mean(), 0.0)
