@@ -13,10 +13,6 @@ traceback).
 Identical configs and inputs produce byte-identical outputs: no timestamps,
 fixed enumeration orders, and the only randomness (general-map sampling)
 flows from the seed.
-
-``--threads`` is accepted and validated for interface stability, but all
-pipelines run single-threaded: at desk scale every loop is seconds-long and
-determinism is worth more than parallel speedup.
 """
 
 from __future__ import annotations
@@ -539,11 +535,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--n-max", type=int, dest="n_max")
     parser.add_argument("--tol", type=float)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--threads", type=int)
     args = parser.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("input error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         cfg = load_config(args.config, args.command, vars(args))
     except DocumentError as exc:

@@ -396,8 +396,9 @@ _DOC, _SYSTEM = ConfigField("document", REQUIRED), ConfigField("document")
 _PRESSURE, _TAU = ConfigField("pressure", "spectral"), ConfigField("number", 1e-3)
 #: Each command's fields: the one source of config keys, defaults and least
 #: values.  Certification fits a tail of K*(n) up to n_max ≥ 4, a split of a
-#: word needs two parts, and a pressure window, a tail of M(n) or a quadrature
-#: two values.  The command sets map-check's default n_max from its map (14
+#: word needs two parts, and a pressure window or a tail of M(n) two values.
+#: The spectrum quadrature depth keeps 2, the least value the README
+#: documents.  The command sets map-check's default n_max from its map (14
 #: for linear maps, 30 for general ones).
 CONFIG_FIELDS: dict[str, dict[str, ConfigField]] = {
     "sft-check": {"system": _DOC, "n_max": ConfigField("count", 10)},

@@ -13,6 +13,9 @@ reference has a known generating potential g the constraint is the closed
 form −∫g dν / ∫γ̃ dν.  The finite-n cylinder quadrature Σ_w ν(w)·ψ_n(w)/
 log D_n(w) is computed alongside at the reported optimum (its transient
 decays like 1/n) and disagreement beyond tolerance is flagged, never hidden.
+A level's check, like the constraint column of a reference with no known
+potential, takes ν's masses from one fold of the family's log arrays along
+the depth-n words: one fold per level.
 
 One pass serves every level: the candidate family is a stack of transition
 matrices and stationary vectors, and the entropy, Lyapunov and constraint
@@ -294,7 +297,8 @@ class VariationalSpectrumPoint:
     ``constraints`` are the per-reference values at the optimum by the
     primary route (closed form when the reference has a known potential);
     ``quadrature`` re-evaluates them as the finite-n integral of the
-    quotient, with ``quadrature_stability`` the change from depth n−1 to n.
+    quotient at depth n = ``quadrature_depth``, from one fold of the
+    argmax's chain along the depth-n words.
     ``comparison_flagged`` marks closed-form routes whose quadrature value
     strayed beyond the comparison tolerance.  Infeasible ᾱ is a result, not
     an error: f and the argmax are None and ``constraint_window`` shows the
@@ -310,7 +314,6 @@ class VariationalSpectrumPoint:
     constraint_routes: tuple[str, ...]
     constraint_window: tuple[tuple[float, float], ...]
     quadrature: Optional[tuple[float, ...]]
-    quadrature_stability: Optional[tuple[float, ...]]
     quadrature_depth: int
     comparison_flagged: bool
     delta: float
@@ -381,12 +384,13 @@ def spectrum_search(
     measures on full shifts and one-step Markov chains otherwise.
 
     Nothing but the feasibility mask depends on the level, so the objective,
-    the constraint columns, the hypothesis checklist and the quadrature
-    word arrays are computed once, as arrays over the candidate axis; each
-    level is then a masked argmax, and only its argmax becomes a
-    :class:`MarkovMeasure`.  The quadrature route (references with no known
-    potential) scores one candidate at a time, so it never holds more than
-    one row of cylinder masses.
+    the constraint columns, the hypothesis checklist, the quadrature words
+    and each reference's quotients ψ_n/log D_n on them are computed once,
+    as arrays over the candidate axis; each level is then a masked argmax,
+    and only its argmax becomes a :class:`MarkovMeasure`.  One routine gives
+    a candidate's masses on the quadrature words, for the constraint column
+    of a reference with no known potential (one candidate at a time, so
+    never more than one row of cylinder masses) and for each level's check.
     """
     if emap.kind != "piecewise_linear":
         raise ValueError("the variational search is defined for linear maps only")
@@ -416,20 +420,21 @@ def spectrum_search(
     lyap = family.integrals(emap.slope_potential())
     objective = family.entropies() / lyap
     words_q = word_array(ts, quadrature_depth)
-    words_prev = word_array(ts, quadrature_depth - 1)
     log_d_q = emap.log_diameters(words_q)[:, -1]
-    log_d_prev = emap.log_diameters(words_prev)[:, -1]
     ratio_q = [mu.log_mass_words(words_q) / log_d_q for mu in mus]
-    ratio_prev = [mu.log_mass_words(words_prev) / log_d_prev for mu in mus]
+
+    def masses(c: int) -> np.ndarray:
+        """ν_c(w) for every quadrature word w: the fold of candidate c's logs."""
+        logs = _chain_logs(family.pi[c], family.q[c])
+        return np.exp(_chain_fold(*logs, _window_codes(words_q, ts.k, 1), np.add))
+
     cons = np.empty((len(family.parameters), len(mus)))
     for i, g in enumerate(refs):
         if g is not None:
             cons[:, i] = -family.integrals(g) / lyap
             continue
         for c in range(len(family.parameters)):
-            logs = _chain_logs(family.pi[c], family.q[c])
-            log_m = _chain_fold(*logs, _window_codes(words_q, ts.k, 1), np.add)
-            cons[c, i] = float(np.exp(log_m) @ ratio_q[i])
+            cons[c, i] = float(masses(c) @ ratio_q[i])
     window = tuple(
         (float(np.min(cons[:, i])), float(np.max(cons[:, i]))) for i in range(len(mus))
     )
@@ -457,35 +462,26 @@ def spectrum_search(
                     argmax=None,
                     constraints=None,
                     quadrature=None,
-                    quadrature_stability=None,
                     comparison_flagged=False,
                     **common,
                 )
             )
             continue
         best = int(idx[int(np.argmax(objective[idx]))])
-        nu_best = family.measure(best)
-        nu_w_q = np.exp(nu_best.log_mass_words(words_q))
-        nu_w_prev = np.exp(nu_best.log_mass_words(words_prev))
-        quadrature = []
-        stability = []
-        flagged = False
-        for i in range(len(mus)):
-            q_now = float(nu_w_q @ ratio_q[i])
-            q_prev = float(nu_w_prev @ ratio_prev[i])
-            quadrature.append(q_now)
-            stability.append(abs(q_now - q_prev))
-            if routes[i] == "closed-form" and abs(q_now - cons[best, i]) > comparison_tol:
-                flagged = True
+        nu_w = masses(best)
+        quadrature = tuple(float(nu_w @ ratio) for ratio in ratio_q)
+        flagged = any(
+            route == "closed-form" and abs(q - c) > comparison_tol
+            for route, q, c in zip(routes, quadrature, cons[best])
+        )
         points.append(
             VariationalSpectrumPoint(
                 feasible=True,
                 f=float(objective[best]),
                 argmax_parameter=family.parameters[best],
-                argmax=nu_best,
+                argmax=family.measure(best),
                 constraints=tuple(float(x) for x in cons[best]),
-                quadrature=tuple(quadrature),
-                quadrature_stability=tuple(stability),
+                quadrature=quadrature,
                 comparison_flagged=flagged,
                 **common,
             )

@@ -19,6 +19,7 @@ import abc
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -104,18 +105,14 @@ class LocallyConstantPotential:
             )
         return self.table[word[: self.depth]]
 
-    @property
+    @cached_property
     def dense(self) -> np.ndarray:
         """k**depth array indexed by 0-based symbol digits; nan off-support."""
-        cached = getattr(self, "_dense_cache", None)
-        if cached is not None:
-            return cached
         k = self.system.k
         a = np.full((k,) * self.depth, np.nan)
         for w, v in self.table.items():
             a[tuple(s - 1 for s in w)] = v
         a.setflags(write=False)
-        object.__setattr__(self, "_dense_cache", a)
         return a
 
     def values_on_windows(self, words: np.ndarray, n: int) -> np.ndarray:

@@ -672,7 +672,6 @@ def test_spectrum_needs_alpha_information(tmp_path, capsys):
     "command,flag,value,fragment",
     [
         # stable ids for the original sft-check cases
-        pytest.param("sft-check", "--threads", "0", "--threads", id="--threads-0---threads"),
         pytest.param("sft-check", "--n-max", "0", "--n-max", id="--n-max-0---n-max"),
         pytest.param("sft-check", "--tol", "0.0", "--tol", id="--tol-0.0---tol"),
         # a NaN tolerance made the pressure agreement check pass on any input
@@ -782,10 +781,15 @@ def test_n_min_at_or_above_the_n_max_used_names_the_field(tmp_path, capsys, payl
     ]
 
 
-def test_threads_flag_is_accepted(tmp_path):
+def test_threads_flag_is_refused(tmp_path, capsys):
+    # every command runs single-threaded; there is no --threads option
     sys_name = write(tmp_path / "sys.txt", dump_system(FULL2))
     cfg = write_config(tmp_path, {"system": sys_name})
-    assert run(["sft-check", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "4"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        run(["sft-check", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "4"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_missing_config_is_an_input_error(tmp_path, capsys):

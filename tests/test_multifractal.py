@@ -207,7 +207,12 @@ def test_batched_columns_equal_the_per_candidate_integrals_bit_for_bit(make):
 
 
 def reference_search(emap, mus, levels, family, delta, depth=10):
-    """The pre-batching search: per-level scoring through MarkovMeasure objects."""
+    """The pre-batching search: per-level scoring through MarkovMeasure objects.
+
+    One (feasible, argmax parameter, f, quadrature) per level; a feasible
+    level's quadrature is the argmax's masses against each reference's
+    quotient ψ_n/log D_n, with log D_n from ``log_diameters``.
+    """
     gamma = emap.slope_potential()
     lyap = [integrate(gamma, nu) for nu in family.measures]
     objective = np.array([loop_entropy(nu) for nu in family.measures]) / np.array(lyap)
@@ -222,6 +227,8 @@ def reference_search(emap, mus, levels, family, delta, depth=10):
             ratio = mu.log_mass_words(words) / np.array(log_d)
             for c, nu in enumerate(family.measures):
                 cons[c, i] = float(np.exp(nu.log_mass_words(words)) @ ratio)
+    log_d = emap.log_diameters(words)[:, -1]
+    ratios = [mu.log_mass_words(words) / log_d for mu in mus]
     out = []
     for alpha in levels:
         feasible = [
@@ -230,13 +237,15 @@ def reference_search(emap, mus, levels, family, delta, depth=10):
             if all(abs(cons[c, i] - alpha[i]) <= delta for i in range(len(mus)))
         ]
         if not feasible:
-            out.append((False, None, None))
+            out.append((False, None, None, None))
             continue
         best = feasible[0]
         for c in feasible:
             if objective[c] > objective[best]:
                 best = c
-        out.append((True, family.parameters[best], float(objective[best])))
+        nu_w = np.exp(family.measure(best).log_mass_words(words))
+        quadrature = tuple(float(nu_w @ ratio) for ratio in ratios)
+        out.append((True, family.parameters[best], float(objective[best]), quadrature))
     return out
 
 
@@ -280,7 +289,15 @@ def test_search_matches_a_per_level_reference_loop():
         assert "measures" not in vars(fam)  # the search reads only the arrays
         expected = reference_search(emap_, mus, levels, fam, delta)
         got = [(p.feasible, p.argmax_parameter, p.f) for p in points]
-        assert got == expected
+        assert got == [e[:3] for e in expected]
+        for p, (*_, quadrature) in zip(points, expected):
+            # each level's quadrature is its argmax MarkovMeasure's, bit for bit
+            assert (p.quadrature is None) == (quadrature is None)
+            if quadrature is not None:
+                assert same_bits(p.quadrature, quadrature)
+                for i, route in enumerate(p.constraint_routes):
+                    if route == "quadrature":
+                        assert p.quadrature[i] == p.constraints[i]
         assert any(p.feasible for p in points) and not all(p.feasible for p in points)
         for alpha, point in zip(levels, points):
             assert point == spectrum_variational(emap_, mus, alpha, family=fam, delta=delta)
