@@ -1,4 +1,4 @@
-"""Expanding Markov interval maps: coding, cylinder intervals, dimensions.
+"""Expanding Markov interval maps: coding, cylinder intervals, diameters.
 
 A map here is a finite family of monotone expanding branches on disjoint
 closed subintervals of [0,1], coded by a mixing transition system: branch i
@@ -30,9 +30,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .measures import CylinderMeasureOracle, ZeroCylinderMassError
 from .potentials import LocallyConstantPotential
-from .sft import SymbolicPoint, TransitionSystem, Word
+from .sft import TransitionSystem, Word
 
 _GEOMETRY_TOL = 1e-9
 # endpoint pairs (rows × n_max²) one chunk of the sampled diameter sweep holds
@@ -512,57 +511,3 @@ def _prefix_windows(
 def _log(x: np.ndarray) -> np.ndarray:
     """math.log elementwise: np.log can differ from it by an ulp on SIMD builds."""
     return np.array(list(map(math.log, x.ravel().tolist()))).reshape(x.shape)
-
-
-# ---------------------------------------------------------------------------
-# pointwise dimension
-
-
-@dataclass(frozen=True)
-class PointwiseDimensionReport:
-    """Finite-n quotients log μ(C_n)/log D_n along one itinerary.
-
-    Both logs are negative, so the quotient is the usual positive
-    pointwise-dimension estimate (−log mass over −log diameter).  The
-    ``final_quarter_spread`` measures settling over n in the last quarter
-    of the range.
-    """
-
-    values: tuple[tuple[int, float], ...]
-    last: float
-    final_quarter_spread: float
-
-
-def pointwise_dimension_estimates(
-    emap: ExpandingMarkovMap,
-    mu: CylinderMeasureOracle,
-    point: SymbolicPoint,
-    n_max: int,
-) -> PointwiseDimensionReport:
-    """Quotients for n = 1..n_max at the given point, exact for linear maps.
-
-    Diameters are one row of :meth:`ExpandingMarkovMap.log_diameters`, so n
-    in the hundreds is fine for linear maps (no underflow, no
-    cancellation).  Raises on the D_n = 1 division hazard (possible only
-    for general maps at small n) and on zero-mass cylinders.
-    """
-    if mu.system.matrix != emap.coding.matrix:
-        raise ValueError("measure and map are coded by different systems")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    word = point.word(n_max)
-    log_ds = emap.log_diameters(np.array([word]))[0].tolist()
-    values = []
-    for n, log_d in enumerate(log_ds, 1):
-        if log_d == 0.0:
-            raise ValueError(f"D_{n} = 1 at {word[:n]}: quotient undefined")
-        log_m = float(mu.log_mass_words(np.asarray([word[:n]], dtype=np.int64))[0])
-        if not math.isfinite(log_m):
-            raise ZeroCylinderMassError(f"cylinder {word[:n]} has zero mass")
-        values.append((n, log_m / log_d))
-    tail = [q for n, q in values if n > n_max - max(1, n_max // 4)]
-    return PointwiseDimensionReport(
-        values=tuple(values),
-        last=values[-1][1],
-        final_quarter_spread=max(tail) - min(tail),
-    )

@@ -875,51 +875,3 @@ def shift_invariance_gap(oracle: CylinderMeasureOracle, n_max: int) -> float:
         worst = max(worst, float(gaps[_first_max(gaps)]))
         masses = longer_masses
     return worst
-
-
-# ---------------------------------------------------------------------------
-# variational principle
-
-
-@dataclass(frozen=True)
-class VariationalReport:
-    """h(μ) + ∫φ dμ against the spectral pressure, per candidate measure."""
-
-    pressure: float
-    values: tuple[float, ...]
-    gaps: tuple[float, ...]
-    best_index: int
-    best_gap: float
-    passed: bool
-
-
-def variational_principle_report(
-    phi: LocallyConstantPotential,
-    measures: Sequence[MarkovMeasure],
-    slack: float = 1e-10,
-) -> VariationalReport:
-    """Check h(μ) + ∫φ dμ ≤ P(φ) for every candidate; report the best gap.
-
-    Candidates must live on the potential's transition system (their
-    stationarity is already enforced at construction).  The gap of the RPF
-    equilibrium measure, when supplied, is zero up to eigensolver residuals.
-    """
-    if not measures:
-        raise ValueError("need at least one candidate measure")
-    p = pressure_spectral(phi)
-    values = []
-    for mu in measures:
-        if mu.system.matrix != phi.system.matrix:
-            raise ValueError("candidate measure lives on a different system")
-        values.append(entropy(mu) + integrate(phi, mu))
-    gaps = tuple(p - v for v in values)
-    best = int(np.argmin(gaps))
-    passed = all(g >= -slack for g in gaps)
-    return VariationalReport(
-        pressure=p,
-        values=tuple(values),
-        gaps=gaps,
-        best_index=best,
-        best_gap=gaps[best],
-        passed=passed,
-    )

@@ -94,9 +94,6 @@ class LocallyConstantPotential:
 
     # -- evaluation -------------------------------------------------------
 
-    def value_at(self, point: SymbolicPoint) -> float:
-        return self.table[point.word(self.depth)]
-
     def value_word(self, word: Word) -> float:
         """Value on the cylinder of ``word``; needs ``len(word) >= depth``."""
         if len(word) < self.depth:
@@ -346,38 +343,3 @@ def asymptotic_defect(
     v = seq.values_on_words(n, words)
     s = rho.values_on_windows(words, n)
     return float(np.max(np.abs(v - s))) / n
-
-
-@dataclass(frozen=True)
-class TemperedVariationReport:
-    """gamma_n / n for n up to a horizon, with a crude trend readout.
-
-    ``consistent`` means the tail ratios are nonincreasing (within 1e-12)
-    and the last one sits below ``threshold`` — evidence, not proof, that
-    the sequence has tempered variation.
-    """
-
-    ratios: tuple[tuple[int, float], ...]
-    threshold: float
-    slope: Optional[float]
-    consistent: bool
-
-
-def tempered_variation_report(
-    seq: PotentialSequence, n_max: int, threshold: float = 1e-3
-) -> TemperedVariationReport:
-    """Tabulate gamma_n / n and judge whether it plausibly tends to zero."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    ratios = tuple((n, gamma(seq, n) / n) for n in range(1, n_max + 1))
-    tail = ratios[len(ratios) // 2 :]
-    vals = [r for _, r in tail]
-    nonincreasing = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-    consistent = nonincreasing and vals[-1] < threshold
-    pos = [(math.log(n), math.log(r)) for n, r in ratios if r > 0]
-    slope = None
-    if len(pos) >= 2:
-        xs = np.array([x for x, _ in pos])
-        ys = np.array([y for _, y in pos])
-        slope = float(np.polyfit(xs, ys, 1)[0])
-    return TemperedVariationReport(ratios, threshold, slope, consistent)

@@ -37,7 +37,6 @@ from .potentials import (
     LocallyConstantPotential,
     PotentialSequence,
     _prefix_group_starts,
-    asymptotic_defect,
 )
 from .sft import BlockGraph, block_graph, cyclic_mask, word_array
 
@@ -435,39 +434,3 @@ def pressure_limit(
     if method != "periodic":
         raise ValueError(f"unknown method {method!r}")
     return _estimate_from_log_sums(method, n_min, target.periodic_log_sums(n_min, n_max))
-
-
-# ---------------------------------------------------------------------------
-# approximation bracket (additive-family comparison)
-
-
-@dataclass(frozen=True)
-class FamilyBracketReport:
-    """P(ρ_k) ± 2ε̄ bracket test for a sequence with an approximating family.
-
-    ε̄ is the worst normalized defect (1/n)·sup|φ_n − S_nρ_k| over the tail
-    half of the window; ``passed`` means the extrapolated sequence pressure
-    lies within the bracket widened by the estimate's own error bar.
-    """
-
-    family_index: int
-    epsilon_bar: float
-    family_pressure: float
-    sequence_estimate: PressureEstimate
-    passed: bool
-
-
-def family_pressure_bracket(
-    seq: PotentialSequence, family_index: int, n_max: int
-) -> FamilyBracketReport:
-    """Check P(ρ_k) − 2ε̄ ≤ P(Φ) ≤ P(ρ_k) + 2ε̄ at finite horizon."""
-    rho = seq.family_member(family_index)
-    if rho is None:
-        raise ValueError("sequence declares no approximating family")
-    lo = max(1, n_max // 2)
-    eps = max(asymptotic_defect(seq, rho, n) for n in range(lo, n_max + 1))
-    p_rho = pressure_spectral(rho)
-    est = pressure_limit("periodic", seq, 1, n_max)
-    slack = 2.0 * eps + est.error_bar + 1e-12
-    passed = p_rho - slack <= est.extrapolated <= p_rho + slack
-    return FamilyBracketReport(family_index, eps, p_rho, est, passed)

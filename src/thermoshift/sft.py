@@ -176,17 +176,6 @@ def enumerate_words(ts: TransitionSystem, n: int) -> Iterator[Word]:
             choices.append(iter(successors[s]))
 
 
-def enumerate_cyclic_words(ts: TransitionSystem, n: int) -> Iterator[Word]:
-    """Admissible words of length n whose wrap-around pair is also allowed.
-
-    These label the points of period n: repeating such a word gives an
-    admissible two-sided sequence fixed by the n-th shift power.
-    """
-    for w in enumerate_words(ts, n):
-        if ts.allows(w[-1], w[0]):
-            yield w
-
-
 @lru_cache(maxsize=32)
 def word_array(ts: TransitionSystem, n: int) -> np.ndarray:
     """All admissible n-words as a (count, n) int8 array, lexicographic rows.
@@ -344,15 +333,6 @@ class SymbolicPoint:
         if not self.system.is_admissible(seq):
             raise ValueError("point is not admissible for the system")
 
-    def symbol_at(self, i: int) -> int:
-        """Symbol in position i (1-based)."""
-        if i < 1:
-            raise ValueError("positions are 1-based")
-        i -= 1
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
-
     def word(self, n: int) -> Word:
         """The initial n-word of the sequence."""
         reps = max(0, -(-(n - len(self.prefix)) // len(self.cycle)))
@@ -402,46 +382,3 @@ class SymbolicPoint:
 def periodic_point(ts: TransitionSystem, cycle: Sequence[int]) -> SymbolicPoint:
     """The point obtained by repeating ``cycle`` forever."""
     return SymbolicPoint(ts, (), tuple(cycle))
-
-
-def representative_point(ts: TransitionSystem, word: Sequence[int]) -> SymbolicPoint:
-    """Some admissible point whose initial word is ``word``.
-
-    Extends the word greedily by smallest allowed successors until a symbol
-    repeats, then closes the loop there.  Used wherever an operation defined
-    on points is applied to a cylinder label.
-    """
-    w = list(word)
-    if not ts.is_admissible(w):
-        raise ValueError(f"word {tuple(word)} is not admissible")
-    seen = {w[-1]: len(w) - 1}
-    while True:
-        s = ts.successors(w[-1])[0]
-        if s in seen:
-            cut = seen[s]
-            return SymbolicPoint(ts, tuple(w[:cut]), tuple(w[cut:]))
-        seen[s] = len(w)
-        w.append(s)
-
-
-def enumerate_periodic_points(ts: TransitionSystem, n: int) -> Iterator[SymbolicPoint]:
-    """All points fixed by the n-th shift power, one per cyclic n-word."""
-    for w in enumerate_cyclic_words(ts, n):
-        yield SymbolicPoint(ts, (), w)
-
-
-def metric_distance(x: SymbolicPoint, y: SymbolicPoint) -> float:
-    """Distance sum |x_i - y_i| / 2^i, truncated once the tail bound < 1e-12.
-
-    Exact zero is returned iff the points are equal as sequences (decided
-    symbolically, not by truncation).
-    """
-    if x == y:
-        return 0.0
-    k = max(x.system.k, y.system.k)
-    total = 0.0
-    i = 1
-    while (k - 1) * 2.0 ** (-i) >= 1e-12:
-        total += abs(x.symbol_at(i) - y.symbol_at(i)) * 2.0 ** (-i)
-        i += 1
-    return total

@@ -56,6 +56,23 @@ def brute_periodic_values(ts, rule, dep, n):
     ]
 
 
+def representative_point(ts, word):
+    """Some admissible point whose initial word is ``word``: the word extended
+    greedily by smallest allowed successors until a symbol repeats, with the
+    loop closed there."""
+    w = list(word)
+    if not ts.is_admissible(w):
+        raise ValueError(f"word {tuple(word)} is not admissible")
+    seen = {w[-1]: len(w) - 1}
+    while True:
+        s = ts.successors(w[-1])[0]
+        if s in seen:
+            cut = seen[s]
+            return SymbolicPoint(ts, tuple(w[:cut]), tuple(w[cut:]))
+        seen[s] = len(w)
+        w.append(s)
+
+
 def brute_periodic_count(matrix, n):
     """trace(M^n) in exact integer arithmetic."""
     k = len(matrix)

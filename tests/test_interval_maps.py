@@ -11,15 +11,12 @@ from hypothesis import strategies as st
 from thermoshift import (
     ExpandingMarkovMap,
     InverseBranchError,
-    MarkovMeasure,
     TransitionSystem,
     check_ujr,
     doubling_map,
     full_branch_linear,
     golden_mean_linear,
-    periodic_point,
     perturbed_doubling,
-    pointwise_dimension_estimates,
     word_array,
 )
 from thermoshift.interval_maps import _prefix_windows
@@ -252,6 +249,15 @@ def test_vectorised_log_diameters_match_the_cylinder_product_loop():
         for p, value in enumerate(values, 1):
             c = m.cylinder_interval(word[:p])
             assert value == math.log(c.right - c.left)
+    # deep prefixes of one itinerary: the window pulled back one symbol at a
+    # time by the scalar reference solve
+    word = (1, 2, 2) * 8
+    for n, value in enumerate(m.log_diameters(np.array([word]))[0].tolist(), 1):
+        lo, hi = m.domains[word[n - 1] - 1]
+        for s in reversed(word[: n - 1]):
+            a, b = brute_branch_inverse(m, s, lo), brute_branch_inverse(m, s, hi)
+            lo, hi = min(a, b), max(a, b)
+        assert value == math.log(hi - lo)
 
 
 def test_deep_cylinder_interval_is_the_sweep_window():
@@ -423,54 +429,3 @@ def test_batched_sweep_is_the_scalar_path_by_path_sweep(c, n_max, sample_size, s
     m_values, spread = brute_sampled_ujr(emap, n_max, sample_size, seed)
     assert report.m_values == m_values
     assert report.sampling_spread == spread
-
-
-# ---------------------------------------------------------------------------
-# pointwise dimension estimates
-
-
-def test_pointwise_dimension_at_periodic_points_of_the_doubling_map():
-    m = doubling_map()
-    mu = MarkovMeasure.bernoulli(m.coding, (0.3, 0.7))
-    log2 = math.log(2.0)
-
-    fixed = periodic_point(m.coding, (1,))
-    report = pointwise_dimension_estimates(m, mu, fixed, 48)
-    assert report.last == pytest.approx(-math.log(0.3) / log2, rel=1e-12)
-    assert report.final_quarter_spread <= 1e-12
-
-    two_cycle = periodic_point(m.coding, (1, 2))
-    report = pointwise_dimension_estimates(m, mu, two_cycle, 48)
-    limit = -math.log(0.3 * 0.7) / (2.0 * log2)
-    # even-length prefixes hit the limit exactly; odd ones oscillate O(1/n)
-    assert report.last == pytest.approx(limit, rel=1e-2)
-    assert report.values[-1][0] == 48
-
-
-def test_pointwise_dimension_of_a_general_map_reads_the_pulled_back_window():
-    # each quotient is log μ(C_n) over log(hi − lo) of the window pulled
-    # back one symbol at a time by the scalar reference solve
-    m = perturbed_doubling(0.8)
-    mu = MarkovMeasure.bernoulli(m.coding, (0.3, 0.7))
-    point = periodic_point(m.coding, (1, 2, 2))
-    report = pointwise_dimension_estimates(m, mu, point, 24)
-    word = point.word(24)
-    for n, quotient in report.values:
-        lo, hi = m.domains[word[n - 1] - 1]
-        for s in reversed(word[: n - 1]):
-            a, b = brute_branch_inverse(m, s, lo), brute_branch_inverse(m, s, hi)
-            lo, hi = min(a, b), max(a, b)
-        log_m = float(mu.log_mass_words(np.array([word[:n]]))[0])
-        assert quotient == log_m / math.log(hi - lo)
-    assert [n for n, _ in report.values] == list(range(1, 25))
-
-
-def test_pointwise_dimension_input_validation(full2):
-    m = golden_mean_linear()
-    mu = MarkovMeasure.bernoulli(full2, (0.5, 0.5))
-    x = periodic_point(full2, (1,))
-    with pytest.raises(ValueError):
-        pointwise_dimension_estimates(m, mu, x, 10)  # coding mismatch
-    m2 = doubling_map()
-    with pytest.raises(ValueError):
-        pointwise_dimension_estimates(m2, mu, x, 0)

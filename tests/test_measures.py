@@ -24,7 +24,6 @@ from thermoshift import (
     pressure_spectral,
     shift_invariance_gap,
     validate_oracle,
-    variational_principle_report,
     word_array,
 )
 
@@ -304,7 +303,7 @@ def test_certification_needs_a_window(full2):
 
 
 # ---------------------------------------------------------------------------
-# entropy, integrals, the variational principle
+# entropy and integrals
 
 
 def test_entropy_closed_forms(full2):
@@ -324,25 +323,6 @@ def test_integrate_depth_one_and_two(full2):
     )
     expected = 0.3 * 0.3 * 1.0 + 0.7 * 0.7 * (-1.0)
     assert integrate(psi, mu) == pytest.approx(expected, rel=1e-14)
-
-
-def test_variational_principle_prefers_the_equilibrium_state(full2):
-    phi = LocallyConstantPotential.from_symbol_values(
-        full2, (math.log(0.3), math.log(0.7))
-    )
-    candidates = [
-        bernoulli_03(full2),
-        MarkovMeasure.bernoulli(full2, (0.5, 0.5)),
-        MarkovMeasure.from_stochastic(full2, ((0.2, 0.8), (0.6, 0.4))),
-    ]
-    report = variational_principle_report(phi, candidates)
-    assert report.pressure == pytest.approx(0.0, abs=1e-12)
-    # h + int phi <= P for everyone, equality for Bernoulli(0.3)
-    assert report.passed
-    assert report.best_index == 0
-    assert abs(report.best_gap) <= 1e-12
-    assert all(g >= -1e-10 for g in report.gaps)
-    assert report.gaps[1] > 1e-3 and report.gaps[2] > 1e-3
 
 
 # ---------------------------------------------------------------------------

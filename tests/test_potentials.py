@@ -17,8 +17,6 @@ from thermoshift import (
     eta,
     gamma,
     periodic_point,
-    representative_point,
-    tempered_variation_report,
     variation,
 )
 
@@ -30,6 +28,7 @@ from conftest import (
     dyadic_potentials,
     mixing_systems,
     potentials,
+    representative_point,
     table_birkhoff,
 )
 
@@ -73,12 +72,6 @@ def test_shifted_moves_every_table_entry(example_potential):
     shifted = example_potential.shifted(-0.5)
     assert shifted.table[(2, 2)] == 2.5
     assert shifted.table[(1, 1)] == -0.5
-
-
-def test_value_at_point_reads_leading_symbols(example_potential, full2):
-    x = periodic_point(full2, (2, 2, 1))
-    assert example_potential.value_at(x) == EXAMPLE_TABLE[(2, 2)]
-    assert example_potential.value_at(x.shift(1)) == EXAMPLE_TABLE[(2, 1)]
 
 
 def test_birkhoff_sum_example(example_potential, full2):
@@ -215,16 +208,6 @@ def test_value_word_and_birkhoff_sum_are_the_table_sums(phi, data, n):
         lambda n: n + d - 1,
     )
     assert explicit.value_word(n, x.word(n + d + 1)) == expected
-
-
-def test_tempered_variation_report_on_the_example(example_potential):
-    seq = AdditiveSequence(example_potential)
-    report = tempered_variation_report(seq, 8, threshold=0.5)
-    assert report.ratios == tuple((n, eta(example_potential, n) / n) for n in range(1, 9))
-    # 3/n on the tail: nonincreasing and below 0.5 by n = 8
-    assert report.consistent
-    strict = tempered_variation_report(seq, 8, threshold=1e-3)
-    assert not strict.consistent  # same data, stricter bar
 
 
 def test_sequence_value_word_requires_enough_symbols(full2, example_potential):

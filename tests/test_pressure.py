@@ -17,7 +17,6 @@ from thermoshift import (
     PotentialSequence,
     PressureEstimate,
     TransitionSystem,
-    family_pressure_bracket,
     log_sum_exp,
     power_iteration,
     pressure_cylinder,
@@ -287,32 +286,3 @@ def test_cylinder_route_is_additive_only(full2):
     # the periodic route still works, through per-n enumeration
     est = pressure_limit("periodic", seq, 1, 8)
     assert all(v == math.log(2) for _, v in est.finite_n_values)
-
-
-@given(phi=potentials(max_depth=2))
-@settings(max_examples=25, deadline=None)
-def test_family_bracket_is_tight_for_additive_sequences(phi):
-    report = family_pressure_bracket(AdditiveSequence(phi), 1, 10)
-    # the sequence IS its first family member, so the defect is literally 0
-    assert report.epsilon_bar == 0.0
-    assert report.family_pressure == pressure_spectral(phi)
-    est = report.sequence_estimate
-    inside = (
-        abs(est.extrapolated - report.family_pressure)
-        <= 2.0 * report.epsilon_bar + est.error_bar + 1e-12
-    )
-    # the verdict must mirror the bracket; whether slow periodic windows
-    # converge by n = 10 is the estimate's business, not the report's
-    assert report.passed == inside
-
-
-def test_family_bracket_passes_on_the_example(example_potential):
-    report = family_pressure_bracket(AdditiveSequence(example_potential), 1, 14)
-    assert report.epsilon_bar == 0.0
-    assert report.passed
-
-
-def test_family_bracket_requires_a_family(full2):
-    seq = ExplicitSequence(full2, lambda n, w: 0.0, lambda n: 1)
-    with pytest.raises(ValueError):
-        family_pressure_bracket(seq, 1, 8)

@@ -12,16 +12,18 @@ from thermoshift import (
     SymbolicPoint,
     TransitionSystem,
     cyclic_mask,
-    enumerate_cyclic_words,
-    enumerate_periodic_points,
     enumerate_words,
-    metric_distance,
     periodic_point,
-    representative_point,
     word_array,
 )
 
-from conftest import brute_cyclic_words, brute_periodic_count, brute_words, mixing_systems
+from conftest import (
+    brute_cyclic_words,
+    brute_periodic_count,
+    brute_words,
+    mixing_systems,
+    representative_point,
+)
 
 
 def test_full_shift_and_golden_mean_shapes():
@@ -99,16 +101,6 @@ def test_cyclic_mask_selects_exactly_the_wraparound_words(ts, n):
     mask = cyclic_mask(ts, words)
     got = [tuple(int(s) for s in row) for row in words[mask]]
     assert got == brute_cyclic_words(ts.matrix, n)
-    assert got == list(enumerate_cyclic_words(ts, n))
-
-
-def test_periodic_points_are_counted_with_multiplicity():
-    full2 = TransitionSystem.full_shift(2)
-    pts = list(enumerate_periodic_points(full2, 2))
-    # 4 points of period dividing 2: the two fixed points plus the 2-cycle
-    # in both phases
-    assert len(pts) == 4
-    assert len(set(pts)) == 4
 
 
 def test_symbolic_point_canonical_equality():
@@ -129,7 +121,7 @@ def test_shift_composes_and_wraps():
     assert x.shift(1).shift(2) == x.shift(3)
     # past the preperiod the shift cycles with period 3
     assert x.shift(1) == x.shift(4)
-    assert [x.symbol_at(i) for i in range(1, 8)] == [2, 1, 1, 2, 1, 1, 2]
+    assert x.word(7) == (2, 1, 1, 2, 1, 1, 2)
 
 
 def test_periodic_point_shift_identity():
@@ -157,19 +149,3 @@ def test_representative_point_lies_in_its_cylinder(ts, n, data):
     # nesting: the same point witnesses every prefix cylinder
     for i in range(1, n):
         assert x.word(i) == w[:i]
-
-
-def test_metric_distance_basic_properties():
-    full2 = TransitionSystem.full_shift(2)
-    x = periodic_point(full2, (1, 2))
-    y = periodic_point(full2, (1, 1))
-    # exact zero is decided symbolically, not by truncation
-    assert metric_distance(x, x) == 0.0
-    assert metric_distance(y, SymbolicPoint(full2, (1, 1), (1,))) == 0.0
-    d = metric_distance(x, y)
-    assert d == metric_distance(y, x)
-    # sum |x_i - y_i| / 2^i: disagreement of 1 at positions 2, 4, 6, ...
-    assert d == pytest.approx(1.0 / 3.0, abs=1e-11)
-    z = periodic_point(full2, (2,))
-    # triangle inequality of the weighted-sum metric
-    assert metric_distance(x, z) <= d + metric_distance(y, z) + 1e-15
