@@ -133,7 +133,7 @@ def _positive_masses(
 
 @dataclass(frozen=True)
 class GibbsOneReport:
-    """Ratio μ(C_w)/exp(phi_n(w)) across all admissible words up to n_max."""
+    """Ratio μ(C_w)/exp(math.log μ(C_w)) across all admissible words up to n_max."""
 
     n_max: int
     max_rel_error: float
@@ -142,21 +142,23 @@ class GibbsOneReport:
 
 
 def check_gibbs_one(seq: LogMassSequence, n_max: int) -> GibbsOneReport:
-    """μ(C_w) = exp(phi_n(w)) with constant 1 and pressure 0, to 1e-14.
+    """μ(C_w) = exp(log μ(C_w)) with constant 1 and pressure 0, to 1e-14.
 
-    True by construction — the check guards the plumbing between the oracle's
-    linear-scale masses and the sequence's log-scale values, where only an
-    exp∘log round-trip (≤ 2 ulp) separates the two.  Runs on the arrays of
-    ``mass_words``; the witness is the first worst word in length-then-
-    lexicographic order.  A mass that is not positive raises
-    :class:`ZeroCylinderMassError`.
+    Each mass m of ``mass_words`` is compared with exp(math.log(m)), the
+    per-word value of ``value_word``; only that exp∘log round-trip (≤ 2 ulp)
+    separates the two.  The check does not read ``values_on_words``: for an
+    oracle with a block chain those are folds of log π and log Q along the
+    block path, which can differ from math.log(m) in the last bits.  The
+    witness is the first worst word in length-then-lexicographic order.  A
+    mass that is not positive raises :class:`ZeroCylinderMassError`.
     """
     worst = 0.0
     witness: Optional[Word] = None
     for n in range(1, n_max + 1):
         words, masses = _positive_masses(seq.oracle, n)
         # math, not numpy: np.exp differs from math.exp in the last bit on
-        # some inputs, and the value of phi_n is math.log of the mass
+        # some inputs; the log compared is math.log of the mass, as in
+        # value_word, not the chain fold of values_on_words
         errs = np.array([abs(m / math.exp(math.log(m)) - 1.0) for m in masses.tolist()])
         i = _first_max(errs)
         if errs[i] > worst:

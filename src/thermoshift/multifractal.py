@@ -43,7 +43,6 @@ from .measures import (
     _chain_fold,
     _chain_logs,
     _stationary,
-    atomfree_check,
 )
 from .potentials import LocallyConstantPotential
 from .sft import TransitionSystem, _window_codes, enumerate_words, word_array
@@ -282,15 +281,6 @@ def markov_candidate_family(ts: TransitionSystem, step: float = 1e-2) -> Candida
 
 
 @dataclass(frozen=True)
-class ChecklistItem:
-    """One hypothesis of the variational theorem, with its certification status."""
-
-    name: str
-    status: str
-    detail: str
-
-
-@dataclass(frozen=True)
 class VariationalSpectrumPoint:
     """Result of the constrained search at one dimension vector ᾱ.
 
@@ -301,15 +291,14 @@ class VariationalSpectrumPoint:
     argmax's chain along the depth-n words.
     ``comparison_flagged`` marks closed-form routes whose quadrature value
     strayed beyond the comparison tolerance.  Infeasible ᾱ is a result, not
-    an error: f and the argmax are None and ``constraint_window`` shows the
-    attainable range per coordinate.
+    an error: f and ``argmax_parameter`` are None and ``constraint_window``
+    shows the attainable range per coordinate.
     """
 
     alpha: tuple[float, ...]
     feasible: bool
     f: Optional[float]
     argmax_parameter: Optional[tuple[float, ...]]
-    argmax: Optional[MarkovMeasure]
     constraints: Optional[tuple[float, ...]]
     constraint_routes: tuple[str, ...]
     constraint_window: tuple[tuple[float, float], ...]
@@ -318,46 +307,6 @@ class VariationalSpectrumPoint:
     comparison_flagged: bool
     delta: float
     family_label: str
-    checklist: tuple[ChecklistItem, ...]
-
-
-def _hypothesis_checklist(
-    measures: Sequence[CylinderMeasureOracle],
-    refs: Sequence[Optional[LocallyConstantPotential]],
-) -> tuple[ChecklistItem, ...]:
-    items = []
-    for i, (mu, g) in enumerate(zip(measures, refs)):
-        tag = f"mu_{i + 1}"
-        if mu.block_chain() is not None:
-            items.append(
-                ChecklistItem(
-                    f"{tag} invariant",
-                    "certified",
-                    "stationary chain validated at construction",
-                )
-            )
-        else:
-            items.append(
-                ChecklistItem(
-                    f"{tag} invariant",
-                    "not-certified",
-                    "table oracle: invariance not derivable at finite depth",
-                )
-            )
-        items.append(ChecklistItem(f"{tag} weak-gibbs", "not-supplied", "no certificate attached"))
-        if g is None:
-            items.append(ChecklistItem(f"{tag} non-atomic", "not-checked", "no known potential"))
-        else:
-            witness = atomfree_check(g, 8)
-            if witness is None:
-                items.append(
-                    ChecklistItem(f"{tag} non-atomic", "not-found", "no witness up to n = 8")
-                )
-            else:
-                items.append(
-                    ChecklistItem(f"{tag} non-atomic", "certified", f"witness n = {witness}")
-                )
-    return tuple(items)
 
 
 def _level(alpha: Union[float, Sequence[float]]) -> tuple[float, ...]:
@@ -384,13 +333,13 @@ def spectrum_search(
     measures on full shifts and one-step Markov chains otherwise.
 
     Nothing but the feasibility mask depends on the level, so the objective,
-    the constraint columns, the hypothesis checklist, the quadrature words
-    and each reference's quotients ψ_n/log D_n on them are computed once,
-    as arrays over the candidate axis; each level is then a masked argmax,
-    and only its argmax becomes a :class:`MarkovMeasure`.  One routine gives
-    a candidate's masses on the quadrature words, for the constraint column
-    of a reference with no known potential (one candidate at a time, so
-    never more than one row of cylinder masses) and for each level's check.
+    the constraint columns, the quadrature words and each reference's
+    quotients ψ_n/log D_n on them are computed once, as arrays over the
+    candidate axis; each level is then a masked argmax over them, and no
+    :class:`MarkovMeasure` is built.  One routine gives a candidate's masses
+    on the quadrature words, for the constraint column of a reference with
+    no known potential (one candidate at a time, so never more than one row
+    of cylinder masses) and for each level's check.
     """
     if emap.kind != "piecewise_linear":
         raise ValueError("the variational search is defined for linear maps only")
@@ -438,7 +387,6 @@ def spectrum_search(
     window = tuple(
         (float(np.min(cons[:, i])), float(np.max(cons[:, i]))) for i in range(len(mus))
     )
-    checklist = _hypothesis_checklist(mus, refs)
 
     points = []
     for alpha in alphas:
@@ -449,7 +397,6 @@ def spectrum_search(
             quadrature_depth=quadrature_depth,
             delta=delta,
             family_label=family.label,
-            checklist=checklist,
         )
         feasible_mask = np.all(np.abs(cons - np.asarray(alpha)[None, :]) <= delta, axis=1)
         idx = np.flatnonzero(feasible_mask)
@@ -459,7 +406,6 @@ def spectrum_search(
                     feasible=False,
                     f=None,
                     argmax_parameter=None,
-                    argmax=None,
                     constraints=None,
                     quadrature=None,
                     comparison_flagged=False,
@@ -479,7 +425,6 @@ def spectrum_search(
                 feasible=True,
                 f=float(objective[best]),
                 argmax_parameter=family.parameters[best],
-                argmax=family.measure(best),
                 constraints=tuple(float(x) for x in cons[best]),
                 quadrature=quadrature,
                 comparison_flagged=flagged,

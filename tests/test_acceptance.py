@@ -17,7 +17,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from thermoshift import (
     LocallyConstantPotential,

@@ -24,7 +24,6 @@ from thermoshift import (
     pressure_spectral,
     shift_invariance_gap,
     validate_oracle,
-    word_array,
 )
 
 from conftest import (

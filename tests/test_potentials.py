@@ -3,14 +3,13 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from thermoshift import (
     AdditiveSequence,
     ExplicitSequence,
     LocallyConstantPotential,
-    TransitionSystem,
     almost_additivity_defect,
     asymptotic_defect,
     birkhoff_sum,
@@ -26,7 +25,6 @@ from conftest import (
     brute_variation,
     brute_words,
     dyadic_potentials,
-    mixing_systems,
     potentials,
     representative_point,
     table_birkhoff,

@@ -193,6 +193,19 @@ def test_zero_potential_gives_log_k_exactly_at_every_n():
             assert est.extrapolated == math.log(k)
 
 
+@pytest.mark.parametrize("probs", [(0.1, 0.9), (0.2, 0.8), (0.2, 0.4, 0.4)])
+def test_bernoulli_log_weights_give_exact_zero_at_every_finite_window(probs):
+    # Σ exp(log p) is exactly 1.0 for these tables; the transfer factored as
+    # diag(p)·adjacency sums each iterate before its one multiply, so every
+    # log Z_n telescopes to exactly 0.0 (the dense product leaves ulp dust)
+    phi = LocallyConstantPotential.from_symbol_values(
+        TransitionSystem.full_shift(len(probs)), [math.log(p) for p in probs]
+    )
+    for method in ("cylinder", "periodic"):
+        values = pressure_limit(method, phi, 1, 20).finite_n_values
+        assert all(v == 0.0 for _, v in values if math.isfinite(v)), method
+
+
 @pytest.mark.parametrize("ts", [TransitionSystem.full_shift(2), TransitionSystem.golden_mean()])
 @pytest.mark.parametrize("c", [20.0, -20.0])
 def test_rescaled_transfer_iterates_keep_the_constant_potential_exact(ts, c):

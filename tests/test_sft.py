@@ -1,10 +1,7 @@
 """Transition systems, word enumeration, and symbolic points."""
 
-import itertools
-
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from thermoshift import (
