@@ -32,7 +32,7 @@ from .potentials import (
     PotentialSequence,
     eta,
 )
-from .pressure import EigensolverError, block_transfer, power_iteration, pressure_spectral
+from .pressure import EigensolverError, _log_perron_root, block_transfer, power_iteration
 from .sft import (
     BlockGraph,
     TransitionSystem,
@@ -442,7 +442,8 @@ def _perron_chain(
     if not (np.all(h > 0) and np.all(nu > 0)):  # weights that underflowed to 0
         raise EigensolverError("Perron vector has a zero entry (matrix reducible in floats)")
     nu = nu / float(nu @ h)
-    q = m * h[None, :] / (lam * h[:, None])
+    f, e = np.frexp(h)  # h = f·2^e: m·f_v/(λ·f_u) stays normal however small h is
+    q = np.ldexp(m * f[None, :] / (lam * f[:, None]), e[None, :] - e[:, None])
     # rows sum to 1 only in exact arithmetic; the eigenvector dust must not
     # leak into the chain's contract
     q = q / q.sum(axis=1)[:, None]
@@ -731,13 +732,12 @@ def certify_weak_gibbs(
 
 
 def oscillation_bound(phi: LocallyConstantPotential, n: int) -> float:
-    """The theoretical weak-Gibbs envelope exp(var_n(S_n φ)).
+    """The theoretical weak-Gibbs envelope exp(var_n(S_n φ)) = exp(eta(φ, n)).
 
-    A weak Gibbs measure for φ exists with K(n) equal to this value.  For
-    depth-1 potentials it is exactly 1 at every n (S_n φ is constant on
-    n-cylinders); for depth d ≥ 2 the trailing d−1 windows keep oscillating
-    and the bound settles at a positive constant from n = d−1 on — it does
-    not collapse to 1.
+    A weak Gibbs measure for φ exists with K(n) equal to this value.  It is
+    exactly 1 at depth 1; at depth d ≥ 2 the trailing d − 1 windows keep
+    oscillating, and :func:`eta` reads one positive constant for all n ≥ d − 1
+    off the block graph in O(d·E).
     """
     return math.exp(eta(phi, n))
 
@@ -755,8 +755,8 @@ def atomfree_check(phi: LocallyConstantPotential, n_max: int) -> Optional[int]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    p = pressure_spectral(phi)
     bt = block_transfer(phi)
+    p = _log_perron_root(bt)
     sums = np.zeros(bt.order)
     for n in range(1, n_max + 1):
         sums = bt.graph.step(sums, bt.weights)

@@ -112,9 +112,10 @@ class BlockTransfer:
     The graph has width max(depth − 1, 1); the edge u→v carries weight
     exp(φ(first depth symbols of the edge word) − shift).  Row/column order
     is the lexicographic block order, fixed for reproducibility.  ``shift``
-    is c = max φ when |c| > 300 and 0.0 otherwise, so that exp can neither
-    overflow nor flush a whole matrix to 0; every reader of ``matrix`` adds
-    c back once per step, by P(φ) = P(φ − c) + c.  ``weights`` stay φ.
+    is 0.0 when |max φ| ≤ 300, else c = max(max φ − 300, (max φ + min φ)/2):
+    entries stay in [e⁻⁴⁴⁵, e³⁰⁰] while max − min ≤ 745 (eig loses the Perron
+    vector of a matrix with entries below about e⁻⁶⁷⁰); every reader of
+    ``matrix`` adds c back once per step, by P(φ) = P(φ − c) + c.
     """
 
     graph: BlockGraph
@@ -158,7 +159,7 @@ def block_transfer(phi: LocallyConstantPotential) -> BlockTransfer:
     graph = block_graph(phi.system, max(phi.depth - 1, 1))
     weights = phi.dense[tuple(graph.edges[:, : phi.depth].T - 1)]
     top = float(np.max(weights))
-    shift = top if abs(top) > 300.0 else 0.0
+    shift = max(top - 300.0, (top + float(np.min(weights))) / 2) if abs(top) > 300.0 else 0.0
     matrix = np.zeros((graph.order, graph.order))
     matrix[graph.src, graph.dst] = np.exp(weights - shift)
     return BlockTransfer(graph, weights, matrix, shift)
@@ -264,10 +265,13 @@ def pressure_spectral(phi: LocallyConstantPotential) -> float:
     (:func:`power_iteration`), which raises :class:`EigensolverError` when
     its residual or spectral-gap test fails.
     """
-    phi.system.require_mixing()
-    bt = block_transfer(phi)
-    lam, _ = power_iteration(bt.matrix)
-    return math.log(lam) + bt.shift
+    return _log_perron_root(block_transfer(phi))
+
+
+def _log_perron_root(bt: BlockTransfer) -> float:
+    """log λ + shift of a transfer on a mixing system (refused otherwise)."""
+    bt.graph.ts.require_mixing()
+    return math.log(power_iteration(bt.matrix)[0]) + bt.shift
 
 
 # ---------------------------------------------------------------------------

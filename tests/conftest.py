@@ -305,9 +305,9 @@ small_values = st.floats(
 
 
 @st.composite
-def potentials(draw, values=small_values, max_depth=3):
+def potentials(draw, values=small_values, max_depth=3, min_depth=1):
     ts = draw(mixing_systems)
-    depth = draw(st.integers(min_value=1, max_value=max_depth))
+    depth = draw(st.integers(min_value=min_depth, max_value=max_depth))
     table = {w: draw(values) for w in brute_words(ts.matrix, depth)}
     return LocallyConstantPotential(ts, depth, table)
 

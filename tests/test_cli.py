@@ -183,6 +183,8 @@ LARGE_POTENTIALS = [
     pytest.param({(1,): 800.0, (2,): 800.0}, 800.0 + math.log(2.0), id="800"),
     pytest.param({(1,): 800.0, (2,): 0.0}, 800.0, id="800-0"),  # 800 + log(1 + e^-800)
     pytest.param({(1,): -800.0, (2,): -800.0}, -800.0 + math.log(2.0), id="-800"),
+    # max − min = 709.5: shifted by max φ, the small entries would be subnormal
+    pytest.param({(1,): 709.5, (2,): 0.0}, 709.5, id="709.5-0"),
 ]
 
 
@@ -192,7 +194,7 @@ def _refuse_non_finite(token):
 
 @pytest.mark.parametrize("table,pressure", LARGE_POTENTIALS)
 def test_potentials_past_the_range_of_exp_give_their_pressure(tmp_path, table, pressure):
-    # the transfer matrix is built as exp(φ − max φ), and every route adds max φ back
+    # the transfer matrix is built as exp(φ − c), and every route adds c back
     pot_name = write(tmp_path / "phi.txt", dump_potential(LocallyConstantPotential(FULL2, 1, table)))
     cfg = write_config(tmp_path, {"potential": pot_name})
     out = str(tmp_path / "out")
@@ -214,6 +216,18 @@ def test_gibbs_build_on_potentials_past_the_range_of_exp_writes_only_finite_numb
         json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_non_finite)
     if code == 0:
         assert result_of(out)["summary"]["pressure"] == pytest.approx(pressure, rel=1e-15)
+
+
+def test_gibbs_build_of_a_potential_whose_chain_has_subnormal_entries(tmp_path, capsys):
+    # φ = (709.5, 0): λ ≈ e^709.5 still fits a double, but h₂/h₁, Q₁₂ and
+    # Q₂₂ are about e^−709.5, below the smallest normal double.  The other
+    # LARGE_POTENTIALS may refuse (λ or h out of range), this one must build
+    table = {(1,): 709.5, (2,): 0.0}
+    pot_name = write(tmp_path / "phi.txt", dump_potential(LocallyConstantPotential(FULL2, 1, table)))
+    cfg = write_config(tmp_path, {"potential": pot_name})
+    out = tmp_path / "out"
+    assert run(["gibbs-build", "--config", cfg, "--out", str(out)]) == 0, capsys.readouterr().err
+    assert result_of(out)["summary"]["pressure"] == 709.5
 
 
 def test_pressure_runs_are_byte_identical(tmp_path):

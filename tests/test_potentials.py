@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from thermoshift import (
     AdditiveSequence,
     ExplicitSequence,
     LocallyConstantPotential,
+    TransitionSystem,
     almost_additivity_defect,
     asymptotic_defect,
     birkhoff_sum,
@@ -18,6 +20,8 @@ from thermoshift import (
     periodic_point,
     variation,
 )
+from thermoshift import potentials as potentials_module
+from thermoshift import sft
 
 from conftest import (
     EXAMPLE_TABLE,
@@ -123,9 +127,59 @@ def test_variation_is_nonincreasing_in_n(phi, n):
     assert variation(phi, n + 1) <= variation(phi, n)
 
 
-@given(phi=potentials(max_depth=3), n=st.integers(min_value=1, max_value=6))
-def test_eta_matches_brute_force(phi, n):
+def rounding_bound(phi, n):
+    """2(d − 1) ulp of n·max|phi|: how far eta may sit from the enumeration
+    where the two add the same terms in another order."""
+    return 2 * (phi.depth - 1) * math.ulp(n * max(abs(v) for v in phi.table.values()))
+
+
+@given(phi=potentials(min_depth=2, max_depth=3), data=st.data())
+def test_eta_matches_brute_force(phi, data):
+    # below the depth the free paths have at most two edges, and two terms
+    # sum to the same bits in either order
+    n = data.draw(st.integers(min_value=1, max_value=phi.depth - 1))
     assert eta(phi, n) == brute_eta(phi.system.matrix, phi.table, phi.depth, n)
+
+
+@given(phi=potentials(max_depth=3), data=st.data())
+def test_eta_from_the_depth_on_matches_brute_force_within_rounding(phi, data):
+    # the enumeration adds the fixed prefix of the n-word before the free tail
+    n = data.draw(st.integers(min_value=phi.depth, max_value=6))
+    brute = brute_eta(phi.system.matrix, phi.table, phi.depth, n)
+    assert abs(eta(phi, n) - brute) <= rounding_bound(phi, n)
+
+
+@given(phi=potentials(min_depth=4, max_depth=4), n=st.integers(min_value=1, max_value=4))
+def test_eta_at_depth_four_matches_brute_force_within_rounding(phi, n):
+    # three free edges: summed from the right, not from the left as enumerated
+    brute = brute_eta(phi.system.matrix, phi.table, phi.depth, n)
+    assert abs(eta(phi, n) - brute) <= rounding_bound(phi, n)
+
+
+@given(phi=potentials(max_depth=4), n=st.integers(min_value=1, max_value=6))
+def test_eta_is_the_same_for_every_n_from_depth_minus_one_on(phi, n):
+    # exact on any table: only the last depth - 1 windows leave the cylinder
+    floor = max(phi.depth - 1, 1)
+    assert eta(phi, floor + n) == eta(phi, floor)
+
+
+def test_eta_of_a_full_ten_shift_table_reads_no_word_longer_than_its_depth(monkeypatch):
+    # eta(phi, 40) by enumeration would visit 10^42 words
+    ts = TransitionSystem.full_shift(10)
+    rng = np.random.default_rng(3)
+    phi = LocallyConstantPotential(
+        ts, 3, {w: float(rng.uniform(-1, 1)) for w in brute_words(ts.matrix, 3)}
+    )
+    real = sft.word_array
+
+    def guarded(system, n):
+        assert n <= 3, f"eta asked for {n}-words"
+        return real(system, n)
+
+    monkeypatch.setattr(sft, "word_array", guarded)
+    monkeypatch.setattr(potentials_module, "word_array", guarded)
+    sft.block_graph.cache_clear()  # so that the block graph is built under the guard
+    assert eta(phi, 40) == eta(phi, 2) > 0.0
 
 
 @given(phi=dyadic_potentials())
@@ -139,9 +193,17 @@ def test_eta_vanishes_identically_for_depth_one(phi):
         assert eta(phi, 4) == eta(phi, 2)
 
 
-@given(phi=potentials(), n=st.integers(min_value=1, max_value=6))
-def test_gamma_of_additive_sequence_is_eta(phi, n):
+@given(phi=potentials(min_depth=2), data=st.data())
+def test_gamma_of_additive_sequence_is_eta(phi, data):
+    # gamma enumerates; below the depth the two agree bit for bit
+    n = data.draw(st.integers(min_value=1, max_value=phi.depth - 1))
     assert gamma(AdditiveSequence(phi), n) == eta(phi, n)
+
+
+@given(phi=potentials(), data=st.data())
+def test_gamma_of_additive_sequence_is_eta_within_rounding_from_the_depth_on(phi, data):
+    n = data.draw(st.integers(min_value=phi.depth, max_value=6))
+    assert abs(gamma(AdditiveSequence(phi), n) - eta(phi, n)) <= rounding_bound(phi, n)
 
 
 @given(phi=dyadic_potentials(), n=st.integers(min_value=1, max_value=5), m=st.integers(min_value=1, max_value=5))
