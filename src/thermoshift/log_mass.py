@@ -63,14 +63,6 @@ class LogMassSequence(PotentialSequence):
     def dep(self, n: int) -> int:
         return n
 
-    def value_word(self, n: int, word: Word) -> float:
-        if len(word) < n:
-            raise ValueError(f"need {n} symbols, got {len(word)}")
-        m = self.oracle.mass(tuple(word[:n]))
-        if m <= 0:
-            raise ZeroCylinderMassError(f"admissible word {word[:n]} has zero mass")
-        return math.log(m)
-
     def values_on_words(self, n: int, words: np.ndarray) -> np.ndarray:
         return self.oracle.log_mass_words(words[:, :n])
 
@@ -144,21 +136,21 @@ class GibbsOneReport:
 def check_gibbs_one(seq: LogMassSequence, n_max: int) -> GibbsOneReport:
     """μ(C_w) = exp(log μ(C_w)) with constant 1 and pressure 0, to 1e-14.
 
-    Each mass m of ``mass_words`` is compared with exp(math.log(m)), the
-    per-word value of ``value_word``; only that exp∘log round-trip (≤ 2 ulp)
-    separates the two.  The check does not read ``values_on_words``: for an
-    oracle with a block chain those are folds of log π and log Q along the
-    block path, which can differ from math.log(m) in the last bits.  The
-    witness is the first worst word in length-then-lexicographic order.  A
-    mass that is not positive raises :class:`ZeroCylinderMassError`.
+    Each mass m of ``mass_words`` is compared with exp(math.log(m)); only
+    that exp∘log round-trip (≤ 2 ulp) separates the two.  The check does not
+    read ``values_on_words``: for an oracle with a block chain those are
+    folds of log π and log Q along the block path, which can differ from
+    math.log(m) in the last bits.  The witness is the first worst word in
+    length-then-lexicographic order.  A mass that is not positive raises
+    :class:`ZeroCylinderMassError`.
     """
     worst = 0.0
     witness: Optional[Word] = None
     for n in range(1, n_max + 1):
         words, masses = _positive_masses(seq.oracle, n)
         # math, not numpy: np.exp differs from math.exp in the last bit on
-        # some inputs; the log compared is math.log of the mass, as in
-        # value_word, not the chain fold of values_on_words
+        # some inputs; the log compared is math.log of the mass, not the
+        # chain fold of values_on_words
         errs = np.array([abs(m / math.exp(math.log(m)) - 1.0) for m in masses.tolist()])
         i = _first_max(errs)
         if errs[i] > worst:

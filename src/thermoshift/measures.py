@@ -92,11 +92,10 @@ class CylinderMeasureOracle(abc.ABC):
         n = words.shape[1]
         if n >= graph.width:
             return _chain_fold(*chain._arrays, graph.path(words), np.multiply)
-        sums = [0.0] * self.system.count_words(n)
+        sums = np.zeros(self.system.count_words(n))
         prefixes = next(_window_ranks(self.system, graph.states[:, :n], n))
-        for r, p in zip(prefixes.tolist(), chain.stationary):
-            sums[r] += p
-        return np.array(sums)[next(_window_ranks(self.system, words, n))]
+        np.add.at(sums, prefixes, chain.stationary)
+        return sums[next(_window_ranks(self.system, words, n))]
 
     def log_mass_words(self, words: np.ndarray) -> np.ndarray:
         """log mass for each row of a word array: the block chain's fold of

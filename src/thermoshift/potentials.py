@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .sft import (
+    BlockGraph,
     SymbolicPoint,
     TransitionSystem,
     Word,
@@ -95,14 +96,6 @@ class LocallyConstantPotential:
 
     # -- evaluation -------------------------------------------------------
 
-    def value_word(self, word: Word) -> float:
-        """Value on the cylinder of ``word``; needs ``len(word) >= depth``."""
-        if len(word) < self.depth:
-            raise ValueError(
-                f"word of length {len(word)} does not determine a depth-{self.depth} value"
-            )
-        return self.table[word[: self.depth]]
-
     @cached_property
     def dense(self) -> np.ndarray:
         """k**depth array indexed by 0-based symbol digits; nan off-support."""
@@ -134,6 +127,13 @@ def birkhoff_sum(phi: LocallyConstantPotential, point: SymbolicPoint, n: int) ->
     return float(phi.values_on_windows(row, n)[0])
 
 
+def _edge_weights(phi: LocallyConstantPotential) -> tuple[BlockGraph, np.ndarray]:
+    """phi laid on its block graph of width max(d - 1, 1): the graph and
+    phi's value on each edge, read from the edge's first d symbols."""
+    graph = block_graph(phi.system, max(phi.depth - 1, 1))
+    return graph, phi.dense[tuple(graph.edges[:, : phi.depth].T - 1)]
+
+
 def variation(phi: LocallyConstantPotential, n: int) -> float:
     """var_n(phi): largest gap of phi over any n-cylinder.
 
@@ -142,12 +142,10 @@ def variation(phi: LocallyConstantPotential, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    d = phi.depth
-    if n >= d:
+    if n >= phi.depth:
         return 0.0
-    words = word_array(phi.system, d)
-    values = phi.dense[tuple(words.T - 1)]
-    return _prefix_group_spread(words, n, values, values)
+    graph, values = _edge_weights(phi)  # depth >= 2: the edges are the d-words
+    return _prefix_group_spread(graph.edges, n, values, values)
 
 
 def eta(phi: LocallyConstantPotential, n: int) -> float:
@@ -162,8 +160,7 @@ def eta(phi: LocallyConstantPotential, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    graph = block_graph(phi.system, max(phi.depth - 1, 1))  # block_transfer's graph and weights
-    weights = phi.dense[tuple(graph.edges[:, : phi.depth].T - 1)]
+    graph, weights = _edge_weights(phi)
     r, hi, lo = min(n, phi.depth - 1), np.zeros(graph.order), np.zeros(graph.order)
     for _ in range(r):  # the (min,+) step is the negated (max,+) step
         hi, lo = graph.step(hi, weights, backward=True), -graph.step(-lo, -weights, backward=True)
@@ -197,10 +194,10 @@ class PotentialSequence(abc.ABC):
     A subclass implements one evaluation method, :meth:`values_on_words`
     (phi_n on every row of a word array), and declares, when the n-th
     function is determined by an initial word, its dependence length
-    ``dep(n)``.  :meth:`value_word` and every diagnostic below are derived
-    from that one method.  Sequences without a finite dependence length
-    cannot be fed to the exact (enumeration-based) diagnostics and raise
-    :class:`InexactSequenceError` there.
+    ``dep(n)``.  Every diagnostic below is derived from that one method.
+    Sequences without a finite dependence length cannot be fed to the exact
+    (enumeration-based) diagnostics and raise :class:`InexactSequenceError`
+    there.
     """
 
     @property
@@ -224,17 +221,6 @@ class PotentialSequence(abc.ABC):
         from .pressure import pressure_periodic  # pressure imports this module
 
         return [n * pressure_periodic(self, n) for n in range(n_min, n_max + 1)]
-
-    def value_word(self, n: int, word: Word) -> float:
-        """phi_n on the cylinder of ``word``; len(word) must cover dep(n)."""
-        L = self.dep(n)
-        if L is None:
-            raise InexactSequenceError(
-                f"{type(self).__name__} declares no dependence length"
-            )
-        if len(word) < L:
-            raise ValueError(f"need {L} symbols to evaluate phi_{n}, got {len(word)}")
-        return float(self.values_on_words(n, np.array([word[:L]], dtype=np.int64))[0])
 
 
 class AdditiveSequence(PotentialSequence):

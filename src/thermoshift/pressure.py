@@ -36,9 +36,10 @@ from .potentials import (
     InexactSequenceError,
     LocallyConstantPotential,
     PotentialSequence,
+    _edge_weights,
     _prefix_group_starts,
 )
-from .sft import BlockGraph, block_graph, cyclic_mask, word_array
+from .sft import BlockGraph, cyclic_mask, word_array
 
 
 class EigensolverError(RuntimeError):
@@ -156,8 +157,7 @@ class BlockTransfer:
 
 
 def block_transfer(phi: LocallyConstantPotential) -> BlockTransfer:
-    graph = block_graph(phi.system, max(phi.depth - 1, 1))
-    weights = phi.dense[tuple(graph.edges[:, : phi.depth].T - 1)]
+    graph, weights = _edge_weights(phi)
     top = float(np.max(weights))
     shift = max(top - 300.0, (top + float(np.min(weights))) / 2) if abs(top) > 300.0 else 0.0
     matrix = np.zeros((graph.order, graph.order))

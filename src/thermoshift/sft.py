@@ -299,27 +299,13 @@ def block_graph(ts: TransitionSystem, width: int) -> BlockGraph:
 # points
 
 
-def _canonical_cycle(cycle: Word) -> Word:
-    """Lexicographically least rotation of the primitive root of ``cycle``."""
-    m = len(cycle)
-    for p in range(1, m + 1):
-        if m % p == 0 and cycle == cycle[:p] * (m // p):
-            root = cycle[:p]
-            break
-    rotations = [root[i:] + root[:i] for i in range(len(root))]
-    return min(rotations)
-
-
 @dataclass(frozen=True)
 class SymbolicPoint:
     """An eventually periodic one-sided sequence: finite prefix, then a cycle.
 
     The sequence is ``prefix + cycle + cycle + ...``; the cycle must be
-    nonempty.  Two points compare equal iff they are the same sequence,
-    however the split into prefix and cycle was chosen — e.g. prefix (1,)
-    with cycle (2, 1) and prefix () with cycle (1, 2) both denote
-    1 2 1 2 1 ... and compare equal.  Equality and hashing go through
-    :meth:`canonical`, never the raw fields.
+    nonempty.  Equality is by fields: prefix (1,) with cycle (2, 1) and
+    prefix () with cycle (1, 2) denote the same sequence but differ.
     """
 
     system: TransitionSystem
@@ -346,37 +332,6 @@ class SymbolicPoint:
             return SymbolicPoint(self.system, self.prefix[n:], self.cycle)
         r = (n - len(self.prefix)) % len(self.cycle)
         return SymbolicPoint(self.system, (), self.cycle[r:] + self.cycle[:r])
-
-    def canonical(self) -> tuple[Word, Word]:
-        """Canonical (prefix, cycle) pair identifying the underlying sequence.
-
-        The cycle is reduced to its primitive root and rotated to start right
-        after the longest prefix that can be absorbed into it; the prefix is
-        stripped of any trailing symbols that merely repeat the cycle.
-        """
-        cycle = _canonical_cycle(self.cycle)
-        m = len(cycle)
-        root = self.cycle[:m]  # primitive root of the raw cycle
-        offset = next(i for i in range(m) if root[i:] + root[:i] == cycle)
-        pre = self.prefix + root[:offset]
-        # a trailing prefix symbol that equals the symbol one period later is
-        # part of the periodic tail: rotate it into the cycle.  This stops at
-        # the minimal prefix, which depends only on the sequence itself.
-        while pre and pre[-1] == cycle[-1]:
-            pre = pre[:-1]
-            cycle = cycle[-1:] + cycle[:-1]
-        return pre, cycle
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymbolicPoint):
-            return NotImplemented
-        return (
-            self.system.matrix == other.system.matrix
-            and self.canonical() == other.canonical()
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.system.matrix, self.canonical()))
 
 
 def periodic_point(ts: TransitionSystem, cycle: Sequence[int]) -> SymbolicPoint:

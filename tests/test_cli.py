@@ -33,6 +33,7 @@ from thermoshift import (
     load_measure,
     perturbed_doubling,
     sft,
+    spectrum_crosscheck,
 )
 import thermoshift.cli as cli
 from thermoshift.cli import run
@@ -603,6 +604,23 @@ def test_spectrum_with_alpha_count_crosschecks_legendre(tmp_path, capsys):
     assert len(lines) == 1 + 2 * 3
     assert sum(",variational," in ln for ln in lines) == 3
     assert sum(",legendre," in ln for ln in lines) == 3
+
+
+def test_spectrum_deviation_is_the_library_crosscheck_bit_for_bit(tmp_path):
+    # the command builds its own level grid and deviation loop; criterion 7
+    # gates spectrum_crosscheck, so the two must agree to the last bit
+    _, mu_name = spectrum_workspace(tmp_path)  # Bernoulli(0.3, 0.7)
+    emap = full_branch_linear((2.0, 3.0))
+    map_name = write(tmp_path / "map.txt", dump_map(emap))
+    cfg = write_config(
+        tmp_path,
+        {"map": map_name, "measures": [mu_name], "alpha_count": 9, "step": 0.01, "delta": 0.01},
+    )
+    out = str(tmp_path / "out")
+    assert run(["spectrum", "--config", cfg, "--out", out]) == 0
+    report = spectrum_crosscheck(emap, 0.3, alpha_count=9, step=0.01, delta=0.01)
+    assert report.max_deviation > 0.0
+    assert result_of(out)["summary"]["max_deviation_vs_legendre"] == report.max_deviation
 
 
 def test_spectrum_with_explicit_alpha_grid(tmp_path):

@@ -24,7 +24,6 @@ from thermoshift import potentials as potentials_module
 from thermoshift import sft
 
 from conftest import (
-    EXAMPLE_TABLE,
     brute_eta,
     brute_variation,
     brute_words,
@@ -67,7 +66,7 @@ def test_constant_and_symbol_value_constructors(full2):
     assert set(c.table.values()) == {1.5}
     p = LocallyConstantPotential.from_symbol_values(full2, (0.25, -0.75))
     assert p.depth == 1
-    assert p.value_word((2,)) == -0.75
+    assert p.table == {(1,): 0.25, (2,): -0.75}
 
 
 def test_shifted_moves_every_table_entry(example_potential):
@@ -235,7 +234,7 @@ def test_explicit_sequence_with_known_defect(full2):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_explicit_sequence_refuses_a_non_finite_rule_value(full2, bad):
     seq = ExplicitSequence(full2, lambda n, w: bad if w == (2, 1) else 0.0, lambda n: n)
-    assert seq.value_word(2, (1, 2)) == 0.0
+    assert np.array_equal(seq.values_on_words(2, np.array([[1, 2]])), [0.0])
     with pytest.raises(ValueError, match=r"n = 2, word \(2, 1\) is not finite"):
         almost_additivity_defect(seq, 1, 1)
 
@@ -254,11 +253,13 @@ def test_asymptotic_defect_sees_a_constant_offset(full2):
 
 
 @given(phi=potentials(), data=st.data(), n=st.integers(min_value=1, max_value=5))
-def test_value_word_and_birkhoff_sum_are_the_table_sums(phi, data, n):
+def test_values_on_words_and_birkhoff_sum_are_the_table_sums(phi, data, n):
     d = phi.depth
     word = data.draw(st.sampled_from(brute_words(phi.system.matrix, n + d - 1)))
     expected = table_birkhoff(phi.table, d, word, n)
-    assert AdditiveSequence(phi).value_word(n, word) == expected
+    seq = AdditiveSequence(phi)
+    assert seq.dep(n) == n + d - 1
+    assert seq.values_on_words(n, np.array([word]))[0] == expected
     x = representative_point(phi.system, word)
     assert birkhoff_sum(phi, x, n) == expected
     # the rule sees exactly dep(n) symbols however long the word handed in
@@ -267,13 +268,4 @@ def test_value_word_and_birkhoff_sum_are_the_table_sums(phi, data, n):
         lambda n, w: table_birkhoff(phi.table, d, w, n) if len(w) == n + d - 1 else math.nan,
         lambda n: n + d - 1,
     )
-    assert explicit.value_word(n, x.word(n + d + 1)) == expected
-
-
-def test_sequence_value_word_requires_enough_symbols(full2, example_potential):
-    seq = AdditiveSequence(example_potential)
-    assert seq.dep(3) == 4  # n + depth - 1
-    with pytest.raises(ValueError):
-        seq.value_word(3, (1, 2, 1))  # one symbol short
-    word = (1, 2, 2, 1)
-    assert seq.value_word(3, word) == table_birkhoff(EXAMPLE_TABLE, 2, word, 3)
+    assert explicit.values_on_words(n, np.array([x.word(n + d + 1)]))[0] == expected

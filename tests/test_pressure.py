@@ -167,8 +167,6 @@ def test_periodic_route_needs_a_dependence_length(full2):
     seq = _Undeclared(full2)
     with pytest.raises(InexactSequenceError):
         pressure_periodic(seq, 3)
-    with pytest.raises(InexactSequenceError):
-        seq.value_word(3, (1, 2, 1))
 
 
 def test_periodic_route_needs_mixing():

@@ -100,15 +100,9 @@ def test_cyclic_mask_selects_exactly_the_wraparound_words(ts, n):
     assert got == brute_cyclic_words(ts.matrix, n)
 
 
-def test_symbolic_point_canonical_equality():
+def test_symbolic_point_word_reads_the_prefix_then_the_cycle():
     full2 = TransitionSystem.full_shift(2)
     a = SymbolicPoint(full2, (1,), (2, 1))
-    b = SymbolicPoint(full2, (), (1, 2))
-    assert a == b
-    assert hash(a) == hash(b)
-    # doubling the cycle description changes nothing
-    c = SymbolicPoint(full2, (1, 2), (1, 2, 1, 2))
-    assert b == c
     assert a.word(5) == (1, 2, 1, 2, 1)
 
 
