@@ -263,8 +263,8 @@ def load_measure(text: str) -> CylinderMeasureOracle:
             raise DocumentError(
                 "stored Perron root disagrees with the rebuilt one; stale document"
             )
-        _floats(lines, idx + 1, "h", len(data.blocks))
-        _floats(lines, idx + 2, "nu", len(data.blocks))
+        _floats(lines, idx + 1, "h", data.graph.order)
+        _floats(lines, idx + 2, "nu", data.graph.order)
         _check_end(lines, idx + 3, "nu")
         return data
     raise DocumentError(f"unknown measure kind {kind!r}")

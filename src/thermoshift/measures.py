@@ -30,9 +30,10 @@ from .potentials import (
     AdditiveSequence,
     LocallyConstantPotential,
     PotentialSequence,
+    _edge_weights,
     eta,
 )
-from .pressure import EigensolverError, _log_perron_root, block_transfer, power_iteration
+from .pressure import EigensolverError, block_transfer, power_iteration, pressure_spectral
 from .sft import (
     BlockGraph,
     TransitionSystem,
@@ -157,10 +158,9 @@ class MarkovMeasure(CylinderMeasureOracle):
 
     @classmethod
     def maximal_entropy(cls, ts: TransitionSystem) -> "MarkovMeasure":
-        """The maximal-entropy (Parry) measure: the Perron chain of the 0/1
-        transition matrix (see :func:`_perron_chain`)."""
-        ts.require_mixing()
-        return _perron_chain(ts, ts.as_array.astype(float))[3]
+        """The maximal-entropy (Parry) measure: the equilibrium state of
+        φ ≡ 0, whose transfer matrix is the 0/1 transition matrix."""
+        return build_rpf(LocallyConstantPotential.constant(ts, 0.0)).chain
 
     # -- oracle ----------------------------------------------------------
 
@@ -371,6 +371,7 @@ class TableMeasure(CylinderMeasureOracle):
 # RPF construction
 
 
+@dataclass(frozen=True, eq=False)
 class RpfGibbsData(CylinderMeasureOracle):
     """Exact Gibbs measure of a locally constant potential via Perron data.
 
@@ -382,21 +383,12 @@ class RpfGibbsData(CylinderMeasureOracle):
     block paths.
     """
 
-    def __init__(
-        self,
-        potential: LocallyConstantPotential,
-        lam: float,
-        graph: BlockGraph,
-        h: np.ndarray,
-        nu: np.ndarray,
-        chain: MarkovMeasure,
-    ):
-        self.potential = potential
-        self.lam = lam
-        self.graph = graph
-        self.h = h
-        self.nu = nu
-        self.chain = chain
+    potential: LocallyConstantPotential
+    lam: float
+    graph: BlockGraph
+    h: np.ndarray
+    nu: np.ndarray
+    chain: MarkovMeasure
 
     @property
     def system(self) -> TransitionSystem:
@@ -406,10 +398,6 @@ class RpfGibbsData(CylinderMeasureOracle):
     def pressure(self) -> float:
         """P(φ) = log λ."""
         return math.log(self.lam)
-
-    @cached_property
-    def blocks(self) -> tuple[Word, ...]:
-        return tuple(map(tuple, self.graph.states.tolist()))
 
     def mass(self, word: Word) -> float:
         if len(word) == 0:
@@ -427,15 +415,18 @@ class RpfGibbsData(CylinderMeasureOracle):
         return self.potential.shifted(-self.pressure)
 
 
-def _perron_chain(
-    ts: TransitionSystem, m: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray, MarkovMeasure]:
-    """(λ, h, ν, chain) for a primitive nonnegative matrix m on the states of ts.
+def build_rpf(phi: LocallyConstantPotential) -> RpfGibbsData:
+    """Exact Gibbs measure of φ: Perron eigendata of the block transfer matrix.
 
-    λ and the right/left eigenvectors h, ν come from :func:`power_iteration`
-    on m and mᵀ, with ν rescaled to ν·h = 1.  The chain has
-    Q_{uv} = m_{uv} h_v/(λ h_u) and stationary vector ν∘h.
+    The one builder of a Perron chain.  λ and the right/left eigenvectors
+    h, ν of the block transfer matrix m come from :func:`power_iteration`
+    on m and mᵀ, with ν rescaled to ν·h = 1.  The chain on the block graph
+    has Q_{uv} = m_{uv} h_v/(λ h_u) and stationary vector ν∘h.  Nothing is
+    certified here; :func:`certify_weak_gibbs` computes the Gibbs constants.
     """
+    phi.system.require_mixing()
+    bt = block_transfer(phi)
+    m = bt.matrix
     lam, h = power_iteration(m)
     _, nu = power_iteration(m.T)
     if not (np.all(h > 0) and np.all(nu > 0)):  # weights that underflowed to 0
@@ -447,21 +438,8 @@ def _perron_chain(
     # leak into the chain's contract
     q = q / q.sum(axis=1)[:, None]
     chain = MarkovMeasure(
-        ts, tuple(tuple(map(float, row)) for row in q), tuple(map(float, nu * h))
+        bt.graph.system, tuple(tuple(map(float, row)) for row in q), tuple(map(float, nu * h))
     )
-    return lam, h, nu, chain
-
-
-def build_rpf(phi: LocallyConstantPotential) -> RpfGibbsData:
-    """Exact Gibbs measure of φ: Perron eigendata of the block transfer matrix.
-
-    λ, the eigenvectors h, ν and the induced block chain come from one
-    direct Perron solve per side (:func:`_perron_chain`).  Nothing is
-    certified here; :func:`certify_weak_gibbs` computes the Gibbs constants.
-    """
-    phi.system.require_mixing()
-    bt = block_transfer(phi)
-    lam, h, nu, chain = _perron_chain(bt.graph.system, bt.matrix)
     if bt.shift:  # λ = e^c·λ' for the matrix shifted by c
         log_lam = math.log(lam) + bt.shift
         if not math.log(sys.float_info.min) <= log_lam < math.log(sys.float_info.max):
@@ -754,11 +732,11 @@ def atomfree_check(phi: LocallyConstantPotential, n_max: int) -> Optional[int]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    bt = block_transfer(phi)
-    p = _log_perron_root(bt)
-    sums = np.zeros(bt.order)
+    p = pressure_spectral(phi)
+    graph, weights = _edge_weights(phi)
+    sums = np.zeros(graph.order)
     for n in range(1, n_max + 1):
-        sums = bt.graph.step(sums, bt.weights)
+        sums = graph.step(sums, weights)
         if float(np.max(sums)) / n < p - 1e-12:
             return n
     return None

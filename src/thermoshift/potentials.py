@@ -249,7 +249,7 @@ class ExplicitSequence(PotentialSequence):
 
     ``dep_fn(n)`` declares how many leading symbols the rule reads; the
     word handed to ``fn`` has exactly that length.  Used for synthetic
-    sequences in tests and for tables loaded from documents.
+    sequences in tests.
     """
 
     def __init__(

@@ -64,7 +64,7 @@ def log_sum_exp(values: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Perron solve (shared with the RPF and Parry constructions in module measures)
+# Perron solve (read by pressure_spectral here and by build_rpf in measures)
 
 
 def power_iteration(m: np.ndarray) -> tuple[float, np.ndarray]:
@@ -263,14 +263,12 @@ def pressure_spectral(phi: LocallyConstantPotential) -> float:
 
     Requires a mixing system; the root comes from one direct Perron solve
     (:func:`power_iteration`), which raises :class:`EigensolverError` when
-    its residual or spectral-gap test fails.
+    its residual or spectral-gap test fails.  The one reader of a Perron
+    root; :func:`~thermoshift.measures.build_rpf` is the one builder of a
+    Perron chain.
     """
-    return _log_perron_root(block_transfer(phi))
-
-
-def _log_perron_root(bt: BlockTransfer) -> float:
-    """log λ + shift of a transfer on a mixing system (refused otherwise)."""
-    bt.graph.ts.require_mixing()
+    bt = block_transfer(phi)
+    phi.system.require_mixing()
     return math.log(power_iteration(bt.matrix)[0]) + bt.shift
 
 
@@ -377,7 +375,8 @@ def _estimate_from_log_sums(method: str, n_min: int, log_z: list[float]) -> Pres
 def _additive_log_sums(
     phi: LocallyConstantPotential, method: str, n_min: int, n_max: int
 ) -> list[float]:
-    """log Z_n for n in [n_min, n_max] via scaled transfer-matrix products.
+    """log Z_n for n in [n_min, n_max] via scaled transfer-matrix products,
+    by the cylinder route or else the periodic one.
 
     Exact-equivalent to the enumeration ops (tested against them), but
     O(n·k^{2(d−1)}) instead of O(kⁿ).
@@ -397,12 +396,10 @@ def _additive_log_sums(
         # sums[r] = log Z_{lead + r}; for n < lead fall back to enumeration
         ns = range(n_min, n_max + 1)
         return [n * pressure_cylinder(phi, n) if n < lead else sums[n - lead] for n in ns]
-    if method == "periodic":
-        phi.system.require_mixing()
-        # trace(Mⁿ) from the iterate Mⁿ, started at M itself
-        traces = transfer_log_sums(bt.apply, bt.matrix, np.ndarray.trace, n_max, bt.shift, bt.shift)
-        return traces[n_min - 1 :]
-    raise ValueError(f"unknown finite-n method {method!r}")
+    phi.system.require_mixing()  # the periodic route
+    # trace(Mⁿ) from the iterate Mⁿ, started at M itself
+    traces = transfer_log_sums(bt.apply, bt.matrix, np.ndarray.trace, n_max, bt.shift, bt.shift)
+    return traces[n_min - 1 :]
 
 
 def pressure_limit(
@@ -418,6 +415,8 @@ def pressure_limit(
     transfer-matrix fast path; other sequences give their own
     ``periodic_log_sums`` (an exact enumeration per n unless they override it).
     """
+    if method not in ("cylinder", "periodic", "spectral"):
+        raise ValueError(f"unknown method {method!r}")
     if n_min < 1 or n_max <= n_min:
         raise ValueError("need 1 <= n_min < n_max: a window of one value has no error bar")
     if isinstance(target, AdditiveSequence):
@@ -435,6 +434,4 @@ def pressure_limit(
             "here for additive targets only; use the periodic route for "
             "general sequences"
         )
-    if method != "periodic":
-        raise ValueError(f"unknown method {method!r}")
     return _estimate_from_log_sums(method, n_min, target.periodic_log_sums(n_min, n_max))

@@ -1,4 +1,5 @@
-"""Shared fixtures, hypothesis strategies, and independent brute-force oracles.
+"""Shared fixtures, hypothesis strategies, independent brute-force oracles,
+and a call counter.
 
 Everything under "brute" recomputes quantities from first principles — raw
 dict lookups, integer matrix powers, explicit recursion — sharing no code
@@ -7,6 +8,8 @@ tautology.
 """
 
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -276,6 +279,32 @@ def brute_linear_ujr(emap, n_max):
 
 
 # ---------------------------------------------------------------------------
+# call counting
+
+
+def count_calls(monkeypatch, *functions):
+    """A Counter of calls by function name, for the rest of the test.
+
+    Each function is replaced under every name any thermoshift module binds
+    it to (its defining module, the modules that import it, the package),
+    so calls between modules are counted too.
+    """
+    counts = Counter()
+    modules = [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "thermoshift"]
+    for fn in functions:
+
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+# ---------------------------------------------------------------------------
 # hypothesis strategies
 
 # Curated mixing matrices; generating-and-filtering random 0/1 matrices
@@ -305,8 +334,8 @@ small_values = st.floats(
 
 
 @st.composite
-def potentials(draw, values=small_values, max_depth=3, min_depth=1):
-    ts = draw(mixing_systems)
+def potentials(draw, values=small_values, max_depth=3, min_depth=1, systems=mixing_systems):
+    ts = draw(systems)
     depth = draw(st.integers(min_value=min_depth, max_value=max_depth))
     table = {w: draw(values) for w in brute_words(ts.matrix, depth)}
     return LocallyConstantPotential(ts, depth, table)

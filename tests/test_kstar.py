@@ -54,7 +54,7 @@ def reference_folds(oracle, phi, p, n):
     if isinstance(oracle, MarkovMeasure):
         chain, blocks = oracle, [(s,) for s in range(1, oracle.system.k + 1)]
     else:
-        chain, blocks = oracle.chain, list(oracle.blocks)
+        chain, blocks = oracle.chain, list(map(tuple, oracle.graph.states.tolist()))
     b, d = len(blocks[0]), phi.depth
     with np.errstate(divide="ignore"):
         log_pi = np.log(np.asarray(chain.stationary)).tolist()

@@ -70,11 +70,12 @@ def table_of(mu, depth):
 def reference_rpf_mass(data, word):
     """μ(C_w) of an RPF oracle by the block path of ``blocks.index``."""
     bl = data.graph.width
+    blocks = list(map(tuple, data.graph.states.tolist()))
     if len(word) < bl:
         return ordered_sum(
-            p for b, p in zip(data.blocks, data.chain.stationary) if b[: len(word)] == word
+            p for b, p in zip(blocks, data.chain.stationary) if b[: len(word)] == word
         )
-    path = [data.blocks.index(word[j : j + bl]) for j in range(len(word) - bl + 1)]
+    path = [blocks.index(word[j : j + bl]) for j in range(len(word) - bl + 1)]
     m = data.chain.stationary[path[0]]
     for a, b in zip(path, path[1:]):
         m *= data.chain.rows[a][b]

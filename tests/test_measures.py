@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import thermoshift.pressure
 from thermoshift import (
     AdditiveSequence,
     ExplicitSequence,
@@ -30,6 +31,7 @@ from conftest import (
     ATOMFREE_TABLE,
     brute_atomfree,
     brute_words,
+    count_calls,
     markov_rows,
     mixing_systems,
     potentials,
@@ -116,12 +118,40 @@ def test_bernoulli_requires_a_full_shift(golden, full2):
 
 def test_parry_measure_on_the_golden_mean(golden):
     parry = MarkovMeasure.maximal_entropy(golden)
-    golden_ratio = (1.0 + math.sqrt(5.0)) / 2.0
-    assert entropy(parry) == pytest.approx(math.log(golden_ratio), abs=1e-12)
-    # Q matches the classical 1/phi, 1/phi^2 transition weights
-    assert parry.rows[0][0] == pytest.approx(1.0 / golden_ratio, abs=1e-12)
+    g = (1.0 + math.sqrt(5.0)) / 2.0
+    # the closed form: Q = [[1/g, 1/g²], [1, 0]], π = (g², 1)/(1 + g²)
+    assert np.allclose(parry.rows, [[1 / g, 1 / g**2], [1.0, 0.0]], rtol=0, atol=4e-16)
+    assert np.allclose(parry.stationary, [g**2 / (1 + g**2), 1 / (1 + g**2)], rtol=0, atol=4e-16)
     assert parry.rows[1][1] == 0.0
+    assert abs(entropy(parry) - math.log(g)) <= 2e-15
     assert validate_oracle(parry, 8).passed
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_parry_measure_on_a_full_shift_is_uniform(k):
+    parry = MarkovMeasure.maximal_entropy(TransitionSystem.full_shift(k))
+    assert np.allclose(parry.rows, np.full((k, k), 1 / k), rtol=0, atol=4e-16)
+    assert np.allclose(parry.stationary, np.full(k, 1 / k), rtol=0, atol=4e-16)
+    assert abs(entropy(parry) - math.log(k)) <= 2e-15
+
+
+@pytest.mark.parametrize(
+    "build, solves",
+    [
+        (pressure_spectral, 1),
+        (lambda phi: atomfree_check(phi, 4), 1),
+        (build_rpf, 2),
+        (lambda phi: MarkovMeasure.maximal_entropy(phi.system), 2),
+    ],
+    ids=["pressure_spectral", "atomfree_check", "build_rpf", "maximal_entropy"],
+)
+def test_each_perron_call_builds_one_transfer(build, solves, golden, monkeypatch):
+    phi = LocallyConstantPotential(golden, 2, {(1, 1): 0.5, (1, 2): -1.0, (2, 1): 2.0})
+    calls = count_calls(
+        monkeypatch, thermoshift.pressure.block_transfer, thermoshift.pressure.power_iteration
+    )
+    build(phi)
+    assert calls == {"block_transfer": 1, "power_iteration": solves}
 
 
 def test_transition_log_potential_reproduces_masses(golden):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import thermoshift.pressure
 from thermoshift import (
     AdditiveSequence,
     EigensolverError,
@@ -30,6 +31,8 @@ from conftest import (
     brute_periodic_pressure,
     brute_periodic_values,
     brute_spectral_pressure,
+    brute_words,
+    count_calls,
     mixing_systems,
     potentials,
     small_values,
@@ -297,3 +300,72 @@ def test_cylinder_route_is_additive_only(full2):
     # the periodic route still works, through per-n enumeration
     est = pressure_limit("periodic", seq, 1, 8)
     assert all(v == math.log(2) for _, v in est.finite_n_values)
+
+
+@pytest.mark.parametrize("kind", ["potential", "additive", "explicit"])
+def test_pressure_limit_refuses_an_unknown_method_before_building_anything(
+    kind, example_potential, monkeypatch
+):
+    target = {
+        "potential": example_potential,
+        "additive": AdditiveSequence(example_potential),
+        "explicit": ExplicitSequence(example_potential.system, lambda n, w: 0.0, lambda n: n),
+    }[kind]
+    calls = count_calls(monkeypatch, thermoshift.pressure.block_transfer)
+    with pytest.raises(ValueError, match=r"^unknown method 'Periodic'$"):
+        pressure_limit("Periodic", target, 1, 5)
+    assert calls == {}
+
+
+# ---------------------------------------------------------------------------
+# thermodynamic invariants of the finite-n routes (no eigensolver is called,
+# so tables may range over [-8, 8])
+
+INVARIANT_SYSTEMS = st.sampled_from(
+    (
+        TransitionSystem.full_shift(2),
+        TransitionSystem.full_shift(3),
+        TransitionSystem.golden_mean(),
+        TransitionSystem(((1, 1, 0), (0, 1, 1), (1, 1, 1))),
+    )
+)
+wide_values = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
+
+
+def assert_same_finite_n_values(phi, psi, methods, n_max=10):
+    for method in methods:
+        ours = pressure_limit(method, phi, 1, n_max).finite_n_values
+        theirs = pressure_limit(method, psi, 1, n_max).finite_n_values
+        assert [n for n, _ in ours] == [n for n, _ in theirs]
+        for (n, a), (_, b) in zip(ours, theirs):
+            assert abs(a - b) <= 1e-14 * max(1.0, abs(a)), (method, n, a, b)
+
+
+@given(phi=potentials(values=wide_values, systems=INVARIANT_SYSTEMS), data=st.data())
+@settings(deadline=None)
+def test_adding_a_coboundary_leaves_the_periodic_values_unchanged(phi, data):
+    # psi = phi + g − g∘σ sums to the same S_n on every periodic orbit
+    ts = phi.system
+    g_depth = data.draw(st.integers(min_value=1, max_value=2))
+    g = {w: data.draw(wide_values) for w in brute_words(ts.matrix, g_depth)}
+    depth = max(phi.depth, g_depth + 1)
+    table = {
+        w: phi.table[w[: phi.depth]] + g[w[:g_depth]] - g[w[1 : g_depth + 1]]
+        for w in brute_words(ts.matrix, depth)
+    }
+    assert_same_finite_n_values(phi, LocallyConstantPotential(ts, depth, table), ["periodic"])
+
+
+@given(phi=potentials(values=wide_values, systems=INVARIANT_SYSTEMS), data=st.data())
+@settings(deadline=None)
+def test_relabelling_the_alphabet_leaves_every_finite_n_value_unchanged(phi, data):
+    k = phi.system.k
+    label = data.draw(st.permutations(range(1, k + 1)))  # symbol s becomes label[s - 1]
+    matrix = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            matrix[label[i] - 1][label[j] - 1] = phi.system.matrix[i][j]
+    ts = TransitionSystem(tuple(map(tuple, matrix)))
+    table = {tuple(label[s - 1] for s in w): v for w, v in phi.table.items()}
+    psi = LocallyConstantPotential(ts, phi.depth, table)
+    assert_same_finite_n_values(phi, psi, ["periodic", "cylinder"])
