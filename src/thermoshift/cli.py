@@ -25,8 +25,6 @@ import os
 import sys
 from typing import Any, Iterable, Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .documents import (
     DocumentError,
@@ -59,8 +57,8 @@ from .potentials import AdditiveSequence
 from .pressure import pressure_limit, pressure_spectral
 from .multifractal import (
     bernoulli_candidate_family,
-    legendre_alpha_range,
-    legendre_f_at_alpha,
+    legendre_deviation,
+    legendre_levels,
     markov_candidate_family,
     spectrum_search,
 )
@@ -443,8 +441,7 @@ def _cmd_spectrum(cfg, out, inputs, args) -> int:
     if cfg["alpha_grid"] is not None:
         alphas = [tuple(a) if isinstance(a, list) else (a,) for a in cfg["alpha_grid"]]
     elif cfg["alpha_count"] is not None and legendre_p is not None:
-        lo, hi = legendre_alpha_range(legendre_p, emap.slopes)
-        alphas = [(float(a),) for a in np.linspace(lo, hi, cfg["alpha_count"] + 2)[1:-1]]
+        alphas = [(a,) for a in legendre_levels(legendre_p, emap.slopes, cfg["alpha_count"])]
     else:
         raise _InputError(
             "give 'alpha_grid' explicitly (or 'alpha_count' with a single "
@@ -456,10 +453,12 @@ def _cmd_spectrum(cfg, out, inputs, args) -> int:
     points = spectrum_search(
         emap, mus, alphas, family=family, delta=delta, quadrature_depth=qdepth
     )
+    if legendre_p is not None:
+        levels = [a[0] for a in alphas]
+        f_legs, max_dev = legendre_deviation(legendre_p, emap.slopes, levels, points)
     rows = []
     flagged = False
-    max_dev = 0.0
-    for a, point in zip(alphas, points):
+    for i, (a, point) in enumerate(zip(alphas, points)):
         flagged = flagged or point.comparison_flagged
         arg = (
             ";".join(format_float(x) for x in point.argmax_parameter)
@@ -476,7 +475,7 @@ def _cmd_spectrum(cfg, out, inputs, args) -> int:
             )
         )
         if legendre_p is not None:
-            f_leg = legendre_f_at_alpha(legendre_p, emap.slopes, a[0])
+            f_leg = f_legs[i]
             rows.append(
                 (
                     format_float(a[0]),
@@ -486,8 +485,6 @@ def _cmd_spectrum(cfg, out, inputs, args) -> int:
                     "",
                 )
             )
-            if f_leg is not None and point.feasible:
-                max_dev = max(max_dev, abs(point.f - f_leg))
     _write_csv(out, "spectrum.csv", ("alpha", "f", "method", "feasible", "argmax_parameters"), rows)
     summary: dict[str, Any] = {
         "family": family.label,

@@ -173,6 +173,8 @@ def _parse_potential_body(
             raise DocumentError(
                 f"line {idx + 1}: word has {len(word)} symbols, the depth is {depth}"
             )
+        if word in table:
+            raise DocumentError(f"line {idx + 1}: word {word} is listed twice")
         table[word] = _number(float, toks[sep + 1], idx)
         idx += 1
     try:
@@ -247,6 +249,8 @@ def load_measure(text: str) -> CylinderMeasureOracle:
             if len(toks) < 2:
                 raise DocumentError(f"line {idx + 1}: mass line needs a word and a value")
             word = tuple(_number(int, t, idx) for t in toks[:-1])
+            if word in masses:
+                raise DocumentError(f"line {idx + 1}: word {word} is listed twice")
             masses[word] = _number(float, toks[-1], idx)
             idx += 1
         try:

@@ -1,4 +1,4 @@
-"""Expanding Markov interval maps: coding, cylinder intervals, diameters.
+"""Expanding Markov interval maps: coding, inverse branches, diameters.
 
 A map here is a finite family of monotone expanding branches on disjoint
 closed subintervals of [0,1], coded by a mixing transition system: branch i
@@ -18,8 +18,7 @@ prefix of every row: product law if linear, else the log width of the window
 pulled back by :func:`_prefix_windows`, the module's only pull-back).
 
 Real coordinates appear only through interval endpoints; all dynamics runs
-on words.  At touching branch endpoints the code resolves to the smaller
-symbol (the lexicographically smaller itinerary).
+on words.
 """
 
 from __future__ import annotations
@@ -43,30 +42,6 @@ _NEWTON_CAP = 200
 
 class InverseBranchError(RuntimeError):
     """Inverse-branch root finding failed to bracket or converge."""
-
-
-@dataclass(frozen=True)
-class CylinderInterval:
-    """The interval I(w) of points whose itinerary starts with w.
-
-    For piecewise-linear maps ``diameter`` comes from the product law
-    (inverse slopes along the word times the last branch width) rather than
-    ``right − left``: the endpoints of deep cylinders agree to ~15 digits
-    and their difference cancels catastrophically, while the product form
-    only accumulates one rounding per factor.  The two agree to full
-    precision whenever right − left itself is well conditioned.
-    """
-
-    word: Word
-    left: float
-    right: float
-    diameter: float
-
-    def __post_init__(self) -> None:
-        if not self.diameter > 0:
-            raise InverseBranchError(
-                f"cylinder of {self.word} collapsed (diameter {self.diameter!r})"
-            )
 
 
 def _branch_values(fns, groups, x: np.ndarray) -> np.ndarray:
@@ -169,28 +144,6 @@ class ExpandingMarkovMap:
                         f"branch {i + 1} image covers forbidden domain {j + 1}"
                     )
 
-    # -- pointwise dynamics (boundary points resolve to the smaller symbol) --
-
-    def branch_of(self, x: float) -> int:
-        for i, (l, r) in enumerate(self.domains):
-            if l <= x <= r:
-                return i + 1
-        raise ValueError(f"{x} lies in no branch domain")
-
-    def branch_apply(self, symbol: int, x: float) -> float:
-        if self.kind == "piecewise_linear":
-            l, _ = self.domains[symbol - 1]
-            a, _ = self.images[symbol - 1]
-            return a + self.slopes[symbol - 1] * (x - l)
-        return self.branch_fns[symbol - 1](x)
-
-    def apply(self, x: float) -> float:
-        return self.branch_apply(self.branch_of(x), x)
-
-    def branch_inverse(self, symbol: int, y: float) -> float:
-        """The unique preimage of y under branch ``symbol``."""
-        return float(self.inverse(np.array([symbol]), np.array([y], dtype=float))[0])
-
     def inverse(self, symbols: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Preimages of the points y under the branches ``symbols``, elementwise.
 
@@ -249,24 +202,6 @@ class ExpandingMarkovMap:
         out = np.empty(x.shape)
         out[order] = x
         return out.reshape(np.shape(symbols))
-
-    # -- cylinders ---------------------------------------------------------
-
-    def cylinder_interval(self, word: Word) -> CylinderInterval:
-        """I(w): the last branch domain pulled back by :func:`_prefix_windows`."""
-        word = tuple(word)
-        if len(word) == 0:
-            raise ValueError("cylinder of the empty word is the whole space")
-        if not self.coding.is_admissible(word):
-            raise ValueError(f"word {word} is not admissible for the coding")
-        lo, hi = _prefix_windows(self, np.array([word]), shortest=len(word))[1][0, 0].tolist()
-        if self.kind == "piecewise_linear":
-            diam = self.domains[word[-1] - 1][1] - self.domains[word[-1] - 1][0]
-            for symbol in word[:-1]:
-                diam /= self.slopes[symbol - 1]
-        else:
-            diam = hi - lo
-        return CylinderInterval(word, lo, hi, diam)
 
     def log_diameters(self, words: np.ndarray) -> np.ndarray:
         """log D_n of every prefix of every row: entry [i, n − 1] is log D_n(words[i, :n]).
@@ -484,24 +419,21 @@ def _endpoint_defects(
     return np.abs(log_d[:, None] + sums).max(axis=1)
 
 
-def _prefix_windows(
-    emap: ExpandingMarkovMap, words: np.ndarray, shortest: int = 1
-) -> tuple[np.ndarray, np.ndarray]:
-    """Suffix windows I(w_j..w_n), as (lo, hi), of every prefix of every row
-    at least ``shortest`` long (``shortest`` = n_max: the whole rows only).
+def _prefix_windows(emap: ExpandingMarkovMap, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix windows I(w_j..w_n), as (lo, hi), of every prefix of every row.
 
     Item (n_max − n)·count + i is row i's prefix of length n.  Longest go
     first, so the items still being pulled back at step t are a leading
     slice, moved by one ``inverse`` call.  Returns item words, ends[item, j].
     """
     count, n_max = words.shape
-    lengths = np.repeat(np.arange(n_max, shortest - 1, -1), count)
-    words = np.tile(words, (n_max - shortest + 1, 1))
+    lengths = np.repeat(np.arange(n_max, 0, -1), count)
+    words = np.tile(words, (n_max, 1))
     items = np.arange(len(lengths))
     ends = np.empty((len(lengths), n_max, 2))
     ends[items, lengths - 1] = cur = np.array(emap.domains)[words[items, lengths - 1] - 1]
     for t in range(1, n_max):
-        live = items[: count * (n_max - max(t, shortest - 1))]
+        live = items[: count * (n_max - t)]
         j = lengths[live] - 1 - t
         cur = np.sort(emap.inverse(np.repeat(words[live, j, None], 2, axis=1), cur[live]), axis=1)
         ends[live, j] = cur

@@ -142,6 +142,30 @@ def legendre_f_at_alpha(
     return -(u * math.log(u) + (1.0 - u) * math.log(1.0 - u)) / lyap
 
 
+def legendre_levels(p: float, slopes: Union[float, Sequence[float]], count: int) -> list[float]:
+    """``count`` evenly spaced interior levels of the attainable range."""
+    if count < 1:
+        raise ValueError(f"need at least one level, got {count}")
+    lo, hi = legendre_alpha_range(p, slopes)
+    return [float(a) for a in np.linspace(lo, hi, count + 2)[1:-1]]
+
+
+def legendre_deviation(
+    p: float,
+    slopes: Union[float, Sequence[float]],
+    alphas: Sequence[float],
+    points: Sequence[VariationalSpectrumPoint],
+) -> tuple[list[Optional[float]], float]:
+    """f(α) of the Legendre oracle at each level, and the worst |f_var − f|
+    over the levels feasible for both it and the search's ``points``."""
+    f_leg = [legendre_f_at_alpha(p, slopes, a) for a in alphas]
+    worst = 0.0
+    for f, point in zip(f_leg, points):
+        if point.feasible and f is not None:
+            worst = max(worst, abs(point.f - f))
+    return f_leg, worst
+
+
 # ---------------------------------------------------------------------------
 # candidate families
 
@@ -487,23 +511,14 @@ def spectrum_crosscheck(
     slopes = emap.slopes
     mu = MarkovMeasure.bernoulli(emap.coding, (p, 1.0 - p))
     family = bernoulli_candidate_family(emap.coding, step)
-    lo, hi = legendre_alpha_range(p, slopes)
-    grid = np.linspace(lo, hi, alpha_count + 2)[1:-1]
-    points = spectrum_search(emap, [mu], [float(a) for a in grid], family=family, delta=delta)
-    f_var, f_leg, feas = [], [], []
-    worst = 0.0
-    for a, point in zip(grid, points):
-        oracle_f = legendre_f_at_alpha(p, slopes, float(a))
-        f_var.append(point.f)
-        f_leg.append(oracle_f if oracle_f is not None else math.nan)
-        feas.append(point.feasible)
-        if point.feasible and oracle_f is not None:
-            worst = max(worst, abs(point.f - oracle_f))
+    alphas = legendre_levels(p, slopes, alpha_count)
+    points = spectrum_search(emap, [mu], alphas, family=family, delta=delta)
+    f_leg, worst = legendre_deviation(p, slopes, alphas, points)
     return CrosscheckReport(
-        alphas=tuple(float(a) for a in grid),
-        f_variational=tuple(f_var),
-        f_legendre=tuple(f_leg),
-        feasible=tuple(feas),
+        alphas=tuple(alphas),
+        f_variational=tuple(point.f for point in points),
+        f_legendre=tuple(math.nan if f is None else f for f in f_leg),
+        feasible=tuple(point.feasible for point in points),
         max_deviation=worst,
         step=step,
         delta=delta,

@@ -7,10 +7,10 @@ generalization: one function per time n, with Birkhoff sums of a fixed
 potential as the special case :class:`AdditiveSequence`.
 
 Variation diagnostics (``variation``, ``eta``, ``gamma``,
-``almost_additivity_defect``, ``asymptotic_defect``) quantify how far a
-sequence is from depending on finitely many coordinates and from being
-additive.  All enumerate words but ``eta``, a path extremum on the block
-graph in O(d·E) that is the same for every n >= d - 1.
+``almost_additivity_defect``) quantify how far a sequence is from depending
+on finitely many coordinates and from being almost additive.  All enumerate
+words but ``eta``, a path extremum on the block graph in O(d·E) that is the
+same for every n >= d - 1.
 """
 
 from __future__ import annotations
@@ -325,18 +325,3 @@ def almost_additivity_defect(seq: PotentialSequence, n: int, m: int) -> tuple[fl
     i = int(np.argmax(d))
     return float(d[i]), tuple(int(s) for s in words[i])
 
-
-def asymptotic_defect(
-    seq: PotentialSequence, rho: LocallyConstantPotential, n: int
-) -> float:
-    """(1/n) sup |phi_n - S_n rho| over the shift, by exact enumeration."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    L = seq.dep(n)
-    if L is None:
-        raise InexactSequenceError("asymptotic defect needs a dependence length")
-    L = max(L, n + rho.depth - 1)
-    words = word_array(seq.system, L)
-    v = seq.values_on_words(n, words)
-    s = rho.values_on_windows(words, n)
-    return float(np.max(np.abs(v - s))) / n

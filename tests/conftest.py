@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from thermoshift import LocallyConstantPotential, SymbolicPoint, TransitionSystem
+from thermoshift import LocallyConstantPotential, SymbolicPoint, TransitionSystem, word_array
 
 # The depth-2 table used in the format documentation; its Birkhoff-sum
 # oscillation over 2-cylinders is exactly 3.
@@ -74,6 +74,14 @@ def representative_point(ts, word):
             return SymbolicPoint(ts, tuple(w[:cut]), tuple(w[cut:]))
         seen[s] = len(w)
         w.append(s)
+
+
+def asymptotic_defect(seq, rho, n):
+    """(1/n) sup |phi_n - S_n rho| over the shift, by exact enumeration of the
+    words long enough to settle both terms."""
+    words = word_array(seq.system, max(seq.dep(n), n + rho.depth - 1))
+    v = seq.values_on_words(n, words)
+    return float(np.max(np.abs(v - rho.values_on_windows(words, n)))) / n
 
 
 def brute_periodic_count(matrix, n):

@@ -146,6 +146,13 @@ def test_measure_rejects_a_mass_line_without_a_value(full2):
         load_measure("\n".join(lines) + "\n")
 
 
+def test_potential_refuses_a_word_listed_twice(full2):
+    phi = LocallyConstantPotential.from_symbol_values(full2, (0.5, -1.0))
+    lines = dump_potential(phi).splitlines() + ["word 1 value 9.0"]
+    with pytest.raises(DocumentError, match=rf"line {len(lines)}: word \(1,\) is listed twice"):
+        load_potential("\n".join(lines) + "\n")
+
+
 def test_potential_rejects_truncation(example_potential):
     lines = dump_potential(example_potential).splitlines()
     # chop off the table and the depth line
@@ -181,6 +188,16 @@ def test_table_measure_round_trip(golden):
     assert isinstance(back, TableMeasure)
     assert back.depth == 2
     assert back.masses == mu.masses
+
+
+def test_table_measure_refuses_a_word_listed_twice(golden):
+    masses = {(1,): 0.7, (2,): 0.3, (1, 1): 0.45, (1, 2): 0.25, (2, 1): 0.3}
+    lines = dump_measure(TableMeasure(golden, 2, masses)).splitlines()
+    first = lines.index("depth 2") + 1
+    # "mass 1 0.5" before the document's own "mass 1 0.7..." line
+    lines.insert(first, "mass 1 0.5")
+    with pytest.raises(DocumentError, match=rf"line {first + 2}: word \(1,\) is listed twice"):
+        load_measure("\n".join(lines) + "\n")
 
 
 def test_rpf_measure_round_trip(example_potential):
@@ -380,7 +397,9 @@ def test_general_map_round_trip():
     assert back.kind == "general"
     assert back.domains == emap.domains
     # same parameter => same dynamics
-    assert back.apply(0.3) == emap.apply(0.3)
+    x = np.linspace(0.0, 1.0, 11)
+    for loaded, built in zip(back.branch_fns, emap.branch_fns):
+        assert np.array_equal(loaded(x), built(x))
 
 
 def test_general_map_requires_registry_name():

@@ -36,8 +36,9 @@ def test_doubling_map_shape():
     assert m.slopes == (2.0, 2.0)
     assert m.domains == ((0.0, 0.5), (0.5, 1.0))
     assert m.coding.matrix == ((1, 1), (1, 1))
-    assert m.apply(0.3) == 0.6
-    assert m.apply(0.75) == 0.5
+    assert m.images == ((0.0, 1.0), (0.0, 1.0))
+    # the affine branches x ↦ 2x and x ↦ 2x − 1, inverted exactly
+    assert m.inverse(np.array([1, 2]), np.array([0.6, 0.5])).tolist() == [0.3, 0.75]
 
 
 def test_full_branch_builder_validation():
@@ -57,8 +58,7 @@ def test_golden_mean_linear_is_coded_by_the_golden_shift():
     assert m.coding.matrix == ((1, 1), (1, 0))
     a = (math.sqrt(5.0) - 1.0) / 2.0
     # branch 2 maps [a, 1] onto [0, a] = the domain of branch 1 only
-    assert m.branch_apply(2, a) == pytest.approx(0.0, abs=1e-15)
-    assert m.branch_apply(2, 1.0) == pytest.approx(a, abs=1e-15)
+    assert m.images == ((0.0, 1.0), (0.0, a))
     # both slopes are the golden ratio
     assert m.slopes[0] == pytest.approx(1.0 / a, rel=1e-12)
     assert m.slopes[1] == pytest.approx(1.0 / a, rel=1e-12)
@@ -67,8 +67,9 @@ def test_golden_mean_linear_is_coded_by_the_golden_shift():
 def test_perturbed_doubling_is_general_kind():
     m = perturbed_doubling()
     assert m.kind == "general"
-    assert m.apply(0.5) == 1.0
-    assert m.apply(0.75) == 0.5
+    assert m.images == ((0.0, 1.0), (0.0, 1.0))
+    assert m.branch_fns[0](0.5) == 1.0
+    assert m.branch_fns[1](0.75) == 0.5
     with pytest.raises(ValueError):
         perturbed_doubling(2.5)  # would stop expanding
 
@@ -82,16 +83,35 @@ def test_geometry_validation_rejects_covering_a_forbidden_domain():
         ExpandingMarkovMap(golden, ((0.0, 0.5), (0.5, 1.0)))
 
 
+def branch_value(emap, symbol, x):
+    """Branch ``symbol`` at x: the callable of a general map, else the affine
+    map of the domain onto the image."""
+    if emap.kind == "general":
+        return emap.branch_fns[symbol - 1](x)
+    (l, _), (a, _) = emap.domains[symbol - 1], emap.images[symbol - 1]
+    return a + emap.slopes[symbol - 1] * (x - l)
+
+
+def scalar_window(emap, word):
+    """I(word): the last branch domain pulled back one symbol at a time by
+    the scalar reference solve."""
+    lo, hi = emap.domains[word[-1] - 1]
+    for s in reversed(word[:-1]):
+        a, b = brute_branch_inverse(emap, s, lo), brute_branch_inverse(emap, s, hi)
+        lo, hi = min(a, b), max(a, b)
+    return lo, hi
+
+
 @pytest.mark.parametrize("emap", [doubling_map(), golden_mean_linear(), perturbed_doubling()])
 def test_branch_inverse_round_trips(emap):
     for symbol in range(1, emap.coding.k + 1):
         lo, hi = emap.images[symbol - 1]
         for t in (0.07, 0.31, 0.68, 0.93):
             y = lo + t * (hi - lo)
-            x = emap.branch_inverse(symbol, y)
+            (x,) = emap.inverse(np.array([symbol]), np.array([y])).tolist()
             l, r = emap.domains[symbol - 1]
             assert l <= x <= r
-            assert emap.branch_apply(symbol, x) == pytest.approx(y, abs=1e-13)
+            assert branch_value(emap, symbol, x) == pytest.approx(y, abs=1e-13)
 
 
 @given(
@@ -105,7 +125,6 @@ def test_batched_inverse_is_the_scalar_solve_elementwise(c, ys):
     batch = m.inverse(symbols, np.array(ys))
     for s, y, x in zip(symbols, ys, batch):
         assert x == brute_branch_inverse(m, int(s), y)
-        assert m.branch_inverse(int(s), y) == x
 
 
 def exact_perturbed_inverse(c, symbol, y):
@@ -210,18 +229,23 @@ def test_branch_inverse_rejects_points_outside_the_image():
     m = golden_mean_linear()
     a = (math.sqrt(5.0) - 1.0) / 2.0
     with pytest.raises(InverseBranchError):
-        m.branch_inverse(2, a + 0.05)  # branch 2 image stops at a
+        m.inverse(np.array([2]), np.array([a + 0.05]))  # branch 2 image stops at a
 
 
 def test_cylinder_intervals_nest_and_follow_the_product_law():
     m = doubling_map()
-    for word in brute_words(m.coding.matrix, 6):
-        c = m.cylinder_interval(word)
-        parent = m.cylinder_interval(word[:-1]) if len(word) > 1 else None
-        if parent is not None:
-            assert parent.left - 1e-15 <= c.left and c.right <= parent.right + 1e-15
+    words = np.array(brute_words(m.coding.matrix, 6))
+    _, ends = _prefix_windows(m, words)
+    # item (6 − n)·count + i is row i's n-prefix, and ends[item, 0] its window
+    windows = ends[:, 0].reshape(6, len(words), 2)[::-1]
+    for n in range(1, 7):
+        lo, hi = windows[n - 1].T
         # width 1/2 shrinking by 1/2 per symbol, exactly in floats
-        assert c.diameter == 0.5 ** len(word)
+        assert (hi - lo == 0.5**n).all()
+        if n > 1:
+            parent_lo, parent_hi = windows[n - 2].T
+            assert (parent_lo - 1e-15 <= lo).all() and (hi <= parent_hi + 1e-15).all()
+    for word in brute_words(m.coding.matrix, 6):
         log_d = m.log_diameters(np.array([word]))[0, -1]
         assert log_d == brute_log_diameter(m, word)
         assert log_d == pytest.approx(len(word) * math.log(0.5), rel=1e-15)
@@ -238,61 +262,30 @@ def test_vectorised_log_diameters_match_the_cylinder_product_loop():
                 word = tuple(int(s) for s in row)
                 for p, value in enumerate(values, 1):
                     assert value == brute_log_diameter(m, word[:p])
-                assert values[-1] == pytest.approx(
-                    math.log(m.cylinder_interval(word).diameter), rel=1e-14, abs=1e-14
-                )
+    # general map: every prefix of every 6-word, and the deep prefixes of one
+    # itinerary, against the window pulled back by the scalar reference solve
     m = perturbed_doubling(0.8)
     words = word_array(m.coding, 6)
-    logs = m.log_diameters(words)
-    for row, values in zip(words, logs):
+    for row, values in zip(words, m.log_diameters(words)):
         word = tuple(int(s) for s in row)
         for p, value in enumerate(values, 1):
-            c = m.cylinder_interval(word[:p])
-            assert value == math.log(c.right - c.left)
-    # deep prefixes of one itinerary: the window pulled back one symbol at a
-    # time by the scalar reference solve
+            lo, hi = scalar_window(m, word[:p])
+            assert value == math.log(hi - lo)
     word = (1, 2, 2) * 8
     for n, value in enumerate(m.log_diameters(np.array([word]))[0].tolist(), 1):
-        lo, hi = m.domains[word[n - 1] - 1]
-        for s in reversed(word[: n - 1]):
-            a, b = brute_branch_inverse(m, s, lo), brute_branch_inverse(m, s, hi)
-            lo, hi = min(a, b), max(a, b)
+        lo, hi = scalar_window(m, word[:n])
         assert value == math.log(hi - lo)
 
 
 def test_deep_cylinder_interval_is_the_sweep_window():
-    # cylinder_interval reads the whole word's window off the batched sweep,
-    # which pulls back every prefix at once: same bits at depth 30
+    # the batched sweep pulls back every prefix at once: its depth-30
+    # whole-row window has the bits of the scalar pull-back
     m = perturbed_doubling(0.8)
     word = tuple(1 + (i * i + i // 3) % 2 for i in range(30))
-    c = m.cylinder_interval(word)
     _, ends = _prefix_windows(m, np.array([word]))
-    assert (c.left, c.right) == tuple(ends[0, 0])
-    assert c.diameter == c.right - c.left
-    assert 0.0 < c.diameter < 1e-8
-
-
-@pytest.mark.parametrize("n", [1, 2, 12])
-def test_cylinder_interval_pulls_back_the_whole_word_only(monkeypatch, n):
-    # one inverse row per pull-back step, not one per prefix still in flight
-    m = perturbed_doubling(0.8)
-    rows, inverse = [], type(m).inverse
-
-    def counting(self, symbols, y):
-        rows.append(len(symbols))
-        return inverse(self, symbols, y)
-
-    monkeypatch.setattr(type(m), "inverse", counting)
-    m.cylinder_interval(tuple(1 + i % 2 for i in range(n)))
-    assert sum(rows) == n - 1
-
-
-def test_cylinder_interval_input_validation():
-    m = golden_mean_linear()
-    with pytest.raises(ValueError):
-        m.cylinder_interval(())
-    with pytest.raises(ValueError):
-        m.cylinder_interval((2, 2))
+    lo, hi = ends[0, 0].tolist()
+    assert (lo, hi) == scalar_window(m, word)
+    assert 0.0 < hi - lo < 1e-8
 
 
 def test_slope_potential_reads_the_log_derivatives():

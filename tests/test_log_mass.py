@@ -23,7 +23,6 @@ from thermoshift import (
     TransitionSystem,
     ZeroCylinderMassError,
     almost_additivity_defect,
-    asymptotic_defect,
     build_log_mass_sequence,
     build_rpf,
     certify_weak_gibbs,
@@ -37,7 +36,7 @@ from thermoshift import (
     word_array,
 )
 
-from conftest import markov_rows, mixing_systems
+from conftest import asymptotic_defect, markov_rows, mixing_systems
 
 
 @pytest.fixture

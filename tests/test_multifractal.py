@@ -432,6 +432,13 @@ def test_crosscheck_on_a_coarse_grid():
         assert f == pytest.approx(legendre_f_at_alpha(0.3, 2.0, a), abs=1e-12)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_crosscheck_refuses_fewer_than_one_level(count):
+    # no level would leave max_deviation at 0.0, a vacuous pass
+    with pytest.raises(ValueError, match=f"need at least one level, got {count}"):
+        spectrum_crosscheck(doubling_map(), 0.3, alpha_count=count)
+
+
 def test_crosscheck_rejects_unsuitable_maps():
     with pytest.raises(ValueError):
         spectrum_crosscheck(golden_mean_linear(), 0.3)

@@ -13,7 +13,6 @@ from thermoshift import (
     LocallyConstantPotential,
     TransitionSystem,
     almost_additivity_defect,
-    asymptotic_defect,
     birkhoff_sum,
     eta,
     gamma,
@@ -24,6 +23,7 @@ from thermoshift import potentials as potentials_module
 from thermoshift import sft
 
 from conftest import (
+    asymptotic_defect,
     brute_eta,
     brute_variation,
     brute_words,
