@@ -529,12 +529,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", required=True, help="JSON experiment config")
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--n-max", type=int, dest="n_max")
-    parser.add_argument("--tol", type=float)
-    parser.add_argument("--seed", type=int)
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.command, vars(args))
+        cfg = load_config(args.config, args.command)
     except DocumentError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

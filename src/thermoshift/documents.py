@@ -7,7 +7,7 @@ round-trips IEEE doubles bit-exactly; loaders therefore reproduce the exact
 objects that were dumped.  Configs are JSON with a version field and a
 closed key set per command — unknown keys are errors, by design — read
 against one table, ``CONFIG_FIELDS``, of each field's kind, default and
-least value; ``load_config`` returns them complete, flags applied.
+least value; ``load_config`` returns them complete, and only ``--out`` overrides one.
 """
 
 from __future__ import annotations
@@ -262,6 +262,8 @@ def load_measure(text: str) -> CylinderMeasureOracle:
         # must agree with it, and h, ν must be present and well-formed
         phi, idx = _parse_potential_body(lines, idx, ts)
         (lam,) = _floats(lines, idx, "lambda", 1)
+        if lam <= 0:
+            raise DocumentError(f"line {idx + 1}: lambda must be positive, got {lam!r}")
         data = build_rpf(phi)
         if abs(math.log(data.lam) - math.log(lam)) > 1e-9:
             raise DocumentError(
@@ -331,6 +333,8 @@ def load_map(text: str) -> ExpandingMarkovMap:
             toks = _expect(lines, idx, "param")
             if len(toks) != 2:
                 raise DocumentError(f"line {idx + 1}: param needs a name and a value")
+            if toks[0] in params:
+                raise DocumentError(f"line {idx + 1}: param {toks[0]} is listed twice")
             params[toks[0]] = _number(float, toks[1], idx)
             idx += 1
         try:
@@ -437,38 +441,20 @@ CONFIG_FIELDS: dict[str, dict[str, ConfigField]] = {
     },
 }
 _OUT = ConfigField("document", "thermoshift-out")  # a field of every command
-#: the flags that override a field, checked as this where the command has no such field
-_FLAGS = {"n_max": ConfigField("count"), "tol": ConfigField("number"), "seed": ConfigField("seed")}
 
 
-def _check(name: str, value: Any, field: ConfigField) -> None:
-    """Refuse ``value``, called ``name``, unless it is a value of ``field``."""
-    test, what = _KINDS[field.kind]
-    if not test(value):
-        raise DocumentError(f"{name} must be {what}")
-    if field.kind == "number" and value <= 0:
-        raise DocumentError(f"{name} must be positive")
-    if field.least is not None and value < field.least:
-        raise DocumentError(f"{name} must be at least {field.least}")
-
-
-def load_config(path: str, command: str, flags: Optional[dict] = None) -> dict[str, Any]:
+def load_config(path: str, command: str) -> dict[str, Any]:
     """Parse, validate and complete a JSON config for the given command.
 
     Checks the version, the closed key set and each field's kind and least
-    value from ``CONFIG_FIELDS``, fills in the defaults, and applies the
-    ``n_max``, ``tol`` and ``seed`` entries of ``flags`` (the command-line
-    options by name; None: not given), each checked first as its field is.
-    A missing required document reference is refused last.  Referenced
-    documents are *not* loaded here — the CLI does that next, still inside
-    its input-error phase.
+    value from ``CONFIG_FIELDS``, then the fields that constrain each
+    other, and fills in the defaults.  A missing required document
+    reference is refused last.  Referenced documents are *not* loaded
+    here — the CLI does that next, still inside its input-error phase.
     """
     if command not in CONFIG_FIELDS:
         raise DocumentError(f"unknown command {command!r}")
     fields = {**CONFIG_FIELDS[command], "out": _OUT}
-    flags = {k: v for k, v in (flags or {}).items() if k in _FLAGS and v is not None}
-    for key, value in flags.items():
-        _check(f"--{key.replace('_', '-')}", value, fields.get(key, _FLAGS[key]))
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -488,17 +474,27 @@ def load_config(path: str, command: str, flags: Optional[dict] = None) -> dict[s
             f"config field(s) {', '.join(unknown)} not recognized for {command}"
         )
     for key, field in fields.items():
-        if key in raw:
-            _check(f"config field {key!r}", raw[key], field)
+        if key not in raw:
+            continue
+        (test, what), value, name = _KINDS[field.kind], raw[key], f"config field {key!r}"
+        if not test(value):
+            raise DocumentError(f"{name} must be {what}")
+        if field.kind == "number" and value <= 0:
+            raise DocumentError(f"{name} must be positive")
+        if field.least is not None and value < field.least:
+            raise DocumentError(f"{name} must be at least {field.least}")
     cfg = {key: field.default for key, field in fields.items()} | raw
-    cfg |= {key: value for key, value in flags.items() if key in fields}
     if "n_min" in cfg and cfg["n_min"] >= cfg["n_max"]:
-        if "n_max" in raw and "n_max" not in flags:
+        if "n_max" in raw:
             raise DocumentError(
                 "config field 'n_max' must exceed 'n_min' (the n window is empty or holds one value)"
             )
         raise DocumentError(
             f"config field 'n_min' ({cfg['n_min']}) must be below the n_max used ({cfg['n_max']})"
+        )
+    if cfg.get("alpha_grid") is not None and cfg.get("alpha_count") is not None:
+        raise DocumentError(
+            "config fields 'alpha_grid' and 'alpha_count' exclude each other: give one"
         )
     for key in fields:
         if cfg[key] is REQUIRED:

@@ -40,7 +40,6 @@ from .sft import (
     Word,
     _window_ranks,
     block_graph,
-    enumerate_words,
     word_array,
 )
 
@@ -93,9 +92,7 @@ class CylinderMeasureOracle(abc.ABC):
         n = words.shape[1]
         if n >= graph.width:
             return _chain_fold(*chain._arrays, graph.path(words), np.multiply)
-        sums = np.zeros(self.system.count_words(n))
-        prefixes = next(_window_ranks(self.system, graph.states[:, :n], n))
-        np.add.at(sums, prefixes, chain.stationary)
+        sums = _extension_sums(self.system, graph.states, chain.stationary, n)
         return sums[next(_window_ranks(self.system, words, n))]
 
     def log_mass_words(self, words: np.ndarray) -> np.ndarray:
@@ -109,13 +106,32 @@ class CylinderMeasureOracle(abc.ABC):
         )
 
 
+def _block_chain_mass(oracle: CylinderMeasureOracle, word: Word) -> float:
+    """``mass`` of an oracle with a block chain: one row of ``mass_words``."""
+    if len(word) == 0:
+        return 1.0
+    if not oracle.system.is_admissible(word):
+        raise ValueError(f"word {tuple(word)} is not admissible")
+    return float(oracle.mass_words(np.array([word], dtype=np.int64))[0])
+
+
+def _extension_sums(
+    ts: TransitionSystem, longer: np.ndarray, masses: np.ndarray, n: int, suffix: bool = False
+) -> np.ndarray:
+    """Σ of ``masses`` over the rows of ``longer`` (words longer than n)
+    whose n-prefix (n-suffix) is each row of ``word_array(ts, n)``, added in
+    row order from 0.0; no row or column is dead, so every n-word has one."""
+    windows = longer[:, -n:] if suffix else longer
+    return np.bincount(next(_window_ranks(ts, windows, n)), weights=masses)
+
+
 @dataclass(frozen=True)
 class MarkovMeasure(CylinderMeasureOracle):
     """Stationary Markov chain as an exact cylinder-measure oracle.
 
     ``rows`` is the transition matrix Q (row-stochastic, supported on the
     allowed transitions), ``stationary`` the invariant distribution pi.
-    Cylinder mass is pi_{w1} · Π Q_{w_j w_{j+1}}, computed left to right.
+    Cylinder mass is pi_{w1} · Π Q_{w_j w_{j+1}}, folded left to right.
     """
 
     ts: TransitionSystem
@@ -176,15 +192,7 @@ class MarkovMeasure(CylinderMeasureOracle):
     def _log_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return _chain_logs(*self._arrays)
 
-    def mass(self, word: Word) -> float:
-        if len(word) == 0:
-            return 1.0
-        if not self.ts.is_admissible(word):
-            raise ValueError(f"word {word} is not admissible")
-        m = self.stationary[word[0] - 1]
-        for a, b in zip(word, word[1:]):
-            m *= self.rows[a - 1][b - 1]
-        return m
+    mass = _block_chain_mass
 
     def block_chain(self) -> tuple[BlockGraph, "MarkovMeasure"]:
         """The chain itself, on the block graph of width 1."""
@@ -198,13 +206,13 @@ class MarkovMeasure(CylinderMeasureOracle):
         """Depth-2 potential w ↦ log Q_{w1 w2}; the chain is its exact Gibbs
         measure at pressure 0.  Requires positive weights on allowed edges."""
         table = {}
-        for w in enumerate_words(self.ts, 2):
-            q = self.rows[w[0] - 1][w[1] - 1]
+        for a, b in word_array(self.ts, 2).tolist():
+            q = self.rows[a - 1][b - 1]
             if q <= 0:
                 raise ZeroCylinderMassError(
-                    f"transition {w} is allowed but carries zero weight"
+                    f"transition {(a, b)} is allowed but carries zero weight"
                 )
-            table[w] = math.log(q)
+            table[a, b] = math.log(q)
         return LocallyConstantPotential(self.ts, 2, table)
 
 
@@ -303,17 +311,19 @@ def _chain_entropies(q: np.ndarray, pi: np.ndarray) -> np.ndarray:
 def _chain_fold(
     head: np.ndarray, steps: np.ndarray, states: Iterator[np.ndarray], op: np.ufunc
 ) -> np.ndarray:
-    """head[s₁] op steps[s₁, s₂] op steps[s₂, s₃] … per path, left to right,
-    so each row gets the bits of the scalar loop.  ``states`` yields the
-    0-based states of all paths, one new int64 column per position, which
-    the fold may overwrite."""
-    flat, m = steps.ravel(), steps.shape[1]
+    """head[…, s₁] op steps[…, s₁, s₂] op steps[…, s₂, s₃] … per path, left
+    to right, so each value has the bits of the scalar loop; ``head`` and
+    ``steps`` are (m,) and (m, m) for one chain, (N, m) and (N, m, m) for N.
+    ``states`` yields the 0-based states of all paths, one new int64 column
+    per position, which the fold may overwrite."""
+    m = steps.shape[-1]
+    flat = steps.reshape(*steps.shape[:-2], m * m)
     prev = next(states)
-    out = head[prev]
+    out = head[..., prev]
     for cur in states:
         prev *= m  # the flat index of each step, built in the column just used
         prev += cur
-        op(out, flat[prev], out=out)
+        op(out, flat[..., prev], out=out)
         prev = cur
     return out
 
@@ -334,7 +344,8 @@ class TableMeasure(CylinderMeasureOracle):
         if (
             depth > len(masses)
             or len(masses) != sum(ts.count_words(n) for n in range(1, depth + 1))
-            or set(masses) != {w for n in range(1, depth + 1) for w in enumerate_words(ts, n)}
+            or set(masses)
+            != {tuple(w) for n in range(1, depth + 1) for w in word_array(ts, n).tolist()}
         ):
             raise ValueError(
                 "mass table must list every admissible word of length "
@@ -399,12 +410,7 @@ class RpfGibbsData(CylinderMeasureOracle):
         """P(φ) = log λ."""
         return math.log(self.lam)
 
-    def mass(self, word: Word) -> float:
-        if len(word) == 0:
-            return 1.0
-        if not self.system.is_admissible(word):
-            raise ValueError(f"word {tuple(word)} is not admissible")
-        return float(self.mass_words(np.array([word], dtype=np.int64))[0])
+    mass = _block_chain_mass
 
     def block_chain(self) -> tuple[BlockGraph, MarkovMeasure]:
         """The induced chain on φ's block graph, of width max(depth − 1, 1)."""
@@ -787,8 +793,8 @@ def validate_oracle(oracle: CylinderMeasureOracle, n_max: int = 10) -> OracleVal
     Additivity: μ(w) = Σ_s μ(w·s) over admissible extensions, within 1e-12.
     The worst gap and its witness (the first in length-then-lexicographic
     order) are reported whether or not they pass.  The checks run on arrays:
-    ``mass_words`` over each level's ``word_array``, the extensions of a
-    word added one at a time in successor order from 0.0.
+    ``mass_words`` over each level's ``word_array``, and the extensions of
+    each word added by :func:`_extension_sums`, in successor order from 0.0.
     """
     ts = oracle.system
     total_ok = abs(oracle.mass(()) - 1.0) <= 1e-12
@@ -801,16 +807,10 @@ def validate_oracle(oracle: CylinderMeasureOracle, n_max: int = 10) -> OracleVal
     if gap > worst:
         worst, witness = gap, ()
     for n in range(1, n_max):
-        words, longer = word_array(ts, n), word_array(ts, n + 1)
-        # the rows of longer that end in s extend, in order, the rows of
-        # words that s may follow
-        ext = np.zeros(words.shape[0])
-        for s in range(1, ts.k + 1):
-            ext[ts.as_array[words[:, -1] - 1, s - 1] == 1] += levels[n][longer[:, -1] == s]
-        gaps = np.abs(levels[n - 1] - ext)
+        gaps = np.abs(levels[n - 1] - _extension_sums(ts, word_array(ts, n + 1), levels[n], n))
         i = _first_max(gaps)
         if gaps[i] > worst:
-            worst, witness = float(gaps[i]), tuple(int(s) for s in words[i])
+            worst, witness = float(gaps[i]), tuple(int(s) for s in word_array(ts, n)[i])
     for n in range(1, n_max + 1):
         bad = np.flatnonzero(~(levels[n - 1] > 0))
         if bad.size:
@@ -834,21 +834,16 @@ def _first_max(values: np.ndarray) -> int:
 def shift_invariance_gap(oracle: CylinderMeasureOracle, n_max: int) -> float:
     """max over words up to n_max of |Σ_s μ(s·w) − μ(w)| (invariance test).
 
-    On arrays, as :func:`validate_oracle`: the masses μ(s·w) are added in
-    symbol order from 0.0.
+    On arrays, as :func:`validate_oracle`: :func:`_extension_sums` adds the
+    masses μ(s·w) over the n-suffixes w, in symbol order from 0.0.
     """
     ts = oracle.system
     worst = 0.0
     masses = oracle.mass_words(word_array(ts, 1))
     for n in range(1, n_max + 1):
-        words, longer = word_array(ts, n), word_array(ts, n + 1)
+        longer = word_array(ts, n + 1)
         longer_masses = oracle.mass_words(longer)
-        # the rows of longer that begin with s are s followed, in order, by
-        # the rows of words that may follow s
-        back = np.zeros(words.shape[0])
-        for s in range(1, ts.k + 1):
-            back[ts.as_array[s - 1, words[:, 0] - 1] == 1] += longer_masses[longer[:, 0] == s]
-        gaps = np.abs(back - masses)
+        gaps = np.abs(_extension_sums(ts, longer, longer_masses, n, suffix=True) - masses)
         worst = max(worst, float(gaps[_first_max(gaps)]))
         masses = longer_masses
     return worst

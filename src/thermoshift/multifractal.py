@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -45,7 +46,7 @@ from .measures import (
     _stationary,
 )
 from .potentials import LocallyConstantPotential
-from .sft import TransitionSystem, _window_codes, enumerate_words, word_array
+from .sft import TransitionSystem, _window_codes, word_array
 
 
 @dataclass(frozen=True)
@@ -215,18 +216,15 @@ class CandidateFamily:
     def integrals(self, phi: LocallyConstantPotential) -> np.ndarray:
         """∫φ dν for every candidate ν, bit-identical to :func:`integrate`.
 
-        The loop runs over the depth-words in the same order and multiplies
-        each cylinder mass left to right, as ``MarkovMeasure.mass`` does.
+        One chain fold of the stack along the depth-words gives each
+        candidate's masses; the products with φ add in word order from 0.0.
         """
         if phi.system.matrix != self.ts.matrix:
             raise ValueError("potential and measure live on different systems")
-        total = np.zeros(len(self.parameters))
-        for w in enumerate_words(self.ts, phi.depth):
-            mass = self.pi[:, w[0] - 1]
-            for a, b in zip(w, w[1:]):
-                mass = mass * self.q[:, a - 1, b - 1]
-            total = total + mass * phi.table[w]
-        return total
+        words = word_array(self.ts, phi.depth)
+        masses = _chain_fold(self.pi, self.q, _window_codes(words, self.ts.k, 1), np.multiply)
+        terms = masses * phi.dense[tuple(words.T - 1)]
+        return reduce(operator.add, terms.T, np.zeros(len(self.parameters)))
 
     def entropies(self) -> np.ndarray:
         """h(ν) for every candidate ν, bit-identical to :func:`entropy`."""

@@ -98,15 +98,6 @@ def test_sft_check_fails_on_periodic_system(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "counts.csv"))
 
 
-def test_sft_check_n_max_flag_overrides_config(tmp_path):
-    sys_name = write(tmp_path / "sys.txt", dump_system(FULL2))
-    cfg = write_config(tmp_path, {"system": sys_name, "n_max": 12})
-    out = str(tmp_path / "out")
-    assert run(["sft-check", "--config", cfg, "--out", out, "--n-max", "3"]) == 0
-    with open(os.path.join(out, "counts.csv"), encoding="utf-8") as fh:
-        assert len(fh.read().splitlines()) == 4
-
-
 # ---------------------------------------------------------------------------
 # pressure
 
@@ -347,6 +338,42 @@ def test_certify_of_a_mass_table_records_the_enumeration_route(tmp_path):
     assert diagnostics == {"kstar_route": "enumeration", "block_graph_order": None}
 
 
+def test_certify_of_a_table_too_shallow_for_the_potential_is_an_input_error(tmp_path, capsys):
+    # a depth-4 table answers words up to length 4; a depth-2 potential needs
+    # n + 1 of them, so n could reach only 3, below the least n_max of 4
+    mu = MarkovMeasure.bernoulli(FULL2, (0.5, 0.5))
+    masses = {w: mu.mass(w) for n in range(1, 5) for w in enumerate_words(FULL2, n)}
+    mu_name = write(tmp_path / "mu.txt", dump_measure(TableMeasure(FULL2, 4, masses)))
+    phi = LocallyConstantPotential(FULL2, 2, {w: 0.0 for w in enumerate_words(FULL2, 2)})
+    pot_name = write(tmp_path / "phi.txt", dump_potential(phi))
+    cfg = write_config(tmp_path, {"measure": mu_name, "potential": pot_name})
+    out = tmp_path / "out"
+    assert run(["weakgibbs-certify", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: mass table of depth 4 is too shallow to certify a depth-2 "
+        "potential (needs at least 5)"
+    ]
+    assert not (out / "kstar.csv").exists()
+
+
+def test_certify_of_an_additive_table_with_a_zero_mass_word_is_an_input_error(tmp_path, capsys):
+    # the chain never repeats symbol 2: its masses add up, but (2, 2) has mass 0
+    mu = MarkovMeasure(FULL2, ((0.5, 0.5), (1.0, 0.0)), (2 / 3, 1 / 3))
+    masses = {w: mu.mass(w) for n in range(1, 5) for w in enumerate_words(FULL2, n)}
+    mu_name = write(tmp_path / "mu.txt", dump_measure(TableMeasure(FULL2, 4, masses)))
+    pot_name = write(tmp_path / "phi.txt", dump_potential(zero_potential(FULL2)))
+    cfg = write_config(tmp_path, {"measure": mu_name, "potential": pot_name})
+    out = str(tmp_path / "out")
+    assert run(["weakgibbs-certify", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: measure oracle failed validation"
+    ]
+    validation = result_of(out)["validation"]
+    assert validation["additivity_witness"] is None
+    assert validation["positivity_ok"] is False
+    assert validation["zero_mass_witness"] == [2, 2]
+
+
 def test_certify_wrong_pressure_is_a_failed_check(tmp_path, capsys):
     golden_ratio = (1 + math.sqrt(5)) / 2
     cfg = certify_workspace(tmp_path, math.log(golden_ratio) + 0.05)
@@ -557,16 +584,6 @@ def test_map_check_refuses_a_bad_config_seed(tmp_path, capsys, seed):
     assert "internal error" not in err
 
 
-def test_map_check_refuses_a_negative_seed_flag(tmp_path, capsys):
-    map_name = write(
-        tmp_path / "map.txt",
-        dump_map(perturbed_doubling(0.8), builtin="perturbed-doubling", params={"c": 0.8}),
-    )
-    cfg = write_config(tmp_path, {"map": map_name, "n_max": 4})
-    assert run(["map-check", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
-    assert "--seed must be a nonnegative integer" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -683,6 +700,21 @@ def test_spectrum_of_a_general_map_is_an_input_error(tmp_path, capsys, levels):
     ]
 
 
+def test_spectrum_refuses_both_an_alpha_grid_and_an_alpha_count(tmp_path, capsys):
+    # a grid and a count would leave one of them unread
+    map_name, mu_name = spectrum_workspace(tmp_path)
+    cfg = write_config(
+        tmp_path,
+        {"map": map_name, "measures": [mu_name], "alpha_grid": [1.0], "alpha_count": 3},
+    )
+    out = tmp_path / "o"
+    assert run(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: config fields 'alpha_grid' and 'alpha_count' exclude each other: give one"
+    ]
+    assert not out.exists()
+
+
 def test_spectrum_needs_alpha_information(tmp_path, capsys):
     map_name, _ = spectrum_workspace(tmp_path)
     mu_name = write(
@@ -698,33 +730,6 @@ def test_spectrum_needs_alpha_information(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # argument and config plumbing
-
-
-@pytest.mark.parametrize(
-    "command,flag,value,fragment",
-    [
-        # stable ids for the original sft-check cases
-        pytest.param("sft-check", "--n-max", "0", "--n-max", id="--n-max-0---n-max"),
-        pytest.param("sft-check", "--tol", "0.0", "--tol", id="--tol-0.0---tol"),
-        # a NaN tolerance made the pressure agreement check pass on any input
-        ("pressure", "--tol", "nan", "input error: --tol must be a positive number"),
-        ("pressure", "--tol", "inf", "input error: --tol must be a positive number"),
-        ("sft-check", "--tol", "nan", "input error: --tol must be a positive number"),
-        ("pressure", "--tol", "-1", "input error: --tol must be positive"),
-        # check_ujr needs two levels of M(n)
-        ("map-check", "--n-max", "1", "input error: --n-max must be at least 2"),
-    ],
-)
-def test_flag_validation(tmp_path, capsys, command, flag, value, fragment):
-    payload = {
-        "sft-check": {"system": write(tmp_path / "sys.txt", dump_system(FULL2))},
-        "pressure": {"potential": write(tmp_path / "phi.txt", dump_potential(zero_potential(FULL2)))},
-        "map-check": {"map": write(tmp_path / "map.txt", dump_map(doubling_map()))},
-    }
-    cfg = write_config(tmp_path, payload[command])
-    assert run([command, "--config", cfg, flag, value]) == 2
-    assert fragment in capsys.readouterr().err
-    assert not (tmp_path / "thermoshift-out").exists()
 
 
 @pytest.mark.parametrize(
@@ -763,16 +768,6 @@ def test_config_fields_of_the_wrong_type_are_input_errors(
     assert not (tmp_path / "thermoshift-out").exists()
 
 
-@pytest.mark.parametrize("command", ["psi-verify", "weakgibbs-certify"])
-def test_n_max_flag_below_the_certification_minimum_is_an_input_error(
-    tmp_path, capsys, command
-):
-    cfg = write_config(tmp_path, {})
-    assert run([command, "--config", cfg, "--n-max", "2"]) == 2
-    assert capsys.readouterr().err.splitlines() == ["input error: --n-max must be at least 4"]
-    assert not (tmp_path / "thermoshift-out").exists()
-
-
 ONE_VALUE_WINDOW = (
     "config field 'n_max' must exceed 'n_min' (the n window is empty or holds one value)"
 )
@@ -783,7 +778,6 @@ ONE_VALUE_WINDOW = (
     [
         ({"n_min": 5, "n_max": 5}, [], ONE_VALUE_WINDOW),
         ({"n_min": 3, "n_max": 2}, [], ONE_VALUE_WINDOW),
-        ({}, ["--n-max", "1"], "--n-max must be at least 2"),
     ],
 )
 def test_a_pressure_window_of_one_value_is_an_input_error(tmp_path, capsys, payload, argv, message):
@@ -798,12 +792,10 @@ def test_a_pressure_window_of_one_value_is_an_input_error(tmp_path, capsys, payl
     "payload,argv,used",
     [
         ({"n_min": 20}, [], 20),
-        ({"n_min": 8, "n_max": 30}, ["--n-max", "6"], 6),
-        ({"n_min": 5, "n_max": 5}, ["--n-max", "3"], 3),
     ],
 )
 def test_n_min_at_or_above_the_n_max_used_names_the_field(tmp_path, capsys, payload, argv, used):
-    # the window is checked on the n_max used: the default, the config's or --n-max
+    # the window is checked on the n_max used: here the default
     pot_name = write(tmp_path / "phi.txt", dump_potential(zero_potential(FULL2)))
     cfg = write_config(tmp_path, {"potential": pot_name, **payload})
     assert run(["pressure", "--config", cfg, *argv]) == 2
@@ -821,6 +813,18 @@ def test_threads_flag_is_refused(tmp_path, capsys):
         run(["sft-check", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "4"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--n-max", "3"), ("--tol", "0.5"), ("--seed", "1")])
+def test_config_fields_have_no_override_flag(tmp_path, capsys, flag, value):
+    # the config, whose hash result.json records, alone fixes a run's parameters
+    sys_name = write(tmp_path / "sys.txt", dump_system(FULL2))
+    cfg = write_config(tmp_path, {"system": sys_name})
+    with pytest.raises(SystemExit) as exc:
+        run(["sft-check", "--config", cfg, "--out", str(tmp_path / "o"), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -986,23 +990,16 @@ def _fuzz_value(name, field, broken):
 
 @st.composite
 def fuzz_cases(draw):
-    """(command, config payload, flags): at most one field or flag is broken."""
+    """(command, config payload): at most one field is broken."""
     command = draw(st.sampled_from(sorted(CONFIG_FIELDS)))
     fields = CONFIG_FIELDS[command]
-    broken = draw(st.sampled_from([None, None, "flags", *fields]))
+    broken = draw(st.sampled_from([None, None, *fields]))
     payload = {}
     for name, field in fields.items():
         value = draw(_fuzz_value(name, field, name == broken))
         if value is not _OMIT:
             payload[name] = value
-    bad = broken == "flags"
-    flags = {
-        "--n-max": st.integers(-1, 3) if bad else st.integers(4, 6),
-        "--tol": st.sampled_from(["0", "-1", "nan", "inf"]) if bad else st.sampled_from(["1e-6", "0.5"]),
-        "--seed": st.integers(-2, -1) if bad else st.integers(0, 3),
-    }
-    drawn = draw(st.fixed_dictionaries({}, optional={k: v.map(str) for k, v in flags.items()}))
-    return command, payload, [token for item in drawn.items() for token in item]
+    return command, payload
 
 
 @settings(
@@ -1015,11 +1012,11 @@ def fuzz_cases(draw):
 def test_configs_drawn_from_the_field_table_end_in_0_1_or_2_without_a_traceback(
     tmp_path, capsys, case
 ):
-    command, payload, flags = case
+    command, payload = case
     for name, text in FUZZ_DOCS.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     cfg = write_config(tmp_path, payload)
-    code = run([command, "--config", cfg, "--out", str(tmp_path / "out"), *flags])
+    code = run([command, "--config", cfg, "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert code in (0, 1, 2), err
     assert "Traceback" not in err

@@ -218,6 +218,16 @@ def test_rpf_measure_detects_stale_root(example_potential):
         load_measure(head + "lambda 1.0\n")
 
 
+@pytest.mark.parametrize("lam", ["0", "-2.5"])
+def test_rpf_measure_refuses_a_root_that_is_not_positive(example_potential, lam):
+    # the loader compares log λ with the rebuilt root's: it needs λ > 0
+    lines = dump_measure(build_rpf(example_potential)).splitlines()
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("lambda "))
+    lines[at] = f"lambda {lam}"
+    with pytest.raises(DocumentError, match=rf"line {at + 1}: lambda must be positive"):
+        load_measure("\n".join(lines) + "\n")
+
+
 def test_rpf_measure_requires_h_and_nu_and_nothing_after(example_potential):
     text = dump_measure(build_rpf(example_potential))
     head, _, _ = text.partition("\nh ")
@@ -421,6 +431,13 @@ def test_general_map_rejects_bad_params():
         load_map(text)
 
 
+def test_general_map_refuses_a_param_listed_twice():
+    # either value could be the one meant, as for a word listed twice
+    lines = _general_map_text().splitlines() + ["param c 0.5"]
+    with pytest.raises(DocumentError, match=f"line {len(lines)}: param c is listed twice"):
+        load_map("\n".join(lines) + "\n")
+
+
 def test_general_map_detects_stale_domains():
     text = _general_map_text().replace("domain 0 0.5", "domain 0 0.4")
     # rebuilt map no longer matches the stored domains
@@ -488,6 +505,14 @@ def test_config_rejects_nonpositive_tolerances(tmp_path, command, payload):
     path = _write_config(tmp_path, {"version": 1, **payload})
     with pytest.raises(DocumentError, match=bad_key):
         load_config(path, command)
+
+
+def test_config_refuses_an_alpha_grid_with_an_alpha_count(tmp_path):
+    payload = {"version": 1, "map": "m", "measures": ["mu"], "alpha_grid": [1.0]}
+    assert load_config(_write_config(tmp_path, payload), "spectrum")["alpha_count"] is None
+    path = _write_config(tmp_path, {**payload, "alpha_count": 3})
+    with pytest.raises(DocumentError, match="'alpha_grid' and 'alpha_count' exclude each other"):
+        load_config(path, "spectrum")
 
 
 def test_config_rejects_bad_counts(tmp_path):

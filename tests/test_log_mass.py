@@ -156,6 +156,20 @@ def test_certified_constant_passes_its_own_sandwich(full2):
     assert check_sandwich(seq, target, 0.0, cert.gibbs_constant, 6).passed
 
 
+def test_sandwich_names_the_first_violating_word_of_a_table(full2):
+    # Bernoulli(1/3, 2/3) against φ ≡ 0 at pressure log 2: log r(w) is
+    # log μ(w) + n log 2, whose largest |value| is log 1.5 at n = 1 and
+    # log(9/4) at n = 2, first reached by (1, 1); a table is enumerated
+    mu = MarkovMeasure.bernoulli(full2, (1 / 3, 2 / 3))
+    masses = {w: mu.mass(w) for n in range(1, 5) for w in enumerate_words(full2, n)}
+    seq = build_log_mass_sequence(TableMeasure(full2, 4, masses))
+    zero = AdditiveSequence(LocallyConstantPotential.constant(full2, 0.0))
+    report = check_sandwich(seq, zero, math.log(2.0), math.exp(0.5), 4)
+    assert not report.passed
+    assert report.first_violation == (2, (1, 1))
+    assert report.slacks[0] > 0.0 > report.slacks[1]
+
+
 def test_sandwich_rejects_constants_below_one(parry_seq):
     with pytest.raises(ValueError):
         check_sandwich(parry_seq, parry_seq, 0.0, 0.5, 8)

@@ -31,7 +31,7 @@ from thermoshift import (
     word_array,
 )
 from thermoshift.log_mass import LogMassSequence
-from thermoshift.measures import CylinderMeasureOracle
+from thermoshift.measures import CylinderMeasureOracle, _chain_fold
 
 from conftest import markov_rows, mixing_systems
 
@@ -65,6 +65,14 @@ def table_of(mu, depth):
 
 # ---------------------------------------------------------------------------
 # per-word references
+
+
+def reference_markov_mass(mu, word):
+    """π_{w1}·Π Q_{w_j w_{j+1}} of a Markov oracle, multiplied left to right."""
+    m = mu.stationary[word[0] - 1]
+    for a, b in zip(word, word[1:]):
+        m *= mu.rows[a - 1][b - 1]
+    return m
 
 
 def reference_rpf_mass(data, word):
@@ -165,7 +173,9 @@ def test_markov_mass_words_are_the_bits_of_mass(ts):
     q = ts.as_array * rng.uniform(0.05, 1.0, (ts.k, ts.k))
     mu = MarkovMeasure.from_stochastic(ts, (q / q.sum(axis=1)[:, None]).tolist())
     for n in range(1, 8):
-        assert bits(mu.mass_words(word_array(ts, n))) == bits(mu.mass(w) for w in rows(ts, n))
+        want = bits(reference_markov_mass(mu, w) for w in rows(ts, n))
+        assert bits(mu.mass_words(word_array(ts, n))) == want
+        assert bits(mu.mass(w) for w in rows(ts, n)) == want
 
 
 @pytest.mark.parametrize(
@@ -185,6 +195,20 @@ def test_rpf_mass_words_follow_the_block_path(ts, depth):
         assert bits(data.mass(w) for w in rows(ts, n)) == bits(want)
         if n < data.graph.width:  # longer words add logs, which differs in the last bits
             assert bits(data.log_mass_words(word_array(ts, n))) == bits(math.log(m) for m in want)
+
+
+def test_a_stack_of_chains_folds_each_to_its_own_bits():
+    # the candidate families fold (N, k) heads and (N, k, k) steps at once
+    chains = []
+    for seed in range(4):
+        q = T3.as_array * np.random.default_rng(seed).uniform(0.05, 1.0, (3, 3))
+        chains.append(MarkovMeasure.from_stochastic(T3, (q / q.sum(axis=1)[:, None]).tolist()))
+    pi = np.array([mu.stationary for mu in chains])
+    q = np.array([mu.rows for mu in chains])
+    words = word_array(T3, 6)
+    stacked = _chain_fold(pi, q, iter((words.T - 1).astype(np.int64)), np.multiply)
+    for mu, row in zip(chains, stacked):
+        assert bits(row) == bits(reference_markov_mass(mu, w) for w in rows(T3, 6))
 
 
 def test_table_measure_uses_the_mass_loop(golden):

@@ -15,6 +15,7 @@ from thermoshift import (
     MarkovMeasure,
     TableMeasure,
     TransitionSystem,
+    ZeroCylinderMassError,
     atomfree_check,
     build_rpf,
     certify_weak_gibbs,
@@ -164,6 +165,12 @@ def test_transition_log_potential_reproduces_masses(golden):
         rho.table[w[i : i + 2]] for i in range(4)
     )
     assert math.log(parry.mass(w)) == pytest.approx(expected, rel=1e-14)
+
+
+def test_transition_log_potential_refuses_an_allowed_transition_of_weight_zero(full2):
+    mu = MarkovMeasure(full2, ((0.5, 0.5), (1.0, 0.0)), (2 / 3, 1 / 3))
+    with pytest.raises(ZeroCylinderMassError, match=r"transition \(2, 2\) is allowed but carries zero weight"):
+        mu.transition_log_potential()
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +330,17 @@ def test_subexponential_growth_earns_the_middle_verdict(full2):
     cert = certify_weak_gibbs(mu, seq, 0.0, 14, tau=0.25)
     assert cert.verdict == "consistent-weak-gibbs"
     assert cert.gibbs_constant is None
+
+
+def test_certification_names_the_first_zero_mass_word_of_a_table(full2):
+    # a table has no block chain: the witness comes from enumerating n = 2
+    mu = bernoulli_03(full2)
+    masses = {w: mu.mass(w) for n in range(1, 6) for w in enumerate_words(full2, n)}
+    masses[(2, 2)] = 0.0
+    table = TableMeasure(full2, 5, masses)
+    target = AdditiveSequence(LocallyConstantPotential.constant(full2, 0.0))
+    with pytest.raises(ZeroCylinderMassError, match=r"admissible word \(2, 2\) has zero mass"):
+        certify_weak_gibbs(table, target, math.log(2.0), 5)
 
 
 def test_certification_needs_a_window(full2):

@@ -282,6 +282,15 @@ def test_pressure_estimate_rejects_malformed_data():
         PressureEstimate("cylinder", ((1, 0.0),), 0.0, -1.0)
 
 
+def test_pressure_limit_reads_an_additive_sequence_as_its_potential(example_potential):
+    seq = AdditiveSequence(example_potential)
+    for method in ("cylinder", "periodic", "spectral"):
+        # repr tells every two doubles apart, so equal reprs are equal bits
+        assert repr(pressure_limit(method, seq, 1, 12)) == repr(
+            pressure_limit(method, example_potential, 1, 12)
+        )
+
+
 def test_pressure_limit_validates_window(example_potential):
     with pytest.raises(ValueError):
         pressure_limit("cylinder", example_potential, 0, 5)
