@@ -426,9 +426,10 @@ def build_rpf(phi: LocallyConstantPotential) -> RpfGibbsData:
 
     The one builder of a Perron chain.  λ and the right/left eigenvectors
     h, ν of the block transfer matrix m come from :func:`power_iteration`
-    on m and mᵀ, with ν rescaled to ν·h = 1.  The chain on the block graph
-    has Q_{uv} = m_{uv} h_v/(λ h_u) and stationary vector ν∘h.  Nothing is
-    certified here; :func:`certify_weak_gibbs` computes the Gibbs constants.
+    on m and mᵀ (each a bracketed iteration or a dense eigensolve), with ν
+    rescaled to ν·h = 1.  The chain on the block graph has Q_{uv} =
+    m_{uv} h_v/(λ h_u) and stationary vector ν∘h.  Nothing is certified
+    here; :func:`certify_weak_gibbs` computes the Gibbs constants.
     """
     phi.system.require_mixing()
     bt = block_transfer(phi)

@@ -39,13 +39,14 @@ from .potentials import (
     _edge_weights,
     _prefix_group_starts,
 )
-from .sft import BlockGraph, cyclic_mask, word_array
+from .sft import BlockGraph, _wielandt_bound, cyclic_mask, word_array
 
 
 class EigensolverError(RuntimeError):
     """The Perron solve found no simple dominant eigenvalue with a positive
-    eigenvector: a zero image, a residual above tolerance, or a second
-    eigenvalue on the spectral circle (an imprimitive matrix)."""
+    eigenvector: a zero image, or a residual above tolerance or a second
+    eigenvalue on the spectral circle that no Collatz–Wielandt bracket on a
+    primitive support overrules."""
 
 
 def log_sum_exp(values: np.ndarray) -> float:
@@ -67,39 +68,94 @@ def log_sum_exp(values: np.ndarray) -> float:
 # Perron solve (read by pressure_spectral here and by build_rpf in measures)
 
 
+# the least order at which iterating first beats one dense eig (BENCH_perron.json)
+_ITERATE_ORDER = 32
+# bracketed steps from eig's vector where its own tests refuse
+_RESCUE_STEPS = 100
+
+
+def _primitive_support(m: np.ndarray) -> bool:
+    """Whether some power of m is entrywise positive: Boolean squaring up to
+    the least power of two at or above the Wielandt bound, stopping at the
+    first positive one."""
+    b = (m > 0).astype(float)
+    for _ in range((_wielandt_bound(m.shape[0]) - 1).bit_length()):
+        if b.all():
+            return True
+        b = ((b @ b) > 0).astype(float)
+    return bool(b.all())
+
+
+def _bracketed(m: np.ndarray, v: np.ndarray, steps: int) -> Optional[tuple[float, np.ndarray]]:
+    """(λ, w/λ) with w = m v and λ = Σw at the first of ``steps`` iterates
+    v ← w/λ whose Collatz–Wielandt bracket (Collatz 1942; Wielandt 1950)
+    min ≤ λ ≤ max of wᵢ/vᵢ is within 1e−13·λ and whose w/λ passes the residual
+    test; None when no iterate does, or one leaves v > 0.  ``v`` sums to 1.
+    """
+    if not np.all(v > 0):
+        return None
+    for _ in range(steps):
+        w = m @ v
+        lam = float(w.sum())
+        ratios = w / v
+        lo, hi = ratios.min(), ratios.max()
+        if lo <= 0:  # w, the next v, has a zero entry
+            return None
+        w /= lam
+        if hi - lo <= 1e-13 * lam and float(np.max(np.abs(m @ w - lam * w))) <= 1e-13 * lam:
+            return lam, w
+        v = w
+    return None
+
+
 def power_iteration(m: np.ndarray) -> tuple[float, np.ndarray]:
     """Perron root and positive right eigenvector of a primitive matrix.
 
-    One dense eigensolve, no iteration: the eigenvector of the eigenvalue
-    with the largest real part is taken as |v| with ||v||_1 = 1, then one
-    multiply w = m v gives λ = Σw and the returned vector w/λ.  The answer
-    is accepted when ||m ŵ − λ ŵ||_inf ≤ 1e−13·λ.  A second eigenvalue of
-    modulus within 1e−9·λ of λ (a periodic or reducible matrix, which the
-    residual test alone would pass) raises :class:`EigensolverError`, as do
-    a larger residual and a zero image.
+    From order ``_ITERATE_ORDER`` on, a matrix with a primitive support is
+    first iterated from the uniform vector.  Otherwise, and when that gives
+    out, one dense eigensolve: the eigenvector of the eigenvalue with the
+    largest real part is taken as |v| with ||v||_1 = 1, then one multiply
+    w = m v gives λ = Σw and the returned vector w/λ.  It is accepted when
+    ||m ŵ − λ ŵ||_inf ≤ 1e−13·λ and no second eigenvalue has modulus within
+    1e−9·λ of λ.  Where either test fails, a primitive support may still be
+    certified by ``_RESCUE_STEPS`` bracketed steps from |v|; the first try
+    takes at most ``order`` (:func:`_bracketed`).  :class:`EigensolverError`
+    for a zero image and for a failed test that no bracket overrules (a
+    periodic or reducible matrix, or a root too close to the next one).
 
-    ``m`` must be nonnegative and square; it is assumed primitive (some
-    power entrywise positive).  Returns (λ, v) with v > 0 and ||v||_1 = 1.
+    ``m`` must be nonnegative and square.  Returns (λ, v) with v > 0 and
+    ||v||_1 = 1.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
     if np.any(m < 0):
         raise ValueError("matrix must be nonnegative")
+    order = m.shape[0]
+    if order >= _ITERATE_ORDER and _primitive_support(m):
+        found = _bracketed(m, np.full(order, 1.0 / order), order)
+        if found:
+            return found
     values, vectors = np.linalg.eig(m)
     top = int(np.argmax(values.real))
     v = np.abs(vectors[:, top])
-    w = m @ (v / v.sum())
+    v /= v.sum()
+    w = m @ v
     lam = float(w.sum())
     if lam <= 0:
         raise EigensolverError("Perron vector has a zero image")
+    w /= lam
     # a gap below 1e-9·λ cannot be told from a tie at double precision
     moduli = np.sort(np.abs(values))
     if moduli.size > 1 and moduli[-2] >= (1.0 - 1e-9) * moduli[-1]:
-        raise EigensolverError("second eigenvalue on the spectral circle (imprimitive)")
-    w /= lam
-    if float(np.max(np.abs(m @ w - lam * w))) > 1e-13 * lam:
-        raise EigensolverError("Perron residual exceeds 1e-13·λ")
-    return lam, w
+        fault = "second eigenvalue on the spectral circle (imprimitive)"
+    elif float(np.max(np.abs(m @ w - lam * w))) > 1e-13 * lam:
+        fault = "Perron residual exceeds 1e-13·λ"
+    else:
+        return lam, w
+    found = _primitive_support(m) and _bracketed(m, v, _RESCUE_STEPS)
+    if not found:
+        raise EigensolverError(fault)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +317,11 @@ def pressure_periodic(seq: Union[PotentialSequence, LocallyConstantPotential], n
 def pressure_spectral(phi: LocallyConstantPotential) -> float:
     """log of the Perron root of the block transfer matrix (the exact limit).
 
-    Requires a mixing system; the root comes from one direct Perron solve
-    (:func:`power_iteration`), which raises :class:`EigensolverError` when
-    its residual or spectral-gap test fails.  The one reader of a Perron
-    root; :func:`~thermoshift.measures.build_rpf` is the one builder of a
-    Perron chain.
+    Requires a mixing system; the root comes from one Perron solve
+    (:func:`power_iteration`: a bracketed iteration or a dense eigensolve),
+    which raises :class:`EigensolverError` when it can certify no root.  The
+    one reader of a Perron root; :func:`~thermoshift.measures.build_rpf` is
+    the one builder of a Perron chain.
     """
     bt = block_transfer(phi)
     phi.system.require_mixing()

@@ -349,6 +349,35 @@ def potentials(draw, values=small_values, max_depth=3, min_depth=1, systems=mixi
     return LocallyConstantPotential(ts, depth, table)
 
 
+# Systems for invariants on tables in [-8, 8]; the eigensolver strategy adds
+# a block order above power_iteration's iteration threshold (32): the full
+# 6-shift at depth 3 (order 36).
+INVARIANT_SYSTEMS = st.sampled_from(
+    (
+        TransitionSystem.full_shift(2),
+        TransitionSystem.full_shift(3),
+        TransitionSystem.golden_mean(),
+        TransitionSystem(((1, 1, 0), (0, 1, 1), (1, 1, 1))),
+    )
+)
+wide_values = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
+
+
+@st.composite
+def large_potentials(draw):
+    """A seeded depth-3 table on the full 6-shift, uniform in [-s, s] for a
+    drawn s in [0.25, 8]: too many words to draw one by one."""
+    ts, depth = TransitionSystem.full_shift(6), 3
+    spread = draw(st.floats(min_value=0.25, max_value=8.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    words = brute_words(ts.matrix, depth)
+    return LocallyConstantPotential(ts, depth, dict(zip(words, rng.uniform(-spread, spread, len(words)).tolist())))
+
+
+def eigensolver_potentials():
+    return st.one_of(potentials(values=wide_values, systems=INVARIANT_SYSTEMS), large_potentials())
+
+
 @st.composite
 def dyadic_potentials(draw, max_depth=2):
     return draw(potentials(values=dyadic_values, max_depth=max_depth))
@@ -373,6 +402,31 @@ def markov_rows(draw, ts):
         row[jmax] += 1.0 - sum(row)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+# ---------------------------------------------------------------------------
+# potential transforms that leave the pressure unchanged
+
+
+def with_coboundary(phi, g):
+    """phi + g − g∘σ, with g a table on the words of one length r; the
+    result has depth max(phi.depth, r + 1)."""
+    ts = phi.system
+    r = len(next(iter(g)))
+    depth = max(phi.depth, r + 1)
+    table = {w: phi.table[w[: phi.depth]] + g[w[:r]] - g[w[1 : r + 1]] for w in brute_words(ts.matrix, depth)}
+    return LocallyConstantPotential(ts, depth, table)
+
+
+def relabelled(phi, label):
+    """phi on the system whose symbol label[s - 1] plays the part of s."""
+    k = phi.system.k
+    matrix = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            matrix[label[i] - 1][label[j] - 1] = phi.system.matrix[i][j]
+    table = {tuple(label[s - 1] for s in w): v for w, v in phi.table.items()}
+    return LocallyConstantPotential(TransitionSystem(tuple(map(tuple, matrix))), phi.depth, table)
 
 
 # ---------------------------------------------------------------------------

@@ -31,13 +31,20 @@ from thermoshift import (
 from conftest import (
     ATOMFREE_TABLE,
     brute_atomfree,
+    brute_spectral_pressure,
     brute_words,
     count_calls,
+    eigensolver_potentials,
     markov_rows,
     mixing_systems,
     potentials,
     small_values,
+    wide_values,
+    with_coboundary,
 )
+
+# edge masses of chains built from accepted Perron vectors agree to rounding
+CHAIN_TOL = 1e-10
 
 
 def bernoulli_03(ts):
@@ -284,6 +291,38 @@ def test_rpf_pressure_matches_the_spectral_route(phi):
     data = build_rpf(phi)
     assert data.pressure == pytest.approx(pressure_spectral(phi), abs=1e-12)
     assert validate_oracle(data, 5).passed
+
+
+def test_rpf_on_a_block_graph_past_the_iteration_threshold(monkeypatch):
+    # the full 10-shift at depth 3: order 100, both Perron vectors iterated
+    ts = TransitionSystem.full_shift(10)
+    words = brute_words(ts.matrix, 3)
+    table = dict(zip(words, np.random.default_rng(0).uniform(-2.0, 2.0, len(words)).tolist()))
+    phi = LocallyConstantPotential(ts, 3, table)
+
+    def no_eig(_):
+        raise AssertionError("dense eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    data = build_rpf(phi)
+    assert math.log(data.lam) == pressure_spectral(phi)
+    assert np.max(np.abs(np.sum(data.chain.rows, axis=1) - 1.0)) <= 1e-12
+    monkeypatch.undo()
+    assert data.pressure == pytest.approx(brute_spectral_pressure(ts.matrix, table, 3), rel=1e-13)
+
+
+@given(phi=eigensolver_potentials(), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_adding_a_coboundary_leaves_the_rpf_chain_unchanged(phi, data):
+    # g on the block graph's states keeps the graph, and Q_uv = m_uv h_v/(λ h_u)
+    # absorbs the factor e^(g(u) − g(v)) it puts on m_uv.  Compared: the
+    # chain's masses π_u Q_uv of the graph's edges.  A row of Q is only as
+    # exact as h_v/h_u, and an entry of h far below its peak carries the
+    # peak's absolute error, so rows of states of negligible mass may differ.
+    g = {w: data.draw(wide_values) for w in brute_words(phi.system.matrix, max(phi.depth - 1, 1))}
+    ours, theirs = build_rpf(phi).chain, build_rpf(with_coboundary(phi, g)).chain
+    edge_masses = [np.array(c.stationary)[:, None] * np.array(c.rows) for c in (ours, theirs)]
+    assert np.max(np.abs(np.subtract(*edge_masses))) <= CHAIN_TOL
 
 
 def test_rpf_is_deterministic(example_potential):

@@ -18,6 +18,7 @@ from thermoshift import (
     PotentialSequence,
     PressureEstimate,
     TransitionSystem,
+    build_rpf,
     log_sum_exp,
     power_iteration,
     pressure_cylinder,
@@ -27,19 +28,25 @@ from thermoshift import (
 )
 
 from conftest import (
+    INVARIANT_SYSTEMS,
     brute_cylinder_pressure,
     brute_periodic_pressure,
     brute_periodic_values,
     brute_spectral_pressure,
     brute_words,
     count_calls,
+    eigensolver_potentials,
     mixing_systems,
     potentials,
+    relabelled,
     small_values,
     table_birkhoff,
+    wide_values,
+    with_coboundary,
 )
 
 finite_floats = st.floats(min_value=-700.0, max_value=700.0, allow_nan=False)
+ITERATE_ORDER = thermoshift.pressure._ITERATE_ORDER
 
 
 @given(
@@ -82,6 +89,94 @@ def test_power_iteration_rejects_bad_input():
     # period-2 weighted rotation: spectrum is ±sqrt(2), no convergence
     with pytest.raises(EigensolverError):
         power_iteration(np.array([[0.0, 2.0], [1.0, 0.0]]))
+
+
+# Two tables whose roots the dense solve's own tests refused: on the full
+# 2-shift |λ₂/λ₁| is within 1e-9 of 1 (the gap test), on T3 the residual of
+# eig's vector is 1.4e-12·λ (the residual test).  A Collatz–Wielandt bracket
+# from eig's vector certifies both.
+T3 = TransitionSystem(((1, 1, 0), (0, 1, 1), (1, 1, 1)))
+REFUSED_BY_EIG = (
+    (
+        TransitionSystem.full_shift(2),
+        {(1, 1): -25.0, (2, 2): -26.0, (1, 2): 0.3, (2, 1): 0.0},
+        0.15000000000817548,
+    ),
+    (
+        T3,
+        {
+            (1, 1): -5.958476518398609, (1, 2): 7.120435049326268, (2, 2): 0.18683464503592617,
+            (2, 3): 2.3252393495314205, (3, 1): -7.767960913560003, (3, 2): -5.8042186858369185,
+            (3, 3): 5.078497629345749,
+        },
+        5.078500138850421,
+    ),
+)
+
+
+@pytest.mark.parametrize("ts, table, root", REFUSED_BY_EIG)
+def test_a_bracket_certifies_the_roots_the_dense_tests_refused(ts, table, root):
+    phi = LocallyConstantPotential(ts, 2, table)
+    p = pressure_spectral(phi)
+    assert p == pytest.approx(root, rel=1e-14)
+    assert p == pytest.approx(brute_spectral_pressure(ts.matrix, table, 2), rel=1e-14)
+    rpf = build_rpf(phi)
+    assert math.log(rpf.lam) == p
+    assert np.max(np.abs(np.sum(rpf.chain.rows, axis=1) - 1.0)) <= 1e-12
+    # the periodic route within its bar, up to rounding (T3's bar is 0.0)
+    periodic = pressure_limit("periodic", phi, 1, 20)
+    assert abs(periodic.extrapolated - p) <= periodic.error_bar + 1e-12
+
+
+def primitive_matrix(order, seed):
+    """A random sparse nonnegative matrix that is primitive: a weighted cycle
+    through every state plus a loop at state 0 and random extra edges."""
+    rng = np.random.default_rng(seed)
+    m = rng.uniform(0.1, 1.0, (order, order)) * (rng.uniform(size=(order, order)) < 0.3)
+    m[np.arange(order), (np.arange(order) + 1) % order] = rng.uniform(0.1, 1.0, order)
+    m[0, 0] = 1.0
+    return m
+
+
+@pytest.mark.parametrize("order", [ITERATE_ORDER, 48, 100])
+@pytest.mark.parametrize("seed", range(3))
+def test_power_iteration_iterates_on_large_primitive_matrices(order, seed, monkeypatch):
+    m = primitive_matrix(order, seed)
+    top = float(np.max(np.abs(np.linalg.eigvals(m))))
+
+    def no_eig(_):
+        raise AssertionError("dense eig called")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    lam, v = power_iteration(m)
+    assert lam == pytest.approx(top, rel=1e-13)
+    assert np.all(v > 0)
+    assert v.sum() == pytest.approx(1.0, abs=1e-14)
+
+
+def test_power_iteration_refuses_large_imprimitive_matrices():
+    order = ITERATE_ORDER + 8
+    rng = np.random.default_rng(0)
+    cycle = np.zeros((order, order))
+    cycle[np.arange(order), (np.arange(order) + 1) % order] = rng.uniform(0.5, 2.0, order)
+    half = order // 2
+    bipartite = np.zeros((order, order))
+    bipartite[:half, half:] = rng.uniform(0.5, 2.0, (half, half))
+    bipartite[half:, :half] = rng.uniform(0.5, 2.0, (half, half))
+    for m in (cycle, bipartite):
+        with pytest.raises(EigensolverError):
+            power_iteration(m)
+
+
+def test_power_iteration_below_the_order_threshold_is_one_dense_eig():
+    m = np.random.default_rng(0).uniform(0.1, 1.0, (ITERATE_ORDER - 1, ITERATE_ORDER - 1))
+    values, vectors = np.linalg.eig(m)
+    v = np.abs(vectors[:, int(np.argmax(values.real))])
+    w = m @ (v / v.sum())
+    lam = float(w.sum())
+    got_lam, got_v = power_iteration(m)
+    assert got_lam == lam
+    assert np.array_equal(got_v, w / lam)
 
 
 @given(phi=potentials(max_depth=3), n=st.integers(min_value=1, max_value=6))
@@ -327,18 +422,8 @@ def test_pressure_limit_refuses_an_unknown_method_before_building_anything(
 
 
 # ---------------------------------------------------------------------------
-# thermodynamic invariants of the finite-n routes (no eigensolver is called,
-# so tables may range over [-8, 8])
-
-INVARIANT_SYSTEMS = st.sampled_from(
-    (
-        TransitionSystem.full_shift(2),
-        TransitionSystem.full_shift(3),
-        TransitionSystem.golden_mean(),
-        TransitionSystem(((1, 1, 0), (0, 1, 1), (1, 1, 1))),
-    )
-)
-wide_values = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False)
+# thermodynamic invariants of the finite-n routes and the eigensolver, on
+# tables in [-8, 8]
 
 
 def assert_same_finite_n_values(phi, psi, methods, n_max=10):
@@ -354,27 +439,35 @@ def assert_same_finite_n_values(phi, psi, methods, n_max=10):
 @settings(deadline=None)
 def test_adding_a_coboundary_leaves_the_periodic_values_unchanged(phi, data):
     # psi = phi + g − g∘σ sums to the same S_n on every periodic orbit
-    ts = phi.system
     g_depth = data.draw(st.integers(min_value=1, max_value=2))
-    g = {w: data.draw(wide_values) for w in brute_words(ts.matrix, g_depth)}
-    depth = max(phi.depth, g_depth + 1)
-    table = {
-        w: phi.table[w[: phi.depth]] + g[w[:g_depth]] - g[w[1 : g_depth + 1]]
-        for w in brute_words(ts.matrix, depth)
-    }
-    assert_same_finite_n_values(phi, LocallyConstantPotential(ts, depth, table), ["periodic"])
+    g = {w: data.draw(wide_values) for w in brute_words(phi.system.matrix, g_depth)}
+    assert_same_finite_n_values(phi, with_coboundary(phi, g), ["periodic"])
 
 
 @given(phi=potentials(values=wide_values, systems=INVARIANT_SYSTEMS), data=st.data())
 @settings(deadline=None)
 def test_relabelling_the_alphabet_leaves_every_finite_n_value_unchanged(phi, data):
-    k = phi.system.k
-    label = data.draw(st.permutations(range(1, k + 1)))  # symbol s becomes label[s - 1]
-    matrix = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            matrix[label[i] - 1][label[j] - 1] = phi.system.matrix[i][j]
-    ts = TransitionSystem(tuple(map(tuple, matrix)))
-    table = {tuple(label[s - 1] for s in w): v for w, v in phi.table.items()}
-    psi = LocallyConstantPotential(ts, phi.depth, table)
-    assert_same_finite_n_values(phi, psi, ["periodic", "cylinder"])
+    label = data.draw(st.permutations(range(1, phi.system.k + 1)))
+    assert_same_finite_n_values(phi, relabelled(phi, label), ["periodic", "cylinder"])
+
+
+# The eigensolver on the same invariants.  A bracket certifies its root to
+# 1e-13·λ, but the dense solve's gap and residual tests do not: on a table
+# with two near-tied loops (T3, φ(11)=φ(33)=5) they accepted roots 1.1e-12
+# apart in log λ.  1e-10 is test_spectral_route_matches_dense_eigenvalues'.
+SPECTRAL_TOL = 1e-10
+
+
+@given(phi=eigensolver_potentials(), data=st.data())
+@settings(deadline=None)
+def test_adding_a_coboundary_leaves_the_spectral_pressure_unchanged(phi, data):
+    g_depth = data.draw(st.integers(min_value=1, max_value=max(phi.depth - 1, 1)))
+    g = {w: data.draw(wide_values) for w in brute_words(phi.system.matrix, g_depth)}
+    assert abs(pressure_spectral(with_coboundary(phi, g)) - pressure_spectral(phi)) <= SPECTRAL_TOL
+
+
+@given(phi=eigensolver_potentials(), data=st.data())
+@settings(deadline=None)
+def test_relabelling_the_alphabet_leaves_the_spectral_pressure_unchanged(phi, data):
+    label = data.draw(st.permutations(range(1, phi.system.k + 1)))
+    assert abs(pressure_spectral(relabelled(phi, label)) - pressure_spectral(phi)) <= SPECTRAL_TOL
