@@ -28,7 +28,7 @@ from .measures import (
 )
 from .multifractal import grid_size
 from .potentials import LocallyConstantPotential
-from .sft import TransitionSystem, Word, enumerate_words
+from .sft import TransitionSystem, Word, word_array
 
 FORMAT_VERSION = 1
 
@@ -147,9 +147,9 @@ def dump_potential(phi: LocallyConstantPotential) -> str:
     lines += _system_lines(phi.system)
     lines.append(f"depth {phi.depth}")
     lines.append("precision 17")
-    for w in enumerate_words(phi.system, phi.depth):
+    for w in word_array(phi.system, phi.depth).tolist():
         lines.append(
-            "word " + " ".join(str(s) for s in w) + " value " + format_float(phi.table[w])
+            "word " + " ".join(map(str, w)) + " value " + format_float(phi.table[tuple(w)])
         )
     return "\n".join(lines) + "\n"
 
@@ -209,9 +209,9 @@ def dump_measure(oracle: CylinderMeasureOracle) -> str:
         lines += _system_lines(oracle.system)
         lines.append(f"depth {oracle.depth}")
         for n in range(1, oracle.depth + 1):
-            for w in enumerate_words(oracle.system, n):
+            for w in word_array(oracle.system, n).tolist():
                 lines.append(
-                    "mass " + " ".join(str(s) for s in w) + " " + format_float(oracle.masses[w])
+                    "mass " + " ".join(map(str, w)) + " " + format_float(oracle.masses[tuple(w)])
                 )
     elif isinstance(oracle, RpfGibbsData):
         lines.append("kind rpf")
@@ -258,8 +258,8 @@ def load_measure(text: str) -> CylinderMeasureOracle:
         except ValueError as exc:
             raise DocumentError(f"invalid mass table: {exc}") from exc
     if kind == "rpf":
-        # the measure is rebuilt from φ by one Perron solve; the stored λ
-        # must agree with it, and h, ν must be present and well-formed
+        # φ is rebuilt by build_rpf's two Perron solves (on m and mᵀ); the
+        # stored λ must agree with it, and h, ν must be present and well-formed
         phi, idx = _parse_potential_body(lines, idx, ts)
         (lam,) = _floats(lines, idx, "lambda", 1)
         if lam <= 0:

@@ -16,7 +16,6 @@ same for every n >= d - 1.
 from __future__ import annotations
 
 import abc
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,8 +28,8 @@ from .sft import (
     SymbolicPoint,
     TransitionSystem,
     Word,
+    _word_rows,
     block_graph,
-    enumerate_words,
     word_array,
 )
 
@@ -60,10 +59,10 @@ class LocallyConstantPotential:
         # the d-words are enumerated only when they are as many as the
         # entries; the search for missing ones visits len(table) + 3 at most
         if len(self.table) != self.system.count_words(d) or set(self.table) != set(
-            enumerate_words(self.system, d)
+            map(tuple, word_array(self.system, d).tolist())
         ):
-            unlisted = (w for w in enumerate_words(self.system, d) if w not in self.table)
-            missing = list(itertools.islice(unlisted, 3))
+            first = _word_rows(self.system, d, len(self.table) + 3).tolist()
+            missing = [w for w in map(tuple, first) if w not in self.table][:3]
             extra = sorted(
                 w for w in self.table if len(w) != d or not self.system.is_admissible(w)
             )[:3]
@@ -79,7 +78,7 @@ class LocallyConstantPotential:
 
     @classmethod
     def constant(cls, ts: TransitionSystem, c: float, depth: int = 1) -> "LocallyConstantPotential":
-        return cls(ts, depth, {w: float(c) for w in enumerate_words(ts, depth)})
+        return cls(ts, depth, {tuple(w): float(c) for w in word_array(ts, depth).tolist()})
 
     @classmethod
     def from_symbol_values(cls, ts: TransitionSystem, values: Sequence[float]) -> "LocallyConstantPotential":

@@ -109,7 +109,7 @@ def _bracketed(m: np.ndarray, v: np.ndarray, steps: int) -> Optional[tuple[float
 
 
 def power_iteration(m: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron root and positive right eigenvector of a primitive matrix.
+    """Perron root and right eigenvector of a primitive matrix.
 
     From order ``_ITERATE_ORDER`` on, a matrix with a primitive support is
     first iterated from the uniform vector.  Otherwise, and when that gives
@@ -123,8 +123,10 @@ def power_iteration(m: np.ndarray) -> tuple[float, np.ndarray]:
     for a zero image and for a failed test that no bracket overrules (a
     periodic or reducible matrix, or a root too close to the next one).
 
-    ``m`` must be nonnegative and square.  Returns (λ, v) with v > 0 and
-    ||v||_1 = 1.
+    ``m`` must be nonnegative and square.  Returns (λ, v) with v ≥ 0 and
+    ||v||_1 = 1: entries far below the peak can underflow to 0 (φ = (800, 0)
+    on the full 2-shift), and :func:`~thermoshift.measures.build_rpf`
+    refuses such a vector.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")

@@ -152,50 +152,36 @@ class TransitionSystem:
 # word enumeration
 
 
-def enumerate_words(ts: TransitionSystem, n: int) -> Iterator[Word]:
-    """Yield all admissible words of length n in lexicographic order.
-
-    Depth-first with an explicit stack of successor iterators, so the word
-    length is not bounded by the interpreter's recursion limit.
-    """
+def _word_rows(ts: TransitionSystem, n: int, limit: Optional[int] = None) -> np.ndarray:
+    """The first ``limit`` rows of :func:`word_array` (all by default): every
+    word has a successor, so the first r rows of one length extend to the
+    first r rows of the next."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    successors = {s: ts.successors(s) for s in range(1, ts.k + 1)}
-    prefix: list[int] = []
-    choices = [iter(range(1, ts.k + 1))]  # choices[i] offers the symbol after prefix[:i]
-    while choices:
-        s = next(choices[-1], None)
-        if s is None:
-            choices.pop()
-            if prefix:
-                prefix.pop()
-        elif len(prefix) == n - 1:
-            yield tuple(prefix) + (s,)
-        else:
-            prefix.append(s)
-            choices.append(iter(successors[s]))
+    t = ts.as_array
+    # int8 holds the symbols of up to 127 letters; larger alphabets get int16
+    dtype = np.int8 if ts.k <= 127 else np.int16
+    w = np.arange(1, ts.k + 1, dtype=dtype).reshape(-1, 1)[:limit]
+    for _ in range(n - 1):
+        # flatnonzero scans row-major, so successors of each row come out in
+        # increasing symbol order and the overall row order stays lexicographic
+        flat = np.flatnonzero(t[w[:, -1] - 1])[:limit]
+        rows = flat // ts.k
+        sym = (flat % ts.k + 1).astype(dtype)
+        w = np.hstack([w[rows], sym.reshape(-1, 1)])
+    w.setflags(write=False)
+    return w
 
 
 @lru_cache(maxsize=32)
 def word_array(ts: TransitionSystem, n: int) -> np.ndarray:
-    """All admissible n-words as a (count, n) int8 array, lexicographic rows.
+    """All admissible n-words as a (count, n) array, lexicographic rows.
 
-    The dense representation drives every vectorized sum in the package;
-    rows match :func:`enumerate_words` exactly.
+    The one word enumerator: the dense representation drives every
+    vectorized sum in the package.  Symbols are int8 up to 127 letters and
+    int16 beyond.
     """
-    if n < 1:
-        raise ValueError("word length must be >= 1")
-    t = ts.as_array
-    w = np.arange(1, ts.k + 1, dtype=np.int8).reshape(-1, 1)
-    for _ in range(n - 1):
-        # flatnonzero scans row-major, so successors of each row come out in
-        # increasing symbol order and the overall row order stays lexicographic
-        flat = np.flatnonzero(t[w[:, -1] - 1])
-        rows = flat // ts.k
-        sym = (flat % ts.k + 1).astype(np.int8)
-        w = np.hstack([w[rows], sym.reshape(-1, 1)])
-    w.setflags(write=False)
-    return w
+    return _word_rows(ts, n)
 
 
 def cyclic_mask(ts: TransitionSystem, words: np.ndarray) -> np.ndarray:

@@ -36,7 +36,6 @@ from thermoshift import (
     dump_measure,
     dump_potential,
     dump_system,
-    enumerate_words,
     eta,
     full_branch_linear,
     log_sum_exp,
@@ -55,6 +54,8 @@ from thermoshift import (
 from thermoshift.cli import run
 from thermoshift.potentials import AdditiveSequence
 
+from conftest import brute_words
+
 FULL2 = TransitionSystem.full_shift(2)
 FULL3 = TransitionSystem.full_shift(3)
 GOLDEN = TransitionSystem(((1, 1), (1, 0)))
@@ -67,7 +68,7 @@ def report(number, ok, detail):
 
 
 def seeded_potential(ts, depth, seed):
-    words = list(enumerate_words(ts, depth))
+    words = brute_words(ts.matrix, depth)
     rng = np.random.default_rng((ts.k, depth, seed))
     values = rng.uniform(-2.0, 2.0, len(words))
     return LocallyConstantPotential(ts, depth, {w: float(v) for w, v in zip(words, values)})

@@ -28,7 +28,6 @@ from thermoshift import (
     dump_measure,
     dump_potential,
     dump_system,
-    enumerate_words,
     golden_mean_linear,
     load_measure,
     perturbed_doubling,
@@ -39,6 +38,8 @@ import thermoshift.cli as cli
 from thermoshift.cli import run
 from thermoshift.documents import CONFIG_FIELDS, REQUIRED
 from thermoshift.potentials import LocallyConstantPotential
+
+from conftest import brute_words
 
 GOLDEN = TransitionSystem(((1, 1), (1, 0)))
 FULL2 = TransitionSystem.full_shift(2)
@@ -294,7 +295,7 @@ def test_certifying_commands_record_the_kstar_route(tmp_path):
     cfg = certify_workspace(tmp_path, math.log((1 + math.sqrt(5)) / 2))
     psi_cfg = write_config(tmp_path, {"measure": "mu.txt", "n_max": 8}, "psi.json")
     phi = LocallyConstantPotential(
-        FULL2, 3, {w: 0.25 * w.count(2) for w in enumerate_words(FULL2, 3)}
+        FULL2, 3, {w: 0.25 * w.count(2) for w in brute_words(FULL2.matrix, 3)}
     )
     pot_name = write(tmp_path / "phi3.txt", dump_potential(phi))
     gibbs_cfg = write_config(tmp_path, {"potential": pot_name}, "gibbs.json")
@@ -327,7 +328,7 @@ def test_certifying_commands_record_the_kstar_route(tmp_path):
 
 def test_certify_of_a_mass_table_records_the_enumeration_route(tmp_path):
     mu = MarkovMeasure.bernoulli(FULL2, (0.3, 0.7))
-    masses = {w: mu.mass(w) for n in range(1, 7) for w in enumerate_words(FULL2, n)}
+    masses = {w: mu.mass(w) for n in range(1, 7) for w in brute_words(FULL2.matrix, n)}
     mu_name = write(tmp_path / "mu.txt", dump_measure(TableMeasure(FULL2, 6, masses)))
     log_p = LocallyConstantPotential.from_symbol_values(FULL2, [math.log(x) for x in (0.3, 0.7)])
     pot_name = write(tmp_path / "phi.txt", dump_potential(log_p))
@@ -342,9 +343,9 @@ def test_certify_of_a_table_too_shallow_for_the_potential_is_an_input_error(tmp_
     # a depth-4 table answers words up to length 4; a depth-2 potential needs
     # n + 1 of them, so n could reach only 3, below the least n_max of 4
     mu = MarkovMeasure.bernoulli(FULL2, (0.5, 0.5))
-    masses = {w: mu.mass(w) for n in range(1, 5) for w in enumerate_words(FULL2, n)}
+    masses = {w: mu.mass(w) for n in range(1, 5) for w in brute_words(FULL2.matrix, n)}
     mu_name = write(tmp_path / "mu.txt", dump_measure(TableMeasure(FULL2, 4, masses)))
-    phi = LocallyConstantPotential(FULL2, 2, {w: 0.0 for w in enumerate_words(FULL2, 2)})
+    phi = LocallyConstantPotential(FULL2, 2, {w: 0.0 for w in brute_words(FULL2.matrix, 2)})
     pot_name = write(tmp_path / "phi.txt", dump_potential(phi))
     cfg = write_config(tmp_path, {"measure": mu_name, "potential": pot_name})
     out = tmp_path / "out"
@@ -359,7 +360,7 @@ def test_certify_of_a_table_too_shallow_for_the_potential_is_an_input_error(tmp_
 def test_certify_of_an_additive_table_with_a_zero_mass_word_is_an_input_error(tmp_path, capsys):
     # the chain never repeats symbol 2: its masses add up, but (2, 2) has mass 0
     mu = MarkovMeasure(FULL2, ((0.5, 0.5), (1.0, 0.0)), (2 / 3, 1 / 3))
-    masses = {w: mu.mass(w) for n in range(1, 5) for w in enumerate_words(FULL2, n)}
+    masses = {w: mu.mass(w) for n in range(1, 5) for w in brute_words(FULL2.matrix, n)}
     mu_name = write(tmp_path / "mu.txt", dump_measure(TableMeasure(FULL2, 4, masses)))
     pot_name = write(tmp_path / "phi.txt", dump_potential(zero_potential(FULL2)))
     cfg = write_config(tmp_path, {"measure": mu_name, "potential": pot_name})
@@ -390,7 +391,7 @@ def test_certify_wrong_pressure_is_a_failed_check(tmp_path, capsys):
 def test_certify_reports_corrupted_masses_as_input_error(tmp_path, capsys):
     masses = {}
     for n in range(1, 6):
-        for w in enumerate_words(FULL2, n):
+        for w in brute_words(FULL2.matrix, n):
             masses[w] = MarkovMeasure.bernoulli(FULL2, (0.3, 0.7)).mass(w)
     table = TableMeasure(FULL2, 5, masses)
     table.masses[(1, 2)] += 1e-5
@@ -475,7 +476,7 @@ def test_psi_verify_of_a_block_chain_enumerates_no_word_beyond_n_max(tmp_path, m
     limit = n_max + depth - 1
     rng = np.random.default_rng(12)
     phi = LocallyConstantPotential(
-        FULL2, depth, {w: float(rng.uniform(-1, 1)) for w in enumerate_words(FULL2, depth)}
+        FULL2, depth, {w: float(rng.uniform(-1, 1)) for w in brute_words(FULL2.matrix, depth)}
     )
     mu_name = write(tmp_path / "mu.txt", dump_measure(build_rpf(phi)))
     lengths = []
@@ -505,7 +506,7 @@ def test_psi_verify_needs_a_structured_measure(tmp_path, capsys):
     mu = MarkovMeasure.bernoulli(FULL2, (0.5, 0.5))
     masses = {}
     for n in range(1, 7):
-        for w in enumerate_words(FULL2, n):
+        for w in brute_words(FULL2.matrix, n):
             masses[w] = mu.mass(w)
     mu_name = write(tmp_path / "mu.txt", dump_measure(TableMeasure(FULL2, 6, masses)))
     cfg = write_config(tmp_path, {"measure": mu_name})
@@ -907,7 +908,7 @@ def test_value_missing_from_the_last_table_line_is_an_input_error(tmp_path, caps
         command = "pressure"
     else:
         mu = MarkovMeasure.bernoulli(FULL2, (0.5, 0.5))
-        masses = {w: mu.mass(w) for n in (1, 2) for w in enumerate_words(FULL2, n)}
+        masses = {w: mu.mass(w) for n in (1, 2) for w in brute_words(FULL2.matrix, n)}
         text = dump_measure(TableMeasure(FULL2, 2, masses))
         cfg_payload = {"measure": "doc.txt"}
         command = "psi-verify"

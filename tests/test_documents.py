@@ -23,7 +23,6 @@ from thermoshift import (
     dump_measure,
     dump_potential,
     dump_system,
-    enumerate_words,
     golden_mean_linear,
     load_config,
     load_map,
@@ -34,7 +33,7 @@ from thermoshift import (
 )
 from thermoshift.documents import format_float, sha256_file
 
-from conftest import markov_rows, mixing_systems, potentials
+from conftest import brute_words, markov_rows, mixing_systems, potentials
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +139,7 @@ def test_potential_words_must_have_the_declared_depth(example_potential):
 
 def test_measure_rejects_a_mass_line_without_a_value(full2):
     mu = MarkovMeasure.bernoulli(full2, (0.5, 0.5))
-    masses = {w: mu.mass(w) for n in (1, 2) for w in enumerate_words(full2, n)}
+    masses = {w: mu.mass(w) for n in (1, 2) for w in brute_words(full2.matrix, n)}
     lines = dump_measure(TableMeasure(full2, 2, masses)).splitlines() + ["mass"]
     with pytest.raises(DocumentError, match=f"line {len(lines)}: mass line needs"):
         load_measure("\n".join(lines) + "\n")

@@ -27,7 +27,6 @@ from thermoshift import (
     build_rpf,
     certify_weak_gibbs,
     check_sandwich,
-    enumerate_words,
 )
 from thermoshift.log_mass import LogMassSequence
 from thermoshift.measures import (
@@ -36,7 +35,7 @@ from thermoshift.measures import (
     _log_kstar_series,
 )
 
-from conftest import markov_rows
+from conftest import brute_words, markov_rows
 
 SYSTEMS = (
     TransitionSystem.full_shift(2),
@@ -60,7 +59,7 @@ def reference_folds(oracle, phi, p, n):
         log_pi = np.log(np.asarray(chain.stationary)).tolist()
         log_q = np.log(np.asarray(chain.rows)).tolist()
     out = []
-    for w in enumerate_words(phi.system, n + d - 1):
+    for w in brute_words(phi.system.matrix, n + d - 1):
         acc = 0.0
         for t in range(1, n + d):
             mass = None
@@ -89,7 +88,7 @@ def chain_cases(draw):
     values = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 
     def table(depth):
-        return {w: draw(values) for w in enumerate_words(ts, depth)}
+        return {w: draw(values) for w in brute_words(ts.matrix, depth)}
 
     if draw(st.booleans()):
         oracle = MarkovMeasure.from_stochastic(ts, draw(markov_rows(ts)))
@@ -162,12 +161,12 @@ def test_certificates_record_their_route(full2, example_potential):
     data = build_rpf(example_potential)  # depth 2: blocks are symbols
     cert = certify_weak_gibbs(data, AdditiveSequence(example_potential), data.pressure, 6)
     assert (cert.route, cert.block_order) == ("max-plus", 2)
-    table = {w: 0.1 * sum(w) for w in enumerate_words(full2, 3)}
+    table = {w: 0.1 * sum(w) for w in brute_words(full2.matrix, 3)}
     depth3 = LocallyConstantPotential(full2, 3, table)
     data3 = build_rpf(depth3)  # blocks of length 2
     cert = certify_weak_gibbs(data3, AdditiveSequence(depth3), data3.pressure, 6)
     assert (cert.route, cert.block_order) == ("max-plus", 4)
-    masses = {w: data.mass(w) for n in range(1, 8) for w in enumerate_words(full2, n)}
+    masses = {w: data.mass(w) for n in range(1, 8) for w in brute_words(full2.matrix, n)}
     cert = certify_weak_gibbs(
         TableMeasure(full2, 7, masses), AdditiveSequence(example_potential), data.pressure, 6
     )
@@ -189,7 +188,7 @@ def test_a_smaller_constant_names_the_first_violating_word(example_potential):
     folds = reference_folds(data, example_potential, data.pressure, n_bad)
     first = next(i for i, x in enumerate(folds) if abs(x) > math.log(constant))
     # the example potential has depth 2: each n-word is read with one extension
-    assert word == list(enumerate_words(data.system, n_bad + 1))[first][:n_bad]
+    assert word == brute_words(data.system.matrix, n_bad + 1)[first][:n_bad]
 
 
 def test_zero_mass_witness_is_the_first_bad_word_of_the_first_bad_n(full2):

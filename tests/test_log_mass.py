@@ -31,12 +31,11 @@ from thermoshift import (
     check_gibbs_one,
     check_pressure_zero,
     check_sandwich,
-    enumerate_words,
     pressure_limit,
     word_array,
 )
 
-from conftest import asymptotic_defect, markov_rows, mixing_systems
+from conftest import asymptotic_defect, brute_words, markov_rows, mixing_systems
 
 
 @pytest.fixture
@@ -62,7 +61,7 @@ def test_log_masses_are_finite_nonpositive_with_exact_dependence(ts, data, n):
     # scalar mass() route multiplies before taking the log, so it may land
     # an ulp away
     assert np.array_equal(values, mu.log_mass_words(word_array(ts, n)))
-    for w, v in zip(enumerate_words(ts, n), values):
+    for w, v in zip(brute_words(ts.matrix, n), values):
         assert v == pytest.approx(math.log(mu.mass(w)), rel=1e-13)
 
 
@@ -161,7 +160,7 @@ def test_sandwich_names_the_first_violating_word_of_a_table(full2):
     # log μ(w) + n log 2, whose largest |value| is log 1.5 at n = 1 and
     # log(9/4) at n = 2, first reached by (1, 1); a table is enumerated
     mu = MarkovMeasure.bernoulli(full2, (1 / 3, 2 / 3))
-    masses = {w: mu.mass(w) for n in range(1, 5) for w in enumerate_words(full2, n)}
+    masses = {w: mu.mass(w) for n in range(1, 5) for w in brute_words(full2.matrix, n)}
     seq = build_log_mass_sequence(TableMeasure(full2, 4, masses))
     zero = AdditiveSequence(LocallyConstantPotential.constant(full2, 0.0))
     report = check_sandwich(seq, zero, math.log(2.0), math.exp(0.5), 4)
@@ -221,7 +220,7 @@ def test_family_member_semantics(bern, parry_seq, full2):
     assert member.table[(1,)] == pytest.approx(0.25 - data.pressure, rel=1e-14)
 
     # bare tables carry no structure to build a family from
-    masses = {w: bern.oracle.mass(w) for n in (1, 2) for w in enumerate_words(full2, n)}
+    masses = {w: bern.oracle.mass(w) for n in (1, 2) for w in brute_words(full2.matrix, n)}
     table_seq = build_log_mass_sequence(TableMeasure(full2, 2, masses))
     assert table_seq.family_member(1) is None
 
@@ -262,7 +261,7 @@ def block_chain_oracles(draw, max_depth=4):
         return MarkovMeasure.from_stochastic(ts, draw(markov_rows(ts)))
     values = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
     return build_rpf(
-        LocallyConstantPotential(ts, depth, {w: draw(values) for w in enumerate_words(ts, depth)})
+        LocallyConstantPotential(ts, depth, {w: draw(values) for w in brute_words(ts.matrix, depth)})
     )
 
 
@@ -334,7 +333,7 @@ def test_max_plus_asymptotic_defects_are_the_enumerated_defects(oracle, p):
 
 
 def test_an_oracle_without_a_chain_takes_the_enumeration_routes(bern, full2):
-    masses = {w: bern.oracle.mass(w) for n in range(1, 7) for w in enumerate_words(full2, n)}
+    masses = {w: bern.oracle.mass(w) for n in range(1, 7) for w in brute_words(full2.matrix, n)}
     seq = build_log_mass_sequence(TableMeasure(full2, 6, masses))
     cert = certify_weak_gibbs(seq.oracle, bern, 0.0, 5)
     assert check_pressure_zero(seq, 5).route == "enumeration"

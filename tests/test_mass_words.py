@@ -24,7 +24,6 @@ from thermoshift import (
     build_log_mass_sequence,
     build_rpf,
     check_gibbs_one,
-    enumerate_words,
     integrate,
     shift_invariance_gap,
     validate_oracle,
@@ -33,7 +32,7 @@ from thermoshift import (
 from thermoshift.log_mass import LogMassSequence
 from thermoshift.measures import CylinderMeasureOracle, _chain_fold
 
-from conftest import markov_rows, mixing_systems
+from conftest import brute_words, markov_rows, mixing_systems
 
 T3 = TransitionSystem(((1, 1, 0), (0, 1, 1), (1, 1, 1)))
 
@@ -55,11 +54,11 @@ def rows(ts, n):
 
 def random_table(ts, depth, seed):
     rng = np.random.default_rng(seed)
-    return {w: float(rng.uniform(-2.0, 2.0)) for w in enumerate_words(ts, depth)}
+    return {w: float(rng.uniform(-2.0, 2.0)) for w in brute_words(ts.matrix, depth)}
 
 
 def table_of(mu, depth):
-    masses = {w: mu.mass(w) for n in range(1, depth + 1) for w in enumerate_words(mu.system, n)}
+    masses = {w: mu.mass(w) for n in range(1, depth + 1) for w in brute_words(mu.system.matrix, n)}
     return TableMeasure(mu.system, depth, masses)
 
 
@@ -97,13 +96,13 @@ def reference_validation(oracle, n_max, atol=1e-12):
     if gap > worst:
         worst, witness = gap, ()
     for n in range(1, n_max):
-        for w in enumerate_words(ts, n):
+        for w in brute_words(ts.matrix, n):
             ext = ordered_sum(oracle.mass(w + (s,)) for s in ts.successors(w[-1]))
             gap = abs(oracle.mass(w) - ext)
             if gap > worst:
                 worst, witness = gap, w
     for n in range(1, n_max + 1):
-        zero = next((w for w in enumerate_words(ts, n) if not oracle.mass(w) > 0), None)
+        zero = next((w for w in brute_words(ts.matrix, n) if not oracle.mass(w) > 0), None)
         if zero is not None:
             break
     total_ok = abs(oracle.mass(()) - 1.0) <= atol
@@ -113,7 +112,7 @@ def reference_validation(oracle, n_max, atol=1e-12):
 def reference_gibbs_one(oracle, n_max):
     worst, witness = 0.0, None
     for n in range(1, n_max + 1):
-        for w in enumerate_words(oracle.system, n):
+        for w in brute_words(oracle.system.matrix, n):
             m = oracle.mass(w)
             if not m > 0:
                 raise ZeroCylinderMassError(f"admissible word {w} has zero mass")
@@ -127,7 +126,7 @@ def reference_shift_gap(oracle, n_max):
     ts = oracle.system
     worst = 0.0
     for n in range(1, n_max + 1):
-        for w in enumerate_words(ts, n):
+        for w in brute_words(ts.matrix, n):
             back = ordered_sum(
                 oracle.mass((s,) + w) for s in range(1, ts.k + 1) if ts.allows(s, w[0])
             )
@@ -136,7 +135,7 @@ def reference_shift_gap(oracle, n_max):
 
 
 def reference_integral(phi, oracle):
-    return ordered_sum(oracle.mass(w) * phi.table[w] for w in enumerate_words(phi.system, phi.depth))
+    return ordered_sum(oracle.mass(w) * phi.table[w] for w in brute_words(phi.system.matrix, phi.depth))
 
 
 class Halved(CylinderMeasureOracle):

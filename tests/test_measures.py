@@ -20,7 +20,6 @@ from thermoshift import (
     build_rpf,
     certify_weak_gibbs,
     entropy,
-    enumerate_words,
     integrate,
     oscillation_bound,
     pressure_spectral,
@@ -110,7 +109,7 @@ def test_markov_oracle_invariants(ts, data):
 @settings(max_examples=30, deadline=None)
 def test_cylinder_masses_nest_monotonically(ts, data, n):
     mu = MarkovMeasure.from_stochastic(ts, data.draw(markov_rows(ts)))
-    for w in enumerate_words(ts, n):
+    for w in brute_words(ts.matrix, n):
         parent = mu.mass(w)
         for s in ts.successors(w[-1]):
             assert mu.mass(w + (s,)) <= parent + 1e-15
@@ -188,7 +187,7 @@ def make_table(mu, depth):
     ts = mu.system
     masses = {}
     for n in range(1, depth + 1):
-        for w in enumerate_words(ts, n):
+        for w in brute_words(ts.matrix, n):
             masses[w] = mu.mass(w)
     return TableMeasure(ts, depth, masses)
 
@@ -217,7 +216,7 @@ def test_table_measure_depth_is_bounded_by_the_table(full3):
     masses = {(s,): 1 / 3 for s in (1, 2, 3)}
     with pytest.raises(ValueError, match="length 1..99, exactly"):
         TableMeasure(full3, 99, masses)
-    masses.update({w: 1 / 9 for w in enumerate_words(full3, 2)})
+    masses.update({w: 1 / 9 for w in brute_words(full3.matrix, 2)})
     with pytest.raises(ValueError, match="length 1..3, exactly"):
         TableMeasure(full3, 3, masses)  # as many entries as depth, but too few words
 
@@ -226,7 +225,7 @@ def test_table_measure_depth_is_bounded_by_the_table(full3):
 def test_table_measure_rejects_non_finite_masses(full2, bad):
     # a NaN mass would make every additivity gap NaN, and NaN never exceeds
     # the tolerance, so validate_oracle could not report it
-    masses = {w: 0.25 for w in enumerate_words(full2, 2)}
+    masses = {w: 0.25 for w in brute_words(full2.matrix, 2)}
     masses.update({(1,): 0.5, (2,): 0.5})
     masses[(2, 1)] = bad
     with pytest.raises(ValueError, match=r"\(2, 1\)"):
@@ -374,7 +373,7 @@ def test_subexponential_growth_earns_the_middle_verdict(full2):
 def test_certification_names_the_first_zero_mass_word_of_a_table(full2):
     # a table has no block chain: the witness comes from enumerating n = 2
     mu = bernoulli_03(full2)
-    masses = {w: mu.mass(w) for n in range(1, 6) for w in enumerate_words(full2, n)}
+    masses = {w: mu.mass(w) for n in range(1, 6) for w in brute_words(full2.matrix, n)}
     masses[(2, 2)] = 0.0
     table = TableMeasure(full2, 5, masses)
     target = AdditiveSequence(LocallyConstantPotential.constant(full2, 0.0))

@@ -15,7 +15,6 @@ from thermoshift import (
     bernoulli_candidate_family,
     doubling_map,
     entropy,
-    enumerate_words,
     full_branch_linear,
     golden_mean_linear,
     integrate,
@@ -30,7 +29,7 @@ from thermoshift import (
     word_array,
 )
 
-from conftest import brute_log_diameter
+from conftest import brute_log_diameter, brute_words
 
 LOG2 = math.log(2.0)
 
@@ -166,7 +165,7 @@ def solved_stationary(q):
 
 def seeded_potential(ts, depth, seed):
     rng = np.random.default_rng(seed)
-    words = list(enumerate_words(ts, depth))
+    words = brute_words(ts.matrix, depth)
     return LocallyConstantPotential(
         ts, depth, dict(zip(words, (float(x) for x in rng.uniform(-2.0, 2.0, len(words)))))
     )
@@ -250,7 +249,7 @@ def reference_search(emap, mus, levels, family, delta, depth=10):
 
 
 def table_of(mu, depth):
-    masses = {w: mu.mass(w) for n in range(1, depth + 1) for w in enumerate_words(mu.system, n)}
+    masses = {w: mu.mass(w) for n in range(1, depth + 1) for w in brute_words(mu.system.matrix, n)}
     return TableMeasure(mu.system, depth, masses)
 
 

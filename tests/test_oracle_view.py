@@ -21,13 +21,14 @@ from thermoshift import (
     TransitionSystem,
     build_rpf,
     certify_weak_gibbs,
-    enumerate_words,
     pressure_spectral,
     word_array,
 )
 from thermoshift.log_mass import LogMassSequence
 from thermoshift.measures import CylinderMeasureOracle
 from thermoshift.sft import _rank_table, _window_codes, _window_ranks
+
+from conftest import brute_words
 
 T3 = TransitionSystem(((1, 1, 0), (0, 1, 1), (1, 1, 1)))
 SYSTEMS = [
@@ -40,7 +41,7 @@ SYSTEMS = [
 
 def random_table(ts, depth, seed):
     rng = np.random.default_rng(seed)
-    return {w: float(rng.uniform(-2.0, 2.0)) for w in enumerate_words(ts, depth)}
+    return {w: float(rng.uniform(-2.0, 2.0)) for w in brute_words(ts.matrix, depth)}
 
 
 def random_markov(ts, seed):
@@ -93,7 +94,7 @@ def test_folding_along_the_block_chain_gives_the_bits_of_mass(oracle, b):
     assert graph.width == b
     assert graph.ts == oracle.system
     for n in range(b, b + 4):
-        for w in enumerate_words(oracle.system, n):
+        for w in brute_words(oracle.system.matrix, n):
             assert block_fold_mass(graph, chain, w).hex() == oracle.mass(w).hex()
 
 
@@ -108,7 +109,7 @@ def test_the_reference_potential_has_pressure_zero(oracle, b):
 def unstructured_oracles():
     golden = TransitionSystem.golden_mean()
     chain = MarkovMeasure.maximal_entropy(golden)
-    masses = {w: chain.mass(w) for n in range(1, 7) for w in enumerate_words(golden, n)}
+    masses = {w: chain.mass(w) for n in range(1, 7) for w in brute_words(golden.matrix, n)}
     return [
         pytest.param(TableMeasure(golden, 6, masses), id="table"),
         pytest.param(Delegate(chain), id="delegate"),

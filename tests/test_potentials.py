@@ -28,6 +28,7 @@ from conftest import (
     brute_variation,
     brute_words,
     dyadic_potentials,
+    mixing_systems,
     potentials,
     representative_point,
     table_birkhoff,
@@ -58,6 +59,33 @@ def test_table_mismatch_of_a_deep_table_is_a_value_error(full2):
     # which must not run into the interpreter's recursion limit
     with pytest.raises(ValueError, match="table does not match admissible 1500-words"):
         LocallyConstantPotential(full2, 1500, {(1,) * 1500: 0.0})
+
+
+@given(
+    ts=mixing_systems,
+    depth=st.integers(min_value=1, max_value=7),
+    data=st.data(),
+)
+def test_table_mismatch_names_the_first_unlisted_words(ts, depth, data):
+    words = brute_words(ts.matrix, depth)
+    dropped = data.draw(
+        st.sets(st.sampled_from(words), min_size=1, max_size=min(6, len(words))), label="dropped"
+    )
+    table = {w: 0.0 for w in words if w not in dropped}
+    extra = data.draw(
+        st.lists(
+            st.lists(st.integers(1, ts.k), min_size=depth + 1, max_size=depth + 1).map(tuple),
+            max_size=1,
+        ),
+        label="extra",
+    )
+    table.update({w: 0.0 for w in extra})
+    missing = [w for w in words if w not in table][:3]
+    with pytest.raises(ValueError) as exc:
+        LocallyConstantPotential(ts, depth, table)
+    assert str(exc.value) == (
+        f"table does not match admissible {depth}-words (missing {missing}, extra {extra})"
+    )
 
 
 def test_constant_and_symbol_value_constructors(full2):

@@ -289,6 +289,17 @@ def test_zero_potential_gives_log_k_exactly_at_every_n():
             assert est.extrapolated == math.log(k)
 
 
+@pytest.mark.parametrize("k", [128, 130])
+def test_zero_potential_gives_log_k_past_127_letters(k):
+    # symbols past 127 do not fit the int8 words of smaller alphabets
+    zero = LocallyConstantPotential.constant(TransitionSystem.full_shift(k), 0.0)
+    assert pressure_spectral(zero) == pytest.approx(math.log(k), rel=1e-13)
+    for method in ("cylinder", "periodic"):
+        est = pressure_limit(method, zero, 1, 3)
+        assert all(v == pytest.approx(math.log(k), rel=1e-13) for _, v in est.finite_n_values)
+        assert est.extrapolated == pytest.approx(math.log(k), rel=1e-13)
+
+
 @pytest.mark.parametrize("probs", [(0.1, 0.9), (0.2, 0.8), (0.2, 0.4, 0.4)])
 def test_bernoulli_log_weights_give_exact_zero_at_every_finite_window(probs):
     # Σ exp(log p) is exactly 1.0 for these tables; the transfer factored as

@@ -1,5 +1,6 @@
 """Transition systems, word enumeration, and symbolic points."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,10 +10,10 @@ from thermoshift import (
     SymbolicPoint,
     TransitionSystem,
     cyclic_mask,
-    enumerate_words,
     periodic_point,
     word_array,
 )
+from thermoshift.sft import _word_rows
 
 from conftest import (
     brute_cyclic_words,
@@ -62,7 +63,6 @@ def test_not_mixing_is_detected():
 @given(ts=mixing_systems, n=st.integers(min_value=1, max_value=6))
 def test_word_enumeration_matches_brute_force(ts, n):
     expected = brute_words(ts.matrix, n)
-    assert list(enumerate_words(ts, n)) == expected
     assert ts.count_words(n) == len(expected)
     arr = word_array(ts, n)
     assert arr.shape == (len(expected), n)
@@ -71,7 +71,25 @@ def test_word_enumeration_matches_brute_force(ts, n):
 
 def test_zero_length_words_are_rejected():
     with pytest.raises(ValueError):
-        list(enumerate_words(TransitionSystem.full_shift(2), 0))
+        word_array(TransitionSystem.full_shift(2), 0)
+
+
+@given(ts=mixing_systems, n=st.integers(min_value=1, max_value=8), data=st.data())
+def test_the_first_rows_of_a_cut_enumeration_are_the_first_words(ts, n, data):
+    expected = brute_words(ts.matrix, n)
+    r = data.draw(st.integers(min_value=1, max_value=len(expected) + 2), label="rows")
+    rows = _word_rows(ts, n, r)
+    assert list(map(tuple, rows.tolist())) == expected[:r]
+    assert rows.dtype == word_array(ts, n).dtype
+    assert not rows.flags.writeable
+
+
+@pytest.mark.parametrize("k, dtype", [(127, np.int8), (128, np.int16), (130, np.int16)])
+def test_symbols_past_127_letters_are_int16(k, dtype):
+    words = word_array(TransitionSystem.full_shift(k), 2)
+    assert words.dtype == dtype
+    assert words[-1].tolist() == [k, k]
+    assert words[k].tolist() == [2, 1]
 
 
 @given(ts=mixing_systems, n=st.integers(min_value=1, max_value=8))
