@@ -258,7 +258,7 @@ def load_measure(text: str) -> CylinderMeasureOracle:
         except ValueError as exc:
             raise DocumentError(f"invalid mass table: {exc}") from exc
     if kind == "rpf":
-        # φ is rebuilt by build_rpf's two Perron solves (on m and mᵀ); the
+        # φ is rebuilt by build_rpf (one Perron solve on m, π from Q); the
         # stored λ must agree with it, and h, ν must be present and well-formed
         phi, idx = _parse_potential_body(lines, idx, ts)
         (lam,) = _floats(lines, idx, "lambda", 1)

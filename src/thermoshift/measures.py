@@ -158,8 +158,7 @@ class MarkovMeasure(CylinderMeasureOracle):
     def from_stochastic(
         cls, ts: TransitionSystem, rows: Sequence[Sequence[float]]
     ) -> "MarkovMeasure":
-        """Markov measure from a stochastic matrix; pi solved exactly
-        (see :func:`_stationary`)."""
+        """Markov measure from a stochastic matrix; pi by :func:`_stationary`."""
         q = np.asarray(rows, dtype=float)
         pi = _stationary(q[None])[0]
         return cls(ts, tuple(tuple(map(float, r)) for r in q), tuple(map(float, pi)))
@@ -269,19 +268,23 @@ def _chain_fault(
 def _stationary(q: np.ndarray) -> np.ndarray:
     """Stationary vectors of a stack of stochastic matrices (N, k, k) -> (N, k).
 
-    Each solves pi(Q − I) = 0 with Σ pi = 1 by a dense linear solve, the
-    last equation replaced by the normalization; the stack is one batched
-    ``numpy.linalg.solve``, which gives each chain the bits a solve of it
-    alone gives.
+    GTH elimination (Grassmann, Taksar and Heyman 1985): states k, …, 2 are
+    censored out, each divided by its off-diagonal row sum, and pi rebuilt
+    from state 1.  It never subtracts, so each entry keeps its relative
+    accuracy (O'Cinneide 1993); elementwise steps give each chain the bits
+    of its own call.  ValueError for a reducible Q.
     """
-    n, k = q.shape[0], q.shape[-1]
-    a = q.transpose(0, 2, 1) - np.eye(k)
-    a[:, -1, :] = 1.0
-    # one right-hand side per chain, as an (N, k, 1) stack: NumPy 1.x and
-    # 2.x read a 1-D b against a stacked a differently
-    b = np.zeros((n, k, 1))
-    b[:, -1, 0] = 1.0
-    return np.linalg.solve(a, b)[:, :, 0]
+    p = np.array(q, dtype=float)
+    for n in range(p.shape[-1] - 1, 0, -1):
+        s = p[:, n, :n].sum(axis=1)
+        if not s.all():
+            raise ValueError(f"Q is reducible: state {n + 1} cannot reach states 1..{n}")
+        p[:, :n, n] /= s[:, None]
+        p[:, :n, :n] += p[:, :n, n, None] * p[:, n, None, :n]
+    x = np.ones(p.shape[:2])
+    for j in range(1, p.shape[-1]):
+        x[:, j] = (x[:, :j] * p[:, :j, j]).sum(axis=1)
+    return x / x.sum(axis=1)[:, None]
 
 
 def _chain_logs(pi: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,8 +390,8 @@ class RpfGibbsData(CylinderMeasureOracle):
     """Exact Gibbs measure of a locally constant potential via Perron data.
 
     Built by :func:`build_rpf`.  Holds the Perron root λ (pressure = log λ),
-    both eigenvectors of the block transfer matrix (normalized ν·h = 1) and
-    the induced stationary block chain; it carries no Gibbs constant —
+    the eigenvectors h and ν = π/h of the block transfer matrix (ν·h = 1)
+    and the induced stationary block chain; it carries no Gibbs constant —
     :func:`certify_weak_gibbs` measures that.  As an oracle it answers
     masses of words over the *original* alphabet by translating them to
     block paths.
@@ -424,35 +427,32 @@ class RpfGibbsData(CylinderMeasureOracle):
 def build_rpf(phi: LocallyConstantPotential) -> RpfGibbsData:
     """Exact Gibbs measure of φ: Perron eigendata of the block transfer matrix.
 
-    The one builder of a Perron chain.  λ and the right/left eigenvectors
-    h, ν of the block transfer matrix m come from :func:`power_iteration`
-    on m and mᵀ (each a bracketed iteration or a dense eigensolve), with ν
-    rescaled to ν·h = 1.  The chain on the block graph has Q_{uv} =
-    m_{uv} h_v/(λ h_u) and stationary vector ν∘h.  Nothing is certified
-    here; :func:`certify_weak_gibbs` computes the Gibbs constants.
+    The one builder of a Perron chain.  λ and the right eigenvector h of
+    the block transfer matrix m come from one :func:`power_iteration`.  The
+    chain on the block graph has Q_{uv} = m_{uv} h_v/(λ h_u); its π comes
+    from that Q by :func:`_stationary`, and ν = π/h, so ν·h = 1.  Nothing
+    is certified here; :func:`certify_weak_gibbs` computes the Gibbs constants.
     """
     phi.system.require_mixing()
     bt = block_transfer(phi)
     m = bt.matrix
     lam, h = power_iteration(m)
-    _, nu = power_iteration(m.T)
-    if not (np.all(h > 0) and np.all(nu > 0)):  # weights that underflowed to 0
+    if not np.all(h > 0):  # weights that underflowed to 0
         raise EigensolverError("Perron vector has a zero entry (matrix reducible in floats)")
-    nu = nu / float(nu @ h)
     f, e = np.frexp(h)  # h = f·2^e: m·f_v/(λ·f_u) stays normal however small h is
     q = np.ldexp(m * f[None, :] / (lam * f[:, None]), e[None, :] - e[:, None])
-    # rows sum to 1 only in exact arithmetic; the eigenvector dust must not
-    # leak into the chain's contract
+    # rows sum to 1 only in exact arithmetic: keep the eigenvector dust out
     q = q / q.sum(axis=1)[:, None]
+    pi = _stationary(q[None])[0]
     chain = MarkovMeasure(
-        bt.graph.system, tuple(tuple(map(float, row)) for row in q), tuple(map(float, nu * h))
+        bt.graph.system, tuple(tuple(map(float, row)) for row in q), tuple(map(float, pi))
     )
     if bt.shift:  # λ = e^c·λ' for the matrix shifted by c
         log_lam = math.log(lam) + bt.shift
         if not math.log(sys.float_info.min) <= log_lam < math.log(sys.float_info.max):
             raise ValueError(f"the Perron root exp({log_lam!r}) is outside the range of a double")
         lam = math.exp(log_lam)
-    return RpfGibbsData(phi, lam, bt.graph, h, nu, chain)
+    return RpfGibbsData(phi, lam, bt.graph, h, pi / h, chain)
 
 
 # ---------------------------------------------------------------------------

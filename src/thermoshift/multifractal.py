@@ -273,7 +273,7 @@ def markov_candidate_family(ts: TransitionSystem, step: float = 1e-2) -> Candida
 
     Rows with a single allowed transition are pinned at probability 1.
     Candidate count is the product of per-row grid sizes (guarded at 10⁶).
-    The stationary vectors come from one batched solve.
+    The stationary vectors come from one batched GTH elimination.
     """
     rows_choices: list[list[tuple[float, ...]]] = []
     total = 1

@@ -223,6 +223,17 @@ def test_gibbs_build_of_a_potential_whose_chain_has_subnormal_entries(tmp_path, 
     assert result_of(out)["summary"]["pressure"] == 709.5
 
 
+def test_gibbs_build_of_a_table_whose_top_eigenvalues_nearly_tie(tmp_path, capsys):
+    # the top eigenvalue moduli 2980.95777 and 2980.95854 nearly tie, and
+    # the chain's π must still be stationary for its Q: a valid input builds
+    t3 = TransitionSystem(((1, 1, 0), (0, 1, 1), (1, 1, 1)))
+    table = {(1, 1): 8.0, (1, 2): -8.0, (2, 2): -8.0, (2, 3): -8.0, (3, 1): 8.0, (3, 2): 8.0, (3, 3): 8.0}
+    pot_name = write(tmp_path / "phi.txt", dump_potential(LocallyConstantPotential(t3, 2, table)))
+    cfg = write_config(tmp_path, {"potential": pot_name})
+    out = tmp_path / "out"
+    assert run(["gibbs-build", "--config", cfg, "--out", str(out)]) == 0, capsys.readouterr().err
+
+
 def test_pressure_runs_are_byte_identical(tmp_path):
     sys_name, pot_name = pressure_workspace(tmp_path)
     cfg = write_config(

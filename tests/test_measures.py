@@ -1,6 +1,8 @@
 """Cylinder-measure oracles: Markov chains, tables, RPF data, certification."""
 
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from thermoshift import (
     shift_invariance_gap,
     validate_oracle,
 )
+from thermoshift.measures import _stationary
 
 from conftest import (
     ATOMFREE_TABLE,
@@ -92,6 +95,59 @@ def test_from_stochastic_solves_a_genuinely_stationary_vector(ts, data):
         assert mu.mass((i,)) == mu.stationary[i - 1]
 
 
+def exact_stationary(q):
+    """π with πG = 0 and Σπ = 1 in exact rational arithmetic, where G takes
+    Q's off-diagonal floats exactly and G_ii = −Σ_{j≠i} Q_ij: the diagonal of
+    Q − I, which GTH elimination never reads, as the rest of its row fixes it."""
+    k = len(q)
+    g = [[Fraction(q[i][j]) for j in range(k)] for i in range(k)]
+    for i in range(k):
+        g[i][i] = -sum(g[i][j] for j in range(k) if j != i)
+    # the equations Σ_i π_i G_ij = 0 for j < k − 1, and Σ π = 1
+    rows = [[g[i][j] for i in range(k)] + [Fraction(0)] for j in range(k - 1)]
+    rows.append([Fraction(1)] * (k + 1))
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(k):
+            if r != c and rows[r][c] != 0:
+                f = rows[r][c] / rows[c][c]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return [rows[i][k] / rows[i][i] for i in range(k)]
+
+
+# a birth-death chain on the full 3-shift whose π is about (1, 2e-100, 4e-200)
+SPREAD_CHAIN = ((1.0, 1e-100, 0.0), (0.5, 0.5, 1e-100), (0.0, 0.5, 0.5))
+
+
+@given(ts=mixing_systems, data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_stationary_elimination_is_exact_to_rounding_in_every_entry(ts, data):
+    stack = np.array(data.draw(st.lists(markov_rows(ts), min_size=1, max_size=4)))
+    pi = _stationary(stack)
+    for q, row in zip(stack, pi):
+        # the batched stack gives each chain the bits of its own call
+        assert np.array_equal(row.view(np.uint64), _stationary(q[None])[0].view(np.uint64))
+        exact = exact_stationary(q.tolist())
+        assert all(abs(Fraction(x) - e) <= Fraction(1e-13) * e for x, e in zip(row.tolist(), exact))
+
+
+def test_stationary_elimination_keeps_entries_far_below_the_peak():
+    pi = _stationary(np.array([SPREAD_CHAIN]))[0]
+    exact = exact_stationary(SPREAD_CHAIN)
+    assert float(exact[2]) < 1e-199
+    assert all(abs(Fraction(x) - e) <= Fraction(1e-13) * e for x, e in zip(pi.tolist(), exact))
+    mu = MarkovMeasure.from_stochastic(TransitionSystem.full_shift(3), SPREAD_CHAIN)
+    assert mu.stationary == tuple(pi.tolist())
+
+
+def test_stationary_elimination_refuses_a_reducible_chain(full2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy RuntimeWarning escapes either
+        with pytest.raises(ValueError, match="Q is reducible"):
+            MarkovMeasure.from_stochastic(full2, ((1.0, 0.0), (0.0, 1.0)))
+
+
 @given(ts=mixing_systems, data=st.data())
 @settings(max_examples=30, deadline=None)
 def test_markov_oracle_invariants(ts, data):
@@ -147,8 +203,8 @@ def test_parry_measure_on_a_full_shift_is_uniform(k):
     [
         (pressure_spectral, 1),
         (lambda phi: atomfree_check(phi, 4), 1),
-        (build_rpf, 2),
-        (lambda phi: MarkovMeasure.maximal_entropy(phi.system), 2),
+        (build_rpf, 1),
+        (lambda phi: MarkovMeasure.maximal_entropy(phi.system), 1),
     ],
     ids=["pressure_spectral", "atomfree_check", "build_rpf", "maximal_entropy"],
 )
@@ -293,7 +349,7 @@ def test_rpf_pressure_matches_the_spectral_route(phi):
 
 
 def test_rpf_on_a_block_graph_past_the_iteration_threshold(monkeypatch):
-    # the full 10-shift at depth 3: order 100, both Perron vectors iterated
+    # the full 10-shift at depth 3: order 100, its one Perron vector iterated
     ts = TransitionSystem.full_shift(10)
     words = brute_words(ts.matrix, 3)
     table = dict(zip(words, np.random.default_rng(0).uniform(-2.0, 2.0, len(words)).tolist()))
@@ -322,6 +378,28 @@ def test_adding_a_coboundary_leaves_the_rpf_chain_unchanged(phi, data):
     ours, theirs = build_rpf(phi).chain, build_rpf(with_coboundary(phi, g)).chain
     edge_masses = [np.array(c.stationary)[:, None] * np.array(c.rows) for c in (ours, theirs)]
     assert np.max(np.abs(np.subtract(*edge_masses))) <= CHAIN_TOL
+
+
+def test_adding_a_coboundary_to_a_wide_t3_table_leaves_the_rpf_chain_unchanged():
+    # h spans many magnitudes here: the edge masses agree to CHAIN_TOL only
+    # when π is solved from each chain's Q, not taken as ν∘h
+    t3 = TransitionSystem(((1, 1, 0), (0, 1, 1), (1, 1, 1)))
+    table = {w: 0.0 for w in brute_words(t3.matrix, 3)}
+    table.update({(2, 2, 2): 5.0, (2, 3, 3): 1.0, (3, 3, 2): -1.0, (3, 3, 3): 5.0})
+    phi = LocallyConstantPotential(t3, 3, table)
+    g = {w: 0.0 for w in brute_words(t3.matrix, 2)}
+    g[2, 2] = 3.0
+    ours, theirs = build_rpf(phi).chain, build_rpf(with_coboundary(phi, g)).chain
+    edge_masses = [np.array(c.stationary)[:, None] * np.array(c.rows) for c in (ours, theirs)]
+    assert np.max(np.abs(np.subtract(*edge_masses))) <= CHAIN_TOL
+
+
+@pytest.mark.parametrize("v", [-680.0, -700.0])
+def test_rpf_of_a_symbol_weight_below_e_to_the_minus_670(full2, v):
+    # Bernoulli with p₂ = e^v/(1 + e^v): the transfer entry e^v is below
+    # the e^-670 under which eig of mᵀ loses the left Perron vector
+    chain = build_rpf(LocallyConstantPotential(full2, 1, {(1,): 0.0, (2,): v})).chain
+    assert chain.stationary[1] == pytest.approx(math.exp(v) / (1.0 + math.exp(v)), rel=1e-12)
 
 
 def test_rpf_is_deterministic(example_potential):
