@@ -774,7 +774,15 @@ def integrate(
 
 @dataclass(frozen=True)
 class OracleValidation:
-    """Outcome of the structural oracle checks (never raises)."""
+    """Outcome of the structural oracle checks (never raises).
+
+    ``route`` says how the words past length b + 1 were cleared (b the
+    block width): "block-chain" (the screen of :func:`validate_oracle` on
+    π and Q; ``additivity_gap`` is then a proven upper bound on every gap up
+    to ``checked_to``, never below the worst gap of the short levels) or
+    "enumeration" (every admissible word; ``additivity_gap`` is the worst
+    gap found, with the bits of the per-word loop).
+    """
 
     total_mass_ok: bool
     additivity_gap: float
@@ -782,41 +790,98 @@ class OracleValidation:
     positivity_ok: bool
     zero_mass_witness: Optional[Word]
     checked_to: int
+    route: str
 
     @property
     def passed(self) -> bool:
         return self.total_mass_ok and self.additivity_witness is None and self.positivity_ok
 
 
+_UNIT_ROUNDOFF = 2.0**-53
+
+
+def _chain_screen(graph: BlockGraph, chain: MarkovMeasure, n_max: int) -> Optional[float]:
+    """B of :func:`validate_oracle` when π and Q clear every word longer than
+    b + 1 up to n_max, else None (n_max ≤ b + 1, or a bound that does not
+    hold)."""
+    if n_max <= graph.width + 1:
+        return None
+    pi, q = chain._arrays
+    allowed = chain.ts.as_array > 0
+    u = _UNIT_ROUNDOFF
+    r = allowed.sum(axis=1)
+    delta = np.array([abs(1.0 - math.fsum(row[ok])) for row, ok in zip(q, allowed)]) + 2 * u
+    bound = 1.02 * float(np.max(delta + (1.0 + delta) * (r * u / (1.0 - r * u))))
+    low_pi, low_q = float(pi.min()), float(q[allowed].min())
+    high = max(float(pi.max()), float(q[allowed].max()))
+    if not (bound <= 1e-12 and low_pi > 0 and low_q > 0):
+        return None
+    # every mass up to n_max is at most (high·(1 + u))^n_max ≤ e^0.009 < 1.01
+    if n_max * (max(high - 1.0, 0.0) + u) > 0.009:
+        return None
+    # and at least low_pi·low_q^(n_max − b)·(1 − u)^n_max: normal, so each
+    # product rounds with relative error ≤ u
+    least = math.log(low_pi) + (n_max - graph.width) * min(math.log(low_q), 0.0)
+    return bound if least > math.log(sys.float_info.min) + 1.0 else None
+
+
 def validate_oracle(oracle: CylinderMeasureOracle, n_max: int = 10) -> OracleValidation:
     """Check normalization, additivity, and positivity up to length n_max.
 
     Additivity: μ(w) = Σ_s μ(w·s) over admissible extensions, within 1e-12.
-    The worst gap and its witness (the first in length-then-lexicographic
-    order) are reported whether or not they pass.  The checks run on arrays:
-    ``mass_words`` over each level's ``word_array``, and the extensions of
-    each word added by :func:`_extension_sums`, in successor order from 0.0.
+    The checks run on arrays: ``mass_words`` over each level's
+    ``word_array``, and the extensions of each word added by
+    :func:`_extension_sums`, in successor order from 0.0.
+
+    Two routes (``route`` of the report):
+
+    - "block-chain": an oracle with a block chain of width b and n_max > b + 1.
+      Levels 1..b + 1 are checked as below; every longer word is cleared
+      from π and Q alone.  At a word w of length ≥ b with last block t, each
+      extension mass is one rounded product fl(μ(w)·Q_ts) (the chain fold)
+      and their sum is a left-to-right sum of r_t terms, so with u = 2⁻⁵³,
+      γ_r = r·u/(1 − r·u) and δ_t = |1 − fsum of Q_t's allowed entries| + 2u
+      (≥ |1 − Σ_s Q_ts|), the gap is at most μ(w)·(δ_t + (1 + δ_t)·γ_{r_t})
+      (Higham 2002, §3.1 and §4.2).  The screen checks that every mass up to
+      n_max lies in [2⁻¹⁰²² · e, 1.01] (from min π, the least and largest
+      allowed Q entry), so no product underflows and
+      B = 1.02·max_t (δ_t + (1 + δ_t)·γ_{r_t}) bounds every gap, with the
+      rounding of the subtraction.  When B ≤ 1e-12, every mass is positive
+      and the short levels pass, the report passes with ``additivity_gap``
+      = max(worst short-level gap, B) and no witness.
+    - "enumeration": every other oracle, and a chain the screen cannot
+      clear.  Every admissible word up to n_max is checked; the worst gap
+      and its witness (the first in length-then-lexicographic order) are
+      reported whether or not they pass, and the zero-mass witness is the
+      first word whose mass is not positive.
     """
     ts = oracle.system
+    view = oracle.block_chain()
+    bound = None if view is None else _chain_screen(*view, n_max)
+    short = None if bound is None else view[0].width + 1
     total_ok = abs(oracle.mass(()) - 1.0) <= 1e-12
-    levels = [oracle.mass_words(word_array(ts, n)) for n in range(1, max(n_max, 1) + 1)]
+    masses = oracle.mass_words(word_array(ts, 1))
     worst = 0.0
     witness: Optional[Word] = None
     zero_witness: Optional[Word] = None
     # length-0 additivity: symbol masses must sum to 1
-    gap = abs(reduce(operator.add, levels[0].tolist(), 0.0) - 1.0)
+    gap = abs(reduce(operator.add, masses.tolist(), 0.0) - 1.0)
     if gap > worst:
         worst, witness = gap, ()
-    for n in range(1, n_max):
-        gaps = np.abs(levels[n - 1] - _extension_sums(ts, word_array(ts, n + 1), levels[n], n))
+    for n in range(1, n_max + 1):
+        positive = masses > 0
+        if zero_witness is None and not positive.all():
+            zero_witness = tuple(int(s) for s in word_array(ts, n)[np.argmin(positive)])
+        if n == n_max:
+            break
+        if n == short and total_ok and worst <= 1e-12 and zero_witness is None:
+            return OracleValidation(True, max(worst, bound), None, True, None, n_max, "block-chain")
+        longer = oracle.mass_words(word_array(ts, n + 1))
+        gaps = np.abs(masses - _extension_sums(ts, word_array(ts, n + 1), longer, n))
         i = _first_max(gaps)
         if gaps[i] > worst:
             worst, witness = float(gaps[i]), tuple(int(s) for s in word_array(ts, n)[i])
-    for n in range(1, n_max + 1):
-        bad = np.flatnonzero(~(levels[n - 1] > 0))
-        if bad.size:
-            zero_witness = tuple(int(s) for s in word_array(ts, n)[bad[0]])
-            break
+        masses = longer
     return OracleValidation(
         total_mass_ok=total_ok,
         additivity_gap=worst,
@@ -824,6 +889,7 @@ def validate_oracle(oracle: CylinderMeasureOracle, n_max: int = 10) -> OracleVal
         positivity_ok=zero_witness is None,
         zero_mass_witness=zero_witness,
         checked_to=n_max,
+        route="enumeration",
     )
 
 

@@ -8,6 +8,7 @@ words, eventually periodic points, and the cylinder sets they label.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterator, Optional, Sequence
@@ -158,19 +159,30 @@ def _word_rows(ts: TransitionSystem, n: int, limit: Optional[int] = None) -> np.
     first r rows of the next."""
     if n < 1:
         raise ValueError("word length must be >= 1")
-    t = ts.as_array
     # int8 holds the symbols of up to 127 letters; larger alphabets get int16
     dtype = np.int8 if ts.k <= 127 else np.int16
     w = np.arange(1, ts.k + 1, dtype=dtype).reshape(-1, 1)[:limit]
     for _ in range(n - 1):
-        # flatnonzero scans row-major, so successors of each row come out in
-        # increasing symbol order and the overall row order stays lexicographic
-        flat = np.flatnonzero(t[w[:, -1] - 1])[:limit]
-        rows = flat // ts.k
-        sym = (flat % ts.k + 1).astype(dtype)
-        w = np.hstack([w[rows], sym.reshape(-1, 1)])
+        w = _extended(ts, w, limit)
     w.setflags(write=False)
     return w
+
+
+def _extended(ts: TransitionSystem, w: np.ndarray, limit: Optional[int] = None) -> np.ndarray:
+    """The first ``limit`` words one longer than the rows of ``w``: each row
+    followed by each of its successors."""
+    # flatnonzero scans row-major, so successors of each row come out in
+    # increasing symbol order and the overall row order stays lexicographic
+    flat = np.flatnonzero(ts.as_array[w[:, -1] - 1])[:limit]
+    sym = (flat % ts.k + 1).astype(w.dtype)
+    return np.hstack([w[flat // ts.k], sym.reshape(-1, 1)])
+
+
+#: Every word array still in use, by (system, length), so that a level can
+#: extend the one below it without a recursive call.
+_LIVE_LEVELS: "weakref.WeakValueDictionary[tuple[TransitionSystem, int], np.ndarray]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 @lru_cache(maxsize=32)
@@ -179,9 +191,17 @@ def word_array(ts: TransitionSystem, n: int) -> np.ndarray:
 
     The one word enumerator: the dense representation drives every
     vectorized sum in the package.  Symbols are int8 up to 127 letters and
-    int16 beyond.
+    int16 beyond.  A level whose length-(n − 1) array is still in use
+    extends it by one step, which gives the rows of the loop from length 1.
     """
-    return _word_rows(ts, n)
+    shorter = _LIVE_LEVELS.get((ts, n - 1))
+    if shorter is None:
+        w = _word_rows(ts, n)
+    else:
+        w = _extended(ts, shorter)
+        w.setflags(write=False)
+    _LIVE_LEVELS[ts, n] = w
+    return w
 
 
 def cyclic_mask(ts: TransitionSystem, words: np.ndarray) -> np.ndarray:

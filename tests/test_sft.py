@@ -92,6 +92,38 @@ def test_symbols_past_127_letters_are_int16(k, dtype):
     assert words[k].tolist() == [2, 1]
 
 
+@pytest.mark.parametrize(
+    "ts, n_max",
+    [
+        (TransitionSystem.full_shift(2), 10),
+        (TransitionSystem.full_shift(3), 10),
+        (TransitionSystem.golden_mean(), 10),
+        (TransitionSystem(((1, 1, 0), (0, 1, 1), (1, 1, 1))), 10),
+        (TransitionSystem.full_shift(130), 2),
+    ],
+)
+def test_a_level_extended_from_the_shorter_one_is_the_full_loop(ts, n_max):
+    def same(words, n):
+        want = _word_rows(ts, n)
+        assert words.dtype == want.dtype and np.array_equal(words, want)
+        assert not words.flags.writeable
+
+    word_array.cache_clear()
+    for n in range(1, n_max + 1):  # each level extends the one just made
+        same(word_array(ts, n), n)
+    word_array.cache_clear()
+    for n in range(n_max, 0, -1):  # the shorter level is gone: the loop from length 1
+        same(word_array(ts, n), n)
+    assert word_array(ts, n_max) is word_array(ts, n_max)
+
+
+def test_a_long_level_needs_no_deep_recursion():
+    word_array.cache_clear()
+    words = word_array(TransitionSystem(((1,),)), 3000)
+    assert words.shape == (1, 3000) and (words == 1).all()
+    assert word_array(TransitionSystem(((1,),)), 3001).shape == (1, 3001)
+
+
 @given(ts=mixing_systems, n=st.integers(min_value=1, max_value=8))
 def test_periodic_point_count_matches_integer_trace(ts, n):
     assert ts.count_periodic(n) == brute_periodic_count(ts.matrix, n)
